@@ -52,8 +52,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scalar-flat conformal factors on exterior domains")
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--tol", type=float, help="solver tolerance")
-    p.add_argument("--max-iter", type=int, dest="max_iter")
+    p.add_argument("--tol", type=float, help="linear backward-error bound")
+    p.add_argument("--max-iter", type=int, dest="max_iter",
+                   help="step cap of the monotone iteration (meancurv)")
     p.add_argument("--grid", help="Ns (radial) or NsxNtheta (axisymmetric)")
     p.add_argument("--n-dim", type=int, dest="n", help="ambient dimension")
     p.add_argument("--metric",
@@ -161,13 +162,11 @@ def parse_f(spec, chart: Chart) -> BoundaryField:
 # ---------------------------------------------------------------------------
 
 def _run_dirichlet(cfg, chart, g):
-    sol = solve_scalar_flat_dirichlet(g, tol=cfg["tol"],
-                                      max_iter=cfg["max_iter"])
+    sol = solve_scalar_flat_dirichlet(g, tol=cfg["tol"])
     report = sol.report
     steps = int(cfg["lambda_steps"])
     if steps >= 2:
-        sweep = lambda_sweep(g, steps=steps, tol=cfg["tol"],
-                             max_iter=cfg["max_iter"])
+        sweep = lambda_sweep(g, steps=steps, tol=cfg["tol"])
         report.iterations["lambda_sweep_min_phi"] = [m for _, m, _ in sweep]
         report.checks["lambda_sweep_positive"] = sweep_certificate(sweep)
     fields = {"phi": sol.phi}
@@ -268,8 +267,7 @@ def _run_convergence(cfg, chart, g):
         ci = Chart.radial(chart.n, num)
         gi = metric_from_spec({"kind": "conformal", "coeffs": list(coeffs)},
                               ci)
-        sol = solve_scalar_flat_dirichlet(gi, tol=cfg["tol"],
-                                          max_iter=cfg["max_iter"])
+        sol = solve_scalar_flat_dirichlet(gi, tol=cfg["tol"])
         s_ref, phi_ref = radial_dirichlet_yamabe(u0, chart.n, num=num)
         errors.append(float(np.max(np.abs(sol.phi.values
                                           - np.interp(ci.s, s_ref, phi_ref)))))

@@ -20,7 +20,7 @@ from .chart import BoundaryField, ScalarField
 from .elliptic import DirichletBC, LinearProblem, constant_field, solve_linear
 from .errors import PositivityError, ScalarFlatError
 from .metrics import (MetricField, check_asymptotic_flatness,
-                      conformal_transform, scalar_curvature)
+                      conformal_transform)
 from .weighted import WeightedNormSpec, decay_fit, mass_coefficient, weighted_norm
 from .report import SolveReport
 
@@ -34,7 +34,7 @@ class ConformalSolution:
 
 def _yamabe_linear_problem(g: MetricField, lam: float) -> LinearProblem:
     n = g.chart.n
-    R = scalar_curvature(g)
+    R = g.scalar_curvature()
     a = 4.0 * (n - 1.0) / (n - 2.0)
     c = ScalarField(g.chart, -lam * R.values)
     src = ScalarField(g.chart, lam * R.values)
@@ -43,8 +43,8 @@ def _yamabe_linear_problem(g: MetricField, lam: float) -> LinearProblem:
                          limit=0.0)
 
 
-def solve_scalar_flat_dirichlet(g: MetricField, tol: float = 1e-10,
-                                max_iter: int = 500) -> ConformalSolution:
+def solve_scalar_flat_dirichlet(g: MetricField,
+                                tol: float = 1e-10) -> ConformalSolution:
     """Conformal factor phi with R(phi^{4/(n-2)} g) = 0, phi = 1 on r=1.
 
     Fails loudly if the computed phi is not positive, which is numerical
@@ -54,8 +54,7 @@ def solve_scalar_flat_dirichlet(g: MetricField, tol: float = 1e-10,
     check_asymptotic_flatness(g)
     n = g.chart.n
 
-    result = solve_linear(_yamabe_linear_problem(g, 1.0), tol=tol,
-                          max_iter=max_iter)
+    result = solve_linear(_yamabe_linear_problem(g, 1.0), tol=tol)
     v = result.solution
     phi = ScalarField(g.chart, 1.0 + v.values)
     min_phi = float(np.min(phi.values))
@@ -64,7 +63,7 @@ def solve_scalar_flat_dirichlet(g: MetricField, tol: float = 1e-10,
             f"positivity violated (min phi = {min_phi:.3g}): Sobolev "
             "quotient may be nonpositive")
     g_new = conformal_transform(g, phi)
-    R_new = scalar_curvature(g_new)
+    R_new = g_new.scalar_curvature()
 
     report = SolveReport(mode="dirichlet")
     delta = 2.5 - n
@@ -98,8 +97,7 @@ def solve_scalar_flat_dirichlet(g: MetricField, tol: float = 1e-10,
     return ConformalSolution(phi=phi, metric=g_new, report=report)
 
 
-def lambda_sweep(g: MetricField, steps: int = 11, tol: float = 1e-10,
-                 max_iter: int = 500):
+def lambda_sweep(g: MetricField, steps: int = 11, tol: float = 1e-10):
     """min phi_lambda along the positivity continuation family.
 
     For each lambda on a uniform grid in [0, 1] solves the lambda-weighted
@@ -112,8 +110,7 @@ def lambda_sweep(g: MetricField, steps: int = 11, tol: float = 1e-10,
     out = []
     for lam in np.linspace(0.0, 1.0, steps):
         try:
-            res = solve_linear(_yamabe_linear_problem(g, float(lam)), tol=tol,
-                               max_iter=max_iter)
+            res = solve_linear(_yamabe_linear_problem(g, float(lam)), tol=tol)
             out.append((float(lam),
                         float(np.min(1.0 + res.solution.values)), None))
         except ScalarFlatError as exc:

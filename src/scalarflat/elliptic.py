@@ -14,9 +14,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
-from .errors import (ChartError, DiscreteIsomorphismError, NonConvergenceError,
-                     SolveError)
-from .metrics import MetricField, build_laplace_matrix
+from .errors import (ChartError, DiscreteIsomorphismError,
+                     NonConvergenceError)
+from .metrics import MetricField
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,6 @@ class LinearSolveResult:
     solution: ScalarField
     residual: float
     iterations: int
-    converged: bool
     residual_history: list = field(default_factory=list)
 
 
@@ -100,126 +99,107 @@ def assemble(problem: LinearProblem) -> LinearSystem:
     """
     g = problem.metric
     chart = g.chart
-    ns = chart.s.size
     nt = 1 if chart.mode == RADIAL else chart.theta.size
-    N = ns * nt
+    N = chart.num_nodes
     h = chart.ds
 
-    L = build_laplace_matrix(g).tolil()
-    A = (problem.a * L).tolil()
-    A.setdiag(A.diagonal() + problem.c.values.ravel())
+    A = (problem.a * g.laplacian()
+         + sp.diags(problem.c.values.ravel())).tocoo()
     rhs = problem.src.values.ravel().copy()
+    # the stencil keeps the interior rows; the s=0 and r=1 rows are replaced
+    keep = (A.row >= nt) & (A.row < N - nt)
+    rows, cols, vals = [A.row[keep]], [A.col[keep]], [A.data[keep]]
 
-    def rows_at(i):
-        return range(i * nt, (i + 1) * nt) if chart.mode != RADIAL \
-            else [i] if nt == 1 else range(i * nt, (i + 1) * nt)
-
-    # exact limit row at s=0
-    for k in rows_at(0):
-        A.rows[k] = [k]
-        A.data[k] = [1.0]
-        rhs[k] = problem.limit
-
-    # inner boundary rows at s=1
-    i_last = ns - 1
-    sqrt_arr = np.sqrt(g.boundary_a_rr())
+    # identity rows: the exact limit at s=0, Dirichlet data at s=1
+    ident = np.arange(nt)
+    rhs[:nt] = problem.limit
+    last = np.arange(N - nt, N)
     if isinstance(problem.bc, DirichletBC):
-        vals = np.atleast_1d(problem.bc.value.values)
-        for j, k in enumerate(rows_at(i_last)):
-            A.rows[k] = [k]
-            A.data[k] = [1.0]
-            rhs[k] = vals[j if vals.size > 1 else 0]
+        ident = np.concatenate([ident, last])
+        rhs[-nt:] = problem.bc.value.values
     else:
-        gam = np.atleast_1d(problem.bc.gamma.values)
-        hv = np.atleast_1d(problem.bc.h.values)
         # du/deta = (1/sqrt g_rr) * (3u_N - 4u_{N-1} + u_{N-2}) / (2h)
-        for j, k in enumerate(rows_at(i_last)):
-            inv = 1.0 / (sqrt_arr[j if sqrt_arr.size > 1 else 0])
-            cols = [k - 2 * nt, k - nt, k]
-            coefs = [inv * 1.0 / (2 * h), inv * -4.0 / (2 * h),
-                     inv * 3.0 / (2 * h) + gam[j if gam.size > 1 else 0]]
-            A.rows[k] = cols
-            A.data[k] = coefs
-            rhs[k] = hv[j if hv.size > 1 else 0]
+        inv = 1.0 / np.sqrt(g.boundary_a_rr())
+        rows += [last, last, last]
+        cols += [last - 2 * nt, last - nt, last]
+        vals += [inv * 1.0 / (2 * h), inv * -4.0 / (2 * h),
+                 inv * 3.0 / (2 * h) + problem.bc.gamma.values]
+        rhs[-nt:] = problem.bc.h.values
+    rows.append(ident)
+    cols.append(ident)
+    vals.append(np.ones(ident.size))
 
-    return LinearSystem(matrix=A.tocsr(), rhs=rhs, chart=chart)
+    matrix = sp.csr_matrix((np.concatenate(vals),
+                            (np.concatenate(rows), np.concatenate(cols))),
+                           shape=(N, N))
+    return LinearSystem(matrix=matrix, rhs=rhs, chart=chart)
 
 
-def solve_linear(problem: LinearProblem, tol: float = 1e-10,
-                 max_iter: int = 500) -> LinearSolveResult:
-    """Solve the assembled system with an ILU-preconditioned Krylov method.
+def solve_linear(problem: LinearProblem,
+                 tol: float = 1e-10) -> LinearSolveResult:
+    """Assemble and solve by a sparse LU factorization.
 
-    The tolerance is a relative algebraic residual on the row-equilibrated
+    ``tol`` bounds the normwise backward error on the row-equilibrated
     system.  Deterministic for fixed inputs.
     """
-    system = assemble(problem)
-    return solve_system(system, tol=tol, max_iter=max_iter)
+    return solve_system(assemble(problem), tol=tol)
 
 
-def solve_system(system: LinearSystem, tol: float = 1e-10,
-                 max_iter: int = 500) -> LinearSolveResult:
-    A = system.matrix
-    b = system.rhs
+def solve_system(system: LinearSystem,
+                 tol: float = 1e-10) -> LinearSolveResult:
+    return Factorization(system).solve(system.rhs, tol=tol)
 
-    # row equilibration: the compactified operator rows vary over many
-    # orders of magnitude in scale, which ruins both ILU and the residual
-    # normalization
-    scale = np.abs(A).max(axis=1).toarray().ravel()
-    if np.any(scale == 0.0):
-        raise DiscreteIsomorphismError("discrete isomorphism failure: "
-                                       "zero matrix row")
-    D = sp.diags(1.0 / scale)
-    Aeq = (D @ A).tocsc()
-    beq = b / scale
 
-    try:
-        ilu = spla.spilu(Aeq, drop_tol=1e-12, fill_factor=60)
-    except RuntimeError as exc:
-        raise DiscreteIsomorphismError(
-            f"discrete isomorphism failure: {exc}") from exc
+class Factorization:
+    """Sparse LU factors of an assembled matrix, reusable for many
+    right-hand sides.
 
-    M = spla.LinearOperator(Aeq.shape, ilu.solve)
-    bnorm = np.linalg.norm(beq)
-    anorm = spla.norm(Aeq, np.inf)
-    history = []
+    Rows are equilibrated first: the compactified operator rows vary over
+    many orders of magnitude in scale, which would otherwise ruin both the
+    pivoting and the backward-error normalization.
+    """
 
-    def backward_error(xk):
-        # normwise backward error: attainable down to machine precision even
-        # when ||x|| >> ||b|| (the relative-to-b residual is not)
-        denom = anorm * np.linalg.norm(xk) + bnorm
-        return float(np.linalg.norm(Aeq @ xk - beq) / max(denom, 1e-300))
-
-    def cb(xk):
-        history.append(backward_error(xk))
-
-    x, info = spla.lgmres(Aeq, beq, M=M, rtol=tol * 1e-2 if bnorm else 0.0,
-                          atol=tol * 1e-2 * max(bnorm, 1e-300),
-                          maxiter=max_iter, callback=cb)
-    resid = backward_error(x)
-    # info > 0 only flags the iteration cap; what matters is the achieved
-    # residual
-    if np.isfinite(resid) and resid > tol and info >= 0:
-        # iterative stall: fall back to a direct factorization
+    def __init__(self, system: LinearSystem):
+        A = system.matrix
+        self.chart = system.chart
+        self.scale = np.abs(A).max(axis=1).toarray().ravel()
+        if np.any(self.scale == 0.0):
+            raise DiscreteIsomorphismError("discrete isomorphism failure: "
+                                           "zero matrix row")
+        self.matrix = (sp.diags(1.0 / self.scale) @ A).tocsc()
+        self.norm = spla.norm(self.matrix, np.inf)
         try:
-            xd = spla.splu(Aeq).solve(beq)
-        except RuntimeError:
-            xd = None
-        if xd is not None:
-            rd = backward_error(xd)
-            if rd < resid:
-                x, resid = xd, rd
-                history.append(rd)
-    if not np.isfinite(resid) or resid > tol or info < 0:
-        raise NonConvergenceError(
-            f"linear solve did not reach tol={tol:g} (residual {resid:.3g}, "
-            f"info={info})", history=history)
-    if not np.all(np.isfinite(x)):
-        raise DiscreteIsomorphismError("discrete isomorphism failure: "
-                                       "non-finite solution")
-    sol = ScalarField(system.chart, x.reshape(system.chart.shape))
-    return LinearSolveResult(solution=sol, residual=resid,
-                             iterations=len(history), converged=True,
-                             residual_history=history)
+            self.lu = spla.splu(self.matrix)
+        except RuntimeError as exc:
+            raise DiscreteIsomorphismError(
+                f"discrete isomorphism failure: {exc}") from exc
+
+    def solve(self, rhs: np.ndarray, tol: float = 1e-10) -> LinearSolveResult:
+        """One LU solve plus one refinement step, which takes the forward
+        error from ~1e-12 to ~1e-14 at condition ~1e6 (1601 radial nodes).
+
+        ``residual_history`` holds the normwise backward error
+        |A x - b| / (|A| |x| + |b|) after each; the last must be <= tol.
+        """
+        b = rhs / self.scale
+        bnorm = np.linalg.norm(b)
+        x, r, history = np.zeros_like(b), b, []
+        for _ in range(2):
+            x = x + self.lu.solve(r)
+            r = b - self.matrix @ x
+            history.append(float(np.linalg.norm(r) / max(
+                self.norm * np.linalg.norm(x) + bnorm, 1e-300)))
+        if not np.all(np.isfinite(x)):
+            raise DiscreteIsomorphismError("discrete isomorphism failure: "
+                                           "non-finite solution")
+        if not history[-1] <= tol:
+            raise NonConvergenceError(
+                f"linear solve did not reach tol={tol:g} (backward error "
+                f"{history[-1]:.3g})", history=history)
+        sol = ScalarField(self.chart, x.reshape(self.chart.shape))
+        return LinearSolveResult(solution=sol, residual=history[-1],
+                                 iterations=len(history),
+                                 residual_history=history)
 
 
 def constant_field(chart: Chart, value: float) -> ScalarField:

@@ -15,13 +15,14 @@ from dataclasses import dataclass, field as dfield
 import numpy as np
 
 from .chart import BoundaryField, ScalarField
-from .elliptic import (DirichletBC, LinearProblem, RobinBC, constant_field,
-                       solve_linear)
+from .elliptic import (DirichletBC, Factorization, LinearProblem, RobinBC,
+                       assemble, constant_field, solve_linear)
 from .errors import (BarrierError, NoSupersolutionError, NonConvergenceError,
                      PositivityError, ScalarFlatError, SolveError, StageError)
 from .metrics import (MetricField, boundary_mean_curvature,
                       check_asymptotic_flatness, conformal_law_coefficient,
-                      conformal_transform, normal_derivative, scalar_curvature)
+                      conformal_transform, laplace_beltrami,
+                      normal_derivative)
 from .report import SolveReport
 
 #: datum conventions for prescribe_mean_curvature; "transformation-law" is
@@ -89,8 +90,7 @@ def boundary_defect(alpha, dv_deta, f, beta):
 # pipeline stages
 # ---------------------------------------------------------------------------
 
-def reduce_to_minimal(g: MetricField, tol: float = 1e-10,
-                      max_iter: int = 500):
+def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
     """Conformal factor making the metric scalar-flat with H = 0 boundary.
 
     Solves (4(n-1)/(n-2)) Delta_g phi - R phi = 0 with the Robin condition
@@ -103,7 +103,7 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10,
     chart = g.chart
     n = chart.n
     check_asymptotic_flatness(g)
-    R = scalar_curvature(g)
+    R = g.scalar_curvature()
     H = boundary_mean_curvature(g)
     a = 4.0 * (n - 1.0) / (n - 2.0)
     gamma = BoundaryField(chart, H.values / conformal_law_coefficient(n))
@@ -112,14 +112,14 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10,
         src=constant_field(chart, 0.0),
         bc=RobinBC(gamma=gamma, h=BoundaryField.constant(chart, 0.0)),
         limit=1.0)
-    result = solve_linear(problem, tol=tol, max_iter=max_iter)
+    result = solve_linear(problem, tol=tol)
     phi = result.solution
     if np.min(phi.values) <= 0.0:
         raise PositivityError(
             f"positivity violated in reduction (min phi = "
             f"{np.min(phi.values):.3g}): Sobolev quotient may be nonpositive")
     ghat = conformal_transform(g, phi)
-    Rhat = scalar_curvature(ghat)
+    Rhat = ghat.scalar_curvature()
     Hhat = boundary_mean_curvature(ghat)
     report = SolveReport(mode="reduce")
     report.residuals = {
@@ -134,7 +134,7 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10,
     return ghat, phi, report
 
 
-def harmonic_unit(g: MetricField, tol: float = 1e-10, max_iter: int = 500):
+def harmonic_unit(g: MetricField, tol: float = 1e-10):
     """Harmonic barrier: Delta_g v = 0, v = 1 at r=1, v -> 0 at infinity.
 
     Requires the metric to be (numerically) scalar-flat.  Enforces the
@@ -147,7 +147,7 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10, max_iter: int = 500):
         src=constant_field(chart, 0.0),
         bc=DirichletBC(BoundaryField.constant(chart, 1.0)),
         limit=0.0)
-    result = solve_linear(problem, tol=tol, max_iter=max_iter)
+    result = solve_linear(problem, tol=tol)
     v = result.solution
     vals = v.values
     eps = 1e-12
@@ -252,7 +252,9 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
     condition du/deta + c u = f u_k^beta + c u_k and u -> 1 at infinity.
     The weight c dominates the slope of the boundary nonlinearity over the
     barrier range, which makes the iteration order preserving; nodewise
-    monotonicity and the barrier sandwich are asserted every step.
+    monotonicity and the barrier sandwich are asserted every step.  Only
+    the boundary datum changes between steps, so the system is assembled
+    and factorized once.
     """
     t0 = time.perf_counter()
     chart = g.chart
@@ -265,26 +267,30 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
     slope = np.maximum(slope, beta * fplus * hi ** (beta - 1.0))
     c_weight = max(1.0, float(np.max(slope)))
 
+    system = assemble(LinearProblem(
+        metric=g, a=1.0, c=constant_field(chart, 0.0),
+        src=constant_field(chart, 0.0),
+        bc=RobinBC(gamma=BoundaryField.constant(chart, c_weight),
+                   h=BoundaryField.constant(chart, 0.0)),
+        limit=1.0))
+    lu = Factorization(system)
+
     u = pair.u_minus
     history = []
-    monotone_ok = True
+    min_increment = math.inf
     for it in range(1, max_iter + 1):
         ub = u.boundary_values()
-        h_data = fv * ub ** beta + c_weight * ub
-        problem = LinearProblem(
-            metric=g, a=1.0, c=constant_field(chart, 0.0),
-            src=constant_field(chart, 0.0),
-            bc=RobinBC(gamma=BoundaryField.constant(chart, c_weight),
-                       h=BoundaryField(chart, h_data)),
-            limit=1.0)
-        res = solve_linear(problem, tol=linear_tol)
-        u_next = res.solution
+        rhs = system.rhs.copy()
+        rhs[-fv.size:] = fv * ub ** beta + c_weight * ub  # the Robin rows
+        u_next = lu.solve(rhs, tol=linear_tol).solution
         step = float(np.max(np.abs(u_next.values - u.values)))
         history.append(step)
-        if np.min(u_next.values - u.values) < -monotone_slack:
+        increment = float(np.min(u_next.values - u.values))
+        min_increment = min(min_increment, increment)
+        if increment < -monotone_slack:
             raise SolveError(
                 "monotonicity violated at iteration "
-                f"{it} (min increment {np.min(u_next.values - u.values):.3g}); "
+                f"{it} (min increment {increment:.3g}); "
                 "discretization or stabilization-weight error")
         if (np.min(u_next.values - pair.u_minus.values) < -monotone_slack
                 or np.max(u_next.values - pair.u_plus.values)
@@ -311,7 +317,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
         "harmonicity_Linf_interior": lap,
         "robin_Linf": robin_resid,
     }
-    report.iterations = {"monotone": len(history),
+    report.iterations = {"monotone": len(history), "linear": len(history),
                          "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),
@@ -324,14 +330,15 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
         "rho_max": None if pair.rho is None else float(np.max(pair.rho.values)),
         "sandwich_margin_low": float(np.min(u.values - pair.u_minus.values)),
         "sandwich_margin_high": float(np.max(u.values - pair.u_plus.values)),
-        "monotone": monotone_ok,
+        "min_increment": min_increment,
+        "monotone": min_increment >= -monotone_slack,
     }
     report.checks = {
         "u_positive": bool(np.all(u.values > 0.0)),
         "sandwich": bool(
             np.min(u.values - pair.u_minus.values) >= -monotone_slack
             and np.max(u.values - pair.u_plus.values) <= monotone_slack),
-        "monotone": monotone_ok,
+        "monotone": min_increment >= -monotone_slack,
     }
     report.timing = {"wall_s": time.perf_counter() - t0}
     return MeanCurvatureSolution(u=u, metric=g_new, report=report, pair=pair)
@@ -340,14 +347,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
 def solve_residual_harmonicity(g: MetricField, u: ScalarField) -> float:
     """Interior sup norm of Delta_g u (the iteration only moves boundary
     rows, so this should stay at solver tolerance)."""
-    from .metrics import laplace_beltrami
-
-    lap = laplace_beltrami(g, u).values
-    if g.chart.mode == "radial-1D":
-        interior = lap[1:-1]
-    else:
-        interior = lap[1:-1, :]
-    return float(np.max(np.abs(interior)))
+    return float(np.max(np.abs(laplace_beltrami(g, u).values[1:-1])))
 
 
 def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,

@@ -28,9 +28,6 @@ import numpy as np
 from .chart import AXISYM, RADIAL, BoundaryField, Chart, ScalarField
 from .errors import ChartError, MetricError, PositivityError
 
-#: decay weight for asymptotic flatness: components of g - flat are o(r^{5/2-n})
-FLATNESS_DECAY = lambda n: 2.5 - n  # noqa: E731
-
 
 def conformal_law_coefficient(n: int) -> float:
     """Coefficient of du/deta in the sum-convention mean-curvature law."""
@@ -65,9 +62,10 @@ class MetricField:
         if self.is_conformally_flat:
             if u0 is None:
                 raise MetricError("conformally flat metric requires u0")
-            self.u0 = np.asarray(u0, dtype=float)
+            self.u0 = np.array(u0, dtype=float)
             if self.u0.shape != chart.shape:
                 raise MetricError("u0 shape does not match chart")
+            self.u0.flags.writeable = False
         else:
             self.u0 = None
         self.u0_coeffs = None if u0_coeffs is None else tuple(
@@ -76,6 +74,24 @@ class MetricField:
         # scalar_curvature use the exact conformal identity
         self.conformal_base = None
         self.conformal_phi = None
+        # computed on first use; the metric is immutable
+        self._laplacian = None
+        self._curvature = {}
+
+    def laplacian(self):
+        """Sparse Delta_g from ``build_laplace_matrix``, built once per
+        metric.  Shared between callers, which must not modify it."""
+        if self._laplacian is None:
+            self._laplacian = build_laplace_matrix(self)
+        return self._laplacian
+
+    def scalar_curvature(self, order: int = 2) -> ScalarField:
+        """Read-only R from ``scalar_curvature``, computed once per order."""
+        if order not in self._curvature:
+            R = scalar_curvature(self, order=order)
+            R.values.flags.writeable = False
+            self._curvature[order] = R
+        return self._curvature[order]
 
     # component accessors broadcast against chart shape
     @property
@@ -268,8 +284,7 @@ def laplace_beltrami(g: MetricField, u: ScalarField) -> ScalarField:
     """
     if u.chart != g.chart:
         raise ChartError("field and metric live on different charts")
-    L = build_laplace_matrix(g)
-    vals = L @ u.values.ravel()
+    vals = g.laplacian() @ u.values.ravel()
     return ScalarField(g.chart, vals.reshape(g.chart.shape))
 
 
@@ -431,7 +446,7 @@ def scalar_curvature(g: MetricField, order: int = 2) -> ScalarField:
         # exact conformal identity relative to the stored base metric
         base = g.conformal_base
         phi = g.conformal_phi.values
-        Rb = scalar_curvature(base, order=order).values
+        Rb = base.scalar_curvature(order).values
         lap = laplace_beltrami(base, g.conformal_phi).values
         R = phi ** (-(n + 2.0) / (n - 2.0)) * (
             Rb * phi - (4.0 * (n - 1) / (n - 2)) * lap)

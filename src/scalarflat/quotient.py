@@ -16,7 +16,7 @@ from scipy.integrate import simpson
 
 from .chart import RADIAL, Chart, ScalarField
 from .errors import ChartError, ScalarFlatError
-from .metrics import MetricField, scalar_curvature
+from .metrics import MetricField
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def yamabe_energy_density(g: MetricField, f: ScalarField, order: int = 4):
     n = chart.n
     if chart.mode != RADIAL:
         order = 2
-    R = scalar_curvature(g, order=order).values
+    R = g.scalar_curvature(order).values
     cn = (n - 2.0) / (4.0 * (n - 1.0))
 
     if chart.mode == RADIAL:

@@ -4,6 +4,8 @@ import pytest
 from scalarflat import (Chart, PositivityError, flat_metric, lambda_sweep,
                         metric_from_spec, scalar_curvature,
                         solve_scalar_flat_dirichlet, sweep_certificate)
+import scalarflat.metrics as metrics
+
 BENCH = {"kind": "conformal", "coeffs": [1.0, 0.0, 1.0]}  # u0 = 1 + r^-2
 
 
@@ -95,3 +97,26 @@ def test_axisymmetric_dirichlet():
     sol = solve_scalar_flat_dirichlet(g)
     assert sol.report.checks["phi_positive"]
     assert sol.report.residuals["scalar_curvature_Linf_interior"] < 1e-8
+
+
+def test_dirichlet_and_sweep_build_operators_once(monkeypatch):
+    c = Chart.axisymmetric(41, 9)
+    a = 1.0 + 0.05 * (c.s ** 2)[:, None] * (1.0 + 0.3 * np.cos(c.theta) ** 2)
+    g = metric_from_spec({"kind": "axisym", "a_rr": a, "a_theta": a,
+                          "a_phi": a, "decay": 2.0}, c)
+    seen = {"build_laplace_matrix": [], "scalar_curvature": []}
+
+    def counting(name):
+        original = getattr(metrics, name)
+
+        def wrapper(metric, *args, **kwargs):
+            seen[name].append(metric)
+            return original(metric, *args, **kwargs)
+        return wrapper
+
+    for name in seen:
+        monkeypatch.setattr(metrics, name, counting(name))
+    solve_scalar_flat_dirichlet(g)
+    lambda_sweep(g, steps=11)
+    assert sum(m is g for m in seen["build_laplace_matrix"]) == 1
+    assert sum(m is g for m in seen["scalar_curvature"]) == 1

@@ -6,6 +6,7 @@ from scalarflat import (BarrierError, BoundaryField, Chart, NoSupersolutionError
                         flat_metric, harmonic_unit, monotone_iterate,
                         prescribe_mean_curvature, radial_mean_curvature,
                         reduce_to_minimal, rho_threshold, solve_nonlinear_robin)
+import scalarflat.meancurv as meancurv
 from scalarflat.meancurv import boundary_defect, datum_coefficient
 
 
@@ -154,3 +155,30 @@ def test_monotone_iterate_validates_pair():
     assert sol.report.barrier["alpha_plus"] == pytest.approx(1.5)
     assert sol.report.barrier["rho_min"] == pytest.approx(4.0 / 27.0,
                                                           abs=1e-3)
+
+
+def test_monotone_iterate_factorizes_once(monkeypatch):
+    c = Chart.radial(3, 201)
+    g = flat_metric(c)
+    v, dv = harmonic_unit(g)
+    pair = build_sub_super(v, dv, BoundaryField.constant(c, 0.1), 3.0)
+    calls = {"assemble": 0, "Factorization": 0}
+
+    def counting(name):
+        original = getattr(meancurv, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(meancurv, name, counting(name))
+    sol = monotone_iterate(pair, g)
+    assert sol.report.iterations["monotone"] > 10
+    assert calls == {"assemble": 1, "Factorization": 1}
+    # the smallest nodal increment over all steps backs the monotone check
+    barrier = sol.report.barrier
+    assert -1e-9 <= barrier["min_increment"] <= min(
+        sol.report.iterations["increments"])
+    assert barrier["monotone"] and sol.report.checks["monotone"]

@@ -111,3 +111,24 @@ def test_default_output_dir(monkeypatch):
     assert default_output_dir() == "scalarflat-out"
     monkeypatch.setenv("SCALARFLAT_OUTDIR", "/tmp/elsewhere")
     assert default_output_dir() == "/tmp/elsewhere"
+
+
+def test_rewrite_replaces_longer_file(tmp_path):
+    # a second, shorter write to the same path leaves only the second
+    c = Chart.radial(3, 41)
+    path = tmp_path / "fields.csv"
+    emit_fields(path, u=ScalarField(c, c.s ** 2), v=ScalarField(c, c.s))
+    emit_fields(path, w=ScalarField(c, 1.0 + c.s))
+    coords, vals = read_fields(path)
+    assert list(vals) == ["w"]
+    assert np.array_equal(vals["w"], 1.0 + c.s)
+
+    long_report = sample_report()
+    long_report.iterations["increments"] = list(range(5000))
+    short_report = SolveReport(mode="meancurv")
+    rpath = tmp_path / "report.json"
+    emit_report(long_report, rpath)
+    emit_report(short_report, rpath)
+    emit_report(short_report, tmp_path / "fresh.json")
+    assert rpath.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+    assert load_report(rpath) == short_report.to_dict()
