@@ -84,6 +84,7 @@ class Chart:
         self.r = r
         self.r.flags.writeable = False
         self._weights = None
+        self._flat_laplacian = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -205,6 +206,14 @@ class Chart:
         return total
 
     # -- finite differences (background flat derivatives) ------------------
+
+    def flat_laplacian(self):
+        """Sparse Laplacian of the Euclidean metric on this chart, built
+        once.  Shared between callers, which must not modify it."""
+        if self._flat_laplacian is None:
+            from .metrics import flat_metric  # metrics imports this module
+            self._flat_laplacian = flat_metric(self).laplacian()
+        return self._flat_laplacian
 
     def d_ds(self, values, order: int = 2) -> np.ndarray:
         """d/ds on the uniform grid, second or fourth order accurate."""

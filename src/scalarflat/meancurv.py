@@ -301,9 +301,10 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
         if step < tol:
             break
     else:
+        last = f" (last increment {history[-1]:.3g})" if history else ""
         raise NonConvergenceError(
-            f"monotone iteration did not converge in {max_iter} steps "
-            f"(last increment {history[-1]:.3g})", history=history)
+            f"monotone iteration did not converge in {max_iter} steps{last}",
+            history=history)
 
     if np.any(u.values <= 0.0):
         raise PositivityError("iterate lost positivity")

@@ -103,29 +103,6 @@ class MetricField:
         """Tangential components; (..., d-1) wide view for axisym."""
         return self.comps[..., 1:]
 
-    def sqrt_det_radial(self) -> np.ndarray:
-        """sqrt(det g) in r-coordinates, without the angular flat factor.
-
-        Radial mode: sqrt(A) * B^{(n-1)/2} * r^{n-1}.  Axisym mode includes
-        sin(theta): sqrt(a_rr a_th a_ph) * r^2 * sin(theta).  The r factors
-        are expressed through s (r = 1/s); the value at s = 0 is +inf and
-        callers must not use that row.
-        """
-        c = self.chart
-        with np.errstate(divide="ignore"):
-            rf = np.where(c.s > 0, np.where(c.s > 0, c.s, 1.0)
-                          ** (1.0 - c.n), np.inf)
-        if c.mode == RADIAL:
-            return (np.sqrt(self.comps[..., 0])
-                    * self.comps[..., 1] ** ((c.n - 1) / 2.0) * rf)
-        prod = np.sqrt(np.prod(self.comps, axis=-1))
-        with np.errstate(invalid="ignore"):
-            # inf * sin(0) = nan at the pole corners of the s=0 row; that
-            # row is never used, keep it at +inf for safety
-            out = prod * rf[:, None] * np.sin(c.theta)[None, :]
-        out[0, :] = np.inf
-        return out
-
     def boundary_a_rr(self) -> np.ndarray:
         return np.atleast_1d(self.comps[-1, ..., 0])
 
@@ -227,52 +204,14 @@ def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField
 # Laplace-Beltrami operator
 # ---------------------------------------------------------------------------
 
-def laplace_coefficients(g: MetricField):
-    """Midpoint flux coefficients for the divergence-form operator.
-
-    In s coordinates the radial part of Delta_g is
-
-        (s^2 / W) d/ds ( s^2 W g^{rr} du/ds ),   W = sqrt(det g)|_r-coords,
-
-    and the angular part (axisym) is (1/W) d/dtheta (W g^{thth} du/dtheta).
-    Returns (mu_s at s-midpoints, mu_t at theta-midpoints or None, W at
-    nodes); the s=0 row of W is +inf and is never used by callers.
-    """
-    c = g.chart
-    W = g.sqrt_det_radial()
-
-    smid = 0.5 * (c.s[:-1] + c.s[1:])
-    if c.mode == RADIAL:
-        A = g.comps[..., 0]
-        B = g.comps[..., 1]
-        Amid = 0.5 * (A[:-1] + A[1:])
-        Bmid = 0.5 * (B[:-1] + B[1:])
-        Wmid = np.sqrt(Amid) * Bmid ** ((c.n - 1) / 2.0) * smid ** (1.0 - c.n)
-        mu_s = smid ** 2 * Wmid / Amid
-        return mu_s, None, W
-
-    A = g.comps[..., 0]
-    T = g.comps[..., 1]
-    P = g.comps[..., 2]
-    sin = np.sin(c.theta)[None, :]
-    # s-direction midpoints
-    Am = 0.5 * (A[:-1] + A[1:])
-    Tm = 0.5 * (T[:-1] + T[1:])
-    Pm = 0.5 * (P[:-1] + P[1:])
-    Wm = (np.sqrt(Am * Tm * Pm) * (smid ** -2.0)[:, None] * sin)
-    mu_s = (smid ** 2)[:, None] * Wm / Am
-    # theta-direction midpoints: g^{thth} = 1/(T r^2) = s^2 / T
-    tmid_sin = np.sin(0.5 * (c.theta[:-1] + c.theta[1:]))[None, :]
-    Am2 = 0.5 * (A[:, :-1] + A[:, 1:])
-    Tm2 = 0.5 * (T[:, :-1] + T[:, 1:])
-    Pm2 = 0.5 * (P[:, :-1] + P[:, 1:])
-    with np.errstate(divide="ignore"):
-        s2 = np.where(c.s > 0, np.where(c.s > 0, c.s, 1.0) ** -2.0, np.inf)
-    Wm2 = np.sqrt(Am2 * Tm2 * Pm2) * s2[:, None] * tmid_sin
-    with np.errstate(invalid="ignore"):
-        # the s=0 row is 0 * inf; it is never referenced by the assembly
-        mu_t = np.nan_to_num(Wm2 * (c.s ** 2)[:, None] / Tm2)
-    return mu_s, mu_t, W
+def _density(comps: np.ndarray, n: int) -> np.ndarray:
+    """sqrt(det g) / (r^{n-1} sin theta) from frame components on the last
+    axis.  The tangential entries share the n-1 tangential directions
+    equally: one entry stands for all of them in radial mode, a_theta and
+    a_phi for one each in axisymmetric mode (n = 3)."""
+    tan = comps[..., 1:]
+    return (np.sqrt(comps[..., 0])
+            * np.prod(tan, axis=-1) ** ((n - 1) / (2.0 * tan.shape[-1])))
 
 
 def laplace_beltrami(g: MetricField, u: ScalarField) -> ScalarField:
@@ -289,122 +228,80 @@ def laplace_beltrami(g: MetricField, u: ScalarField) -> ScalarField:
 
 
 def build_laplace_matrix(g: MetricField):
-    """Sparse matrix of Delta_g over all nodes (s=0 row is zero)."""
+    """Sparse matrix of Delta_g over all nodes, flattened as i * nt + j.
+
+    With W = D s^{1-n} and D = ``_density`` (sqrt(det g) without the flat
+    r^{n-1} sin(theta) factor), the divergence form in s = 1/r is
+
+        Delta_g u = (s^2 / W) d/ds (s^2 W / a_rr du/ds)
+                    + (s^2 / (D sin)) d/dtheta (D sin / a_theta du/dtheta).
+
+    The matrix is one vectorized COO build on the (ns, nt) node grid, and
+    radial mode is the case nt = 1, which has no theta part.  Interior rows
+    use the conservative centred stencil with midpoint-averaged components;
+    the r = 1 row uses a one-sided second-order form of the s part; the
+    pole columns use the regularized limit (1/sin) d/dth (sin du/dth) ->
+    2 u_thth for even u, with a reflected ghost node.  The s = 0 row is zero.
+    """
     import scipy.sparse as sp
 
     c = g.chart
-    h = c.ds
-    mu_s, mu_t, W = laplace_coefficients(g)
-
-    if c.mode == RADIAL:
-        ns = c.s.size
-        pref = np.zeros(ns)
-        pref[1:] = c.s[1:] ** 2 / W[1:]
-        rows, cols, vals = [], [], []
-        for i in range(1, ns - 1):
-            a = pref[i] * mu_s[i - 1] / h ** 2
-            b = pref[i] * mu_s[i] / h ** 2
-            rows += [i, i, i]
-            cols += [i - 1, i, i + 1]
-            vals += [a, -(a + b), b]
-        # one-sided non-conservative row at s = 1
-        i = ns - 1
-        A = g.comps[:, 0]
-        grr = 1.0 / A
-        with np.errstate(invalid="ignore"):
-            mu_nodal = np.nan_to_num(c.s ** 2 * W * grr)  # finite at s=1
-        dmu = (3 * mu_nodal[i] - 4 * mu_nodal[i - 1] + mu_nodal[i - 2]) / (2 * h)
-        p = pref[i]
-        # Delta u = pref * (dmu * u_s + mu * u_ss), one-sided 2nd order
-        cu_s = np.array([1.0, -4.0, 3.0]) / (2 * h)          # u_{i-2},u_{i-1},u_i
-        cu_ss = np.array([-1.0, 4.0, -5.0, 2.0]) / h ** 2    # u_{i-3}..u_i
-        for k, coef in zip([i - 2, i - 1, i], p * dmu * cu_s):
-            rows.append(i); cols.append(k); vals.append(coef)
-        for k, coef in zip([i - 3, i - 2, i - 1, i], p * mu_nodal[i] * cu_ss):
-            rows.append(i); cols.append(k); vals.append(coef)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(ns, ns))
-
-    # axisymmetric: unknowns flattened as idx = i * nt + j
-    ns, nt = c.shape
-    ht = c.dtheta
-
-    def idx(i, j):
-        return i * nt + j
-
-    pref = np.zeros((ns, nt))
-    with np.errstate(divide="ignore"):
-        pref[1:] = np.where(W[1:] > 0, 1.0 / np.where(W[1:] > 0, W[1:], 1.0),
-                            0.0)
-
-    # sin-free density for the radial fluxes: sin(theta) is constant along s
-    # and cancels in (1/W) d/ds (W ...), so using it keeps the pole columns
-    # (sin = 0) finite.
-    A3, T3, P3 = (g.comps[..., k] for k in range(3))
-    smid = 0.5 * (c.s[:-1] + c.s[1:])
-    Am = 0.5 * (A3[:-1] + A3[1:])
-    Tm = 0.5 * (T3[:-1] + T3[1:])
-    Pm = 0.5 * (P3[:-1] + P3[1:])
-    Wm_ns = np.sqrt(Am * Tm * Pm) * (smid ** -2.0)[:, None]
-    mu_s_ns = (smid ** 2)[:, None] * Wm_ns / Am
-    Wn_ns = np.ones((ns, nt))
-    Wn_ns[1:] = (np.sqrt(A3 * T3 * P3)[1:]
-                 * (c.s[1:] ** -2.0)[:, None])
-    pref_s = np.zeros((ns, nt))
-    pref_s[1:] = 1.0 / Wn_ns[1:]
-
+    n, h = c.n, c.ds
+    ns, nt = c.s.size, c.boundary_shape[0]
+    if ns < 4:
+        raise ChartError("the Laplacian needs at least 4 nodes in s")
+    comps = g.comps.reshape(ns, nt, -1)
+    D = _density(comps, n)
+    s = c.s[:, None]
+    idx = np.arange(ns * nt).reshape(ns, nt)
     rows, cols, vals = [], [], []
-    for i in range(1, ns):
-        for j in range(nt):
-            entries = {}
 
-            def add(k, v):
-                entries[k] = entries.get(k, 0.0) + v
+    def add(row, col, val):
+        rows.append(row.ravel())
+        cols.append(col.ravel())
+        vals.append(val.ravel())
 
-            if i < ns - 1:
-                # conservative s-fluxes
-                a = c.s[i] ** 2 * pref_s[i, j] * mu_s_ns[i - 1, j] / h ** 2
-                b = c.s[i] ** 2 * pref_s[i, j] * mu_s_ns[i, j] / h ** 2
-                add(idx(i - 1, j), a)
-                add(idx(i, j), -(a + b))
-                add(idx(i + 1, j), b)
-            else:
-                # one-sided at s=1 per theta column
-                grr = 1.0 / A3[:, j]
-                mu_nodal = c.s ** 2 * Wn_ns[:, j] * grr
-                dmu = (3 * mu_nodal[i] - 4 * mu_nodal[i - 1]
-                       + mu_nodal[i - 2]) / (2 * h)
-                p = c.s[i] ** 2 * pref_s[i, j]
-                cu_s = np.array([1.0, -4.0, 3.0]) / (2 * h)
-                cu_ss = np.array([-1.0, 4.0, -5.0, 2.0]) / h ** 2
-                for k, coef in zip([i - 2, i - 1, i], p * dmu * cu_s):
-                    add(idx(k, j), coef)
-                for k, coef in zip([i - 3, i - 2, i - 1, i],
-                                   p * mu_nodal[i] * cu_ss):
-                    add(idx(k, j), coef)
+    # s part: conservative fluxes mu = s^2 W / a_rr at the s-midpoints
+    sm = 0.5 * (s[:-1] + s[1:])
+    cm = 0.5 * (comps[:-1] + comps[1:])
+    mu = sm ** 2 * (_density(cm, n) * sm ** (1.0 - n)) / cm[..., 0]
+    pref = s[1:] ** 2 / (D[1:] * s[1:] ** (1.0 - n))  # rows 1..ns-1
+    a = pref[:-1] * mu[:-1] / h ** 2
+    b = pref[:-1] * mu[1:] / h ** 2
+    add(idx[1:-1], idx[:-2], a)
+    add(idx[1:-1], idx[1:-1], -(a + b))
+    add(idx[1:-1], idx[2:], b)
 
-            # theta part with pole ghost reflection (d/dtheta = 0 at poles)
-            if 0 < j < nt - 1:
-                a = pref[i, j] * mu_t[i, j - 1] / ht ** 2
-                b = pref[i, j] * mu_t[i, j] / ht ** 2
-                add(idx(i, j - 1), a)
-                add(idx(i, j), -(a + b))
-                add(idx(i, j + 1), b)
-            else:
-                # at the pole 1/W ~ 1/sin(theta) degenerates; use the
-                # regularized limit (1/sin) d/dth (sin du/dth) -> 2 u_thth
-                # for even u, discretized with the reflected ghost node.
-                T = g.comps[i, j, 1]
-                s2 = c.s[i] ** 2
-                coef = 2.0 * (s2 / T) * 2.0 / ht ** 2
-                jn = j + 1 if j == 0 else j - 1
-                add(idx(i, jn), coef)
-                add(idx(i, j), -coef)
+    # r = 1: pref * (mu_s u_s + mu u_ss) with the nodal mu, one-sided
+    mu = s[-3:] ** 2 * (D[-3:] * s[-3:] ** (1.0 - n)) / comps[-3:, :, 0]
+    dmu = (3 * mu[2] - 4 * mu[1] + mu[0]) / (2 * h)
+    for k, coef in zip((-3, -2, -1), (1.0, -4.0, 3.0)):
+        add(idx[-1], idx[k], pref[-1] * dmu * coef / (2 * h))
+    for k, coef in zip((-4, -3, -2, -1), (-1.0, 4.0, -5.0, 2.0)):
+        add(idx[-1], idx[k], pref[-1] * mu[2] * coef / h ** 2)
 
-            for k, v in entries.items():
-                rows.append(idx(i, j)); cols.append(k); vals.append(v)
+    if c.mode == AXISYM:
+        ht = c.dtheta
+        sin = np.sin(c.theta)
+        # theta fluxes D sin / a_theta at the theta-midpoints, rows 1..ns-1
+        tm = 0.5 * (comps[1:, :-1] + comps[1:, 1:])
+        mu = (_density(tm, n) * np.sin(0.5 * (c.theta[:-1] + c.theta[1:]))
+              / tm[..., 1])
+        pref = s[1:] ** 2 / (D[1:, 1:-1] * sin[1:-1])
+        a = pref * mu[:, :-1] / ht ** 2
+        b = pref * mu[:, 1:] / ht ** 2
+        add(idx[1:, 1:-1], idx[1:, :-2], a)
+        add(idx[1:, 1:-1], idx[1:, 1:-1], -(a + b))
+        add(idx[1:, 1:-1], idx[1:, 2:], b)
+        # poles: 2 u_thth, with u_thth = 2 (u_next - u_pole) / ht^2
+        coef = 4.0 * s[1:] ** 2 / (comps[1:, [0, -1], 1] * ht ** 2)
+        add(idx[1:, [0, -1]], idx[1:, [1, -2]], coef)
+        add(idx[1:, [0, -1]], idx[1:, [0, -1]], -coef)
 
     N = ns * nt
-    return sp.csr_matrix((vals, (rows, cols)), shape=(N, N))
+    return sp.csr_matrix((np.concatenate(vals),
+                          (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(N, N))
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +310,8 @@ def build_laplace_matrix(g: MetricField):
 
 def flat_laplacian(chart: Chart, values, order: int = 2) -> np.ndarray:
     """Flat-background Laplacian of nodal values (limit 0 at s=0)."""
-    g0 = flat_metric(chart)
     if order == 2:
-        L = build_laplace_matrix(g0)
+        L = chart.flat_laplacian()
         return (L @ np.asarray(values, float).ravel()).reshape(chart.shape)
     if chart.mode != RADIAL:
         raise ChartError("order-4 flat Laplacian is radial-only")

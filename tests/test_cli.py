@@ -85,6 +85,15 @@ def test_exit_code_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
+@pytest.mark.parametrize("max_iter", ["0", "-3"])
+def test_max_iter_below_one_is_config_error(tmp_path, capsys, max_iter):
+    code = main(["--mode", "meancurv", "--f", "0.1", "--beta", "3",
+                 "--max-iter", max_iter, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_iter" in err and "Traceback" not in err
+
+
 def test_exit_code_solve_failure(tmp_path):
     code = main(["--mode", "meancurv", "--f", "0.2", "--beta", "3",
                  "--grid", "101", "--out", str(tmp_path / "o")])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from scalarflat import (BoundaryField, Chart, ChartError, DirichletBC,
                         DiscreteIsomorphismError, LinearProblem,
@@ -221,3 +222,15 @@ def test_assemble_matches_row_by_row_reference(chart):
         A, rhs = reference_assembly(p)
         assert np.array_equal(system.matrix.toarray(), A)
         assert np.array_equal(system.rhs, rhs)
+
+
+def test_factorization_fill_below_colamd():
+    c = Chart.axisymmetric(201, 65)
+    a = (1.0 + 0.9 * (c.s ** 2)[:, None]
+         * (1.0 + np.cos(c.theta) ** 2)) ** 4
+    g = metric_from_spec({"kind": "axisym", "a_rr": a, "a_theta": a,
+                          "a_phi": a, "decay": 2.0}, c)
+    factors = Factorization(assemble(_yamabe_linear_problem(g, 1.0)))
+    colamd = spla.splu(factors.matrix, permc_spec="COLAMD")
+    fill = factors.lu.L.nnz + factors.lu.U.nnz
+    assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from scalarflat import (Chart, DecayError, MetricError, PositivityError,
-                        ScalarField, boundary_mean_curvature,
+from scalarflat import (Chart, ChartError, DecayError, MetricError,
+                        PositivityError, ScalarField, boundary_mean_curvature,
                         check_asymptotic_flatness, conformal_mean_curvature,
                         conformal_transform, flat_metric, laplace_beltrami,
                         metric_from_spec, normal_derivative, scalar_curvature)
+from scalarflat import metrics
 from scalarflat.metrics import (build_laplace_matrix, conformal_law_coefficient,
                                 conformal_metric, flat_laplacian)
+
+from laplace_reference import loop_laplace_matrix
 
 
 def conf(chart, coeffs):
@@ -78,6 +81,63 @@ def test_laplace_matrix_s0_row_zero():
     c = Chart.radial(3, 51)
     L = build_laplace_matrix(flat_metric(c))
     assert L[0].nnz == 0
+
+
+def axisym_table_metric(chart):
+    # distinct a_rr, a_theta, a_phi that vary in s and theta, so every
+    # coefficient of the stencil, poles and r = 1 row included, differs
+    s, th = chart.s[:, None], chart.theta[None, :]
+    a = (1.0 + 0.3 * s ** 2 * (1.0 + np.cos(th) ** 2)) ** 4
+    return metric_from_spec({"kind": "axisym", "a_rr": a,
+                             "a_theta": a * (1.0 + 0.2 * s ** 2),
+                             "a_phi": a * (1.0 + 0.1 * s ** 2 * np.cos(th)),
+                             "decay": 2.0}, chart)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: flat_metric(Chart.radial(3, 41)),
+    lambda: flat_metric(Chart.radial(4, 41)),
+    lambda: conf(Chart.radial(3, 41), [1.0, 0.4, 0.7]),
+    lambda: axisym_table_metric(Chart.axisymmetric(41, 13)),
+], ids=["flat-n3", "flat-n4", "conformal", "axisym-table"])
+def test_laplace_matrix_matches_loop_reference(make):
+    g = make()
+    L, ref = build_laplace_matrix(g), loop_laplace_matrix(g)
+    L.sort_indices()
+    ref.sort_indices()
+    assert np.array_equal(L.indptr, ref.indptr)
+    assert np.array_equal(L.indices, ref.indices)
+    scale = np.maximum(abs(ref).max(axis=1).toarray(), 1e-300)
+    rel = abs(L - ref).max(axis=1).toarray() / scale
+    assert rel.max() <= 1e-14
+    if g.chart.mode == "axisymmetric-2D":
+        # the pole columns and the r = 1 row are populated in both
+        nt = g.chart.theta.size
+        rows = np.diff(ref.indptr).reshape(g.chart.shape)
+        assert rows[1:, 0].min() > 0 and rows[1:, -1].min() > 0
+        assert rows[-1].tolist() == [5] + [6] * (nt - 2) + [5]
+
+
+def test_laplace_matrix_needs_four_s_nodes():
+    with pytest.raises(ChartError):
+        build_laplace_matrix(flat_metric(Chart.radial(3, 3)))
+
+
+def test_flat_laplacian_built_once_per_chart(monkeypatch):
+    built = []
+    original = metrics.build_laplace_matrix
+
+    def counting(g):
+        built.append(g)
+        return original(g)
+
+    monkeypatch.setattr(metrics, "build_laplace_matrix", counting)
+    c = Chart.radial(3, 51)
+    for coeffs in ([1.0, 0.3], [1.0, 0.0, 0.5]):
+        conf(c, coeffs).scalar_curvature()
+    conformal_transform(conf(c, [1.0, 0.3]),
+                        ScalarField(c, 1.0 + c.s)).scalar_curvature()
+    assert len(built) == 1
 
 
 def test_flat_laplacian_orders():
