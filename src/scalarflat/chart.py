@@ -46,6 +46,11 @@ class Chart:
     theta_nodes : array_like, optional
         Polar-angle nodes on [0, pi].  Presence selects axisymmetric mode,
         which is only supported for n == 3.
+
+    Radial mode is the grid with one theta column: ``nt`` (nodes per s
+    level, and on the r=1 boundary) is 1, and ``s_col`` (s shaped to
+    broadcast against ``shape``) is s itself; in axisymmetric mode it is
+    s[:, None].
     """
 
     def __init__(self, n, s_nodes, theta_nodes=None):
@@ -63,8 +68,11 @@ class Chart:
         self.s.flags.writeable = False
 
         if theta_nodes is None:
-            self.mode = RADIAL
-            self.theta = None
+            self.mode, self.theta = RADIAL, None
+            self.nt, self.s_col = 1, self.s
+            self.shape = (s.size,)
+            # the one boundary node stands for the whole unit sphere
+            self._sphere = (sphere_area(self.n), np.ones(1))
         else:
             if self.n != 3:
                 raise ChartError("axisymmetric mode is only supported for n=3")
@@ -75,9 +83,14 @@ class Chart:
                 raise ChartError("theta_nodes must span [0, pi]")
             if not np.all(np.diff(th) > 0):
                 raise ChartError("theta_nodes must be strictly increasing")
-            self.mode = AXISYM
-            self.theta = th
+            self.mode, self.theta = AXISYM, th
             self.theta.flags.writeable = False
+            self.nt, self.s_col = th.size, self.s[:, None]
+            self.shape = (s.size, th.size)
+            # theta node j stands for the ring of area 2 pi sin(theta_j) dtheta
+            self._sphere = (2.0 * math.pi, _trapezoid_weights(th) * np.sin(th))
+        self._key = (self.n, self.s.tobytes(),
+                     None if self.theta is None else self.theta.tobytes())
 
         with np.errstate(divide="ignore"):
             r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
@@ -100,19 +113,13 @@ class Chart:
                    np.linspace(0.0, math.pi, num_theta))
 
     @property
-    def shape(self):
-        if self.mode == RADIAL:
-            return (self.s.size,)
-        return (self.s.size, self.theta.size)
-
-    @property
     def num_nodes(self) -> int:
-        return int(np.prod(self.shape))
+        return self.s.size * self.nt
 
     @property
     def boundary_shape(self):
         """Shape of the r=1 boundary slice (last s index)."""
-        return (1,) if self.mode == RADIAL else (self.theta.size,)
+        return (self.nt,)
 
     @property
     def ds(self) -> float:
@@ -130,16 +137,16 @@ class Chart:
         return float(d[0])
 
     def __eq__(self, other):
-        return (isinstance(other, Chart) and self.n == other.n
-                and self.mode == other.mode
-                and np.array_equal(self.s, other.s)
-                and (self.theta is None and other.theta is None
-                     or (self.theta is not None and other.theta is not None
-                         and np.array_equal(self.theta, other.theta))))
+        return isinstance(other, Chart) and self._key == other._key
 
     def __hash__(self):
-        return hash((self.n, self.mode, self.s.tobytes(),
-                     None if self.theta is None else self.theta.tobytes()))
+        return hash(self._key)
+
+    def s_pow(self, p: float, at_infinity: float) -> np.ndarray:
+        """s^p = r^{-p} shaped like ``s_col``, with ``at_infinity`` at the
+        s = 0 node, where s^p has no finite value for p < 0."""
+        s = self.s_col
+        return np.where(s > 0, np.where(s > 0, s, 1.0) ** p, at_infinity)
 
     # -- quadrature --------------------------------------------------------
 
@@ -153,57 +160,13 @@ class Chart:
         node, which is exact in the limit for integrable (decaying) fields.
         """
         if self._weights is None:
-            sw = _trapezoid_weights(self.s)
-            with np.errstate(divide="ignore"):
-                jac = np.where(self.s > 0,
-                               np.where(self.s > 0, self.s, 1.0)
-                               ** (-(self.n + 1.0)), 0.0)
-            wr = sw * jac
-            wr[0] = 0.0
-            if self.mode == RADIAL:
-                w = sphere_area(self.n) * wr
-            else:
-                tw = _trapezoid_weights(self.theta) * np.sin(self.theta)
-                w = 2.0 * math.pi * np.outer(wr, tw)
+            wr = (_trapezoid_weights(self.s).reshape(self.s_col.shape)
+                  * self.s_pow(-(self.n + 1.0), 0.0))
+            area, tw = self._sphere
+            w = area * (wr * tw)
             w.flags.writeable = False
             self._weights = w
         return self._weights
-
-    def flat_integral(self, values, r_min=None, r_max=None) -> float:
-        """Integrate nodal values over {r_min <= r <= r_max}, flat measure.
-
-        Region edges falling between nodes are handled by clipping the
-        trapezoid panels, so indicator-type regions keep quadrature order.
-        """
-        v = np.asarray(values, dtype=float)
-        if v.shape != self.shape:
-            raise ChartError("values shape does not match chart")
-        s_lo = 0.0 if r_max is None else 1.0 / r_max
-        s_hi = 1.0 if r_min is None else 1.0 / r_min
-
-        if self.mode == RADIAL:
-            radial_profile = v
-        else:
-            tw = _trapezoid_weights(self.theta) * np.sin(self.theta)
-            radial_profile = 2.0 * math.pi * v @ tw
-
-        s = self.s
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = np.where(s > 0, radial_profile * s ** (-(self.n + 1.0)), 0.0)
-        g = np.nan_to_num(g)
-        g[0] = 0.0
-        total = 0.0
-        for i in range(s.size - 1):
-            a, b = s[i], s[i + 1]
-            lo, hi = max(a, s_lo), min(b, s_hi)
-            if hi <= lo:
-                continue
-            ga = g[i] + (g[i + 1] - g[i]) * (lo - a) / (b - a)
-            gb = g[i] + (g[i + 1] - g[i]) * (hi - a) / (b - a)
-            total += 0.5 * (ga + gb) * (hi - lo)
-        if self.mode == RADIAL:
-            total *= sphere_area(self.n)
-        return total
 
     # -- finite differences (background flat derivatives) ------------------
 
@@ -233,25 +196,18 @@ class Chart:
             out[k] = -np.tensordot(c, v[k:k - 5:-1], axes=(0, 0)) / h
         return out
 
-    def d_dtheta(self, values, even_at_poles: bool = True) -> np.ndarray:
+    def d_dtheta(self, values) -> np.ndarray:
         """d/dtheta with ghost reflection at theta = 0, pi for regularity."""
         v = np.asarray(values, dtype=float)
         h = self.dtheta
-        out = np.empty_like(v)
+        out = np.zeros_like(v)
         out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
-        if even_at_poles:
-            out[:, 0] = 0.0
-            out[:, -1] = 0.0
-        else:
-            out[:, 0] = (-3 * v[:, 0] + 4 * v[:, 1] - v[:, 2]) / (2 * h)
-            out[:, -1] = (3 * v[:, -1] - 4 * v[:, -2] + v[:, -3]) / (2 * h)
         return out
 
     def d_dr(self, values, order: int = 2) -> np.ndarray:
         """Radial derivative d/dr = -s^2 d/ds; zero at the s=0 node."""
         ds = self.d_ds(values, order=order)
-        s = self.s if self.mode == RADIAL else self.s[:, None]
-        return -(s ** 2) * ds
+        return -(self.s_col ** 2) * ds
 
 
 @dataclass

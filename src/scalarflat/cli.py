@@ -15,9 +15,9 @@ import sys
 
 import numpy as np
 
-from .chart import BoundaryField, Chart, ScalarField
+from .chart import RADIAL, BoundaryField, Chart, ScalarField
 from .dirichlet import lambda_sweep, solve_scalar_flat_dirichlet, sweep_certificate
-from .errors import ConfigError, ScalarFlatError
+from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
 from .meancurv import (CONVENTIONS, prescribe_mean_curvature,
                        solve_nonlinear_robin)
 from .metrics import metric_from_spec
@@ -110,6 +110,8 @@ def parse_grid(text, n: int) -> Chart:
         sizes = [int(t) for t in parts]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}") from exc
+    if min(sizes) < 0:
+        raise ConfigError(f"bad grid spec {text!r}: negative size")
     if len(sizes) == 1:
         return Chart.radial(n, sizes[0])
     if len(sizes) == 2:
@@ -139,7 +141,10 @@ def parse_f(spec, chart: Chart) -> BoundaryField:
     if text.startswith("cos:"):
         if chart.theta is None:
             raise ConfigError("cos-series f requires an axisymmetric grid")
-        coeffs = [float(t) for t in text[4:].split(",")]
+        try:
+            coeffs = [float(t) for t in text[4:].split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad f spec {spec!r}") from exc
         mu = np.cos(chart.theta)
         vals = sum(c * mu ** k for k, c in enumerate(coeffs))
         return BoundaryField(chart, vals)
@@ -190,7 +195,7 @@ def _run_meancurv(cfg, chart, g):
         sol = solve_nonlinear_robin(g, f, float(cfg["beta"]), tol=cfg["tol"],
                                     max_iter=cfg["max_iter"])
     report = sol.report
-    if chart.mode == "radial-1D":
+    if chart.mode == RADIAL:
         fit = decay_fit(sol.u)
         report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
                         "residual": fit.residual, "status": fit.status}
@@ -228,7 +233,11 @@ def _run_oracle(cfg, chart, g):
     report = SolveReport(mode="oracle")
     fields = {}
     if cfg["f"] is not None and cfg["beta"] is not None:
-        fval = float(cfg["f"])
+        try:
+            fval = float(cfg["f"])
+        except ValueError:
+            raise ConfigError("oracle mode needs a constant --f, got "
+                              f"{cfg['f']!r}") from None
         res = radial_mean_curvature(fval, float(cfg["beta"]), chart.n)
         if res is None:
             report.checks = {"root_exists": False}
@@ -253,7 +262,7 @@ def _run_oracle(cfg, chart, g):
 
 
 def _run_convergence(cfg, chart, g):
-    if chart.mode != "radial-1D":
+    if chart.mode != RADIAL:
         raise ConfigError("convergence-study mode is radial")
     if not (g.is_conformally_flat and g.u0_coeffs is not None):
         raise ConfigError("convergence-study needs a conformal coefficient "
@@ -285,9 +294,15 @@ def _run_convergence(cfg, chart, g):
 
 
 def run_job(cfg: dict):
-    """Execute one configured job; returns (SolveReport, fields dict)."""
-    chart = parse_grid(cfg["grid"], int(cfg["n"]))
-    g = parse_metric(cfg["metric"], chart)
+    """Execute one configured job; returns (SolveReport, fields dict).
+
+    A grid or metric that cannot be built is a configuration error.
+    """
+    try:
+        chart = parse_grid(cfg["grid"], int(cfg["n"]))
+        g = parse_metric(cfg["metric"], chart)
+    except (ChartError, MetricError) as exc:
+        raise ConfigError(str(exc)) from exc
     driver = {
         "dirichlet": _run_dirichlet,
         "meancurv": _run_meancurv,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import BoundaryField, ScalarField
+from .chart import RADIAL, BoundaryField, ScalarField
 from .elliptic import DirichletBC, LinearProblem, constant_field, solve_linear
 from .errors import PositivityError, ScalarFlatError
 from .metrics import (MetricField, check_asymptotic_flatness,
@@ -85,7 +85,7 @@ def solve_scalar_flat_dirichlet(g: MetricField,
         "max_phi": float(np.max(phi.values)),
     }
     report.iterations = {"linear": result.iterations}
-    if g.chart.mode == "radial-1D":
+    if g.chart.mode == RADIAL:
         fit = decay_fit(ScalarField(g.chart, phi.values - 1.0))
         report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
                         "residual": fit.residual, "status": fit.status,

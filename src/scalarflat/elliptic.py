@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chart import RADIAL, BoundaryField, Chart, ScalarField
+from .chart import BoundaryField, Chart, ScalarField
 from .errors import (ChartError, DiscreteIsomorphismError,
                      NonConvergenceError)
 from .metrics import MetricField
@@ -67,20 +67,6 @@ class LinearSystem:
     rhs: np.ndarray
     chart: Chart
 
-    def dump_triplets(self, path):
-        """Write the system in a plain triplet text format.
-
-        Line 1: ``nrows ncols nnz``; then one ``i j value`` line per entry;
-        then one ``rhs i value`` line per right-hand-side entry.
-        """
-        coo = self.matrix.tocoo()
-        with open(path, "w") as fh:
-            fh.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-            for i, j, v in zip(coo.row, coo.col, coo.data):
-                fh.write(f"{i} {j} {v:.17g}\n")
-            for i, v in enumerate(self.rhs):
-                fh.write(f"rhs {i} {v:.17g}\n")
-
 
 @dataclass
 class LinearSolveResult:
@@ -99,7 +85,7 @@ def assemble(problem: LinearProblem) -> LinearSystem:
     """
     g = problem.metric
     chart = g.chart
-    nt = 1 if chart.mode == RADIAL else chart.theta.size
+    nt = chart.nt
     N = chart.num_nodes
     h = chart.ds
 

@@ -155,7 +155,7 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10):
         raise SolveError(
             "harmonic barrier violates the maximum principle "
             f"(range [{vals.min():.3g}, {vals.max():.3g}]); refine the grid")
-    if abs(vals[0]) > eps:
+    if np.max(np.abs(vals[0])) > eps:
         raise SolveError("harmonic barrier limit at infinity not met")
     dv = normal_derivative(g, v)
     if np.min(dv.values) <= 0.0:

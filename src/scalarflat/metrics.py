@@ -26,12 +26,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import AXISYM, RADIAL, BoundaryField, Chart, ScalarField
-from .errors import ChartError, MetricError, PositivityError
+from .errors import ChartError, DecayError, MetricError, PositivityError
+from .weighted import decay_fit
 
 
 def conformal_law_coefficient(n: int) -> float:
     """Coefficient of du/deta in the sum-convention mean-curvature law."""
     return 2.0 * (n - 1.0) / (n - 2.0)
+
+
+def _frame_size(chart: Chart) -> int:
+    """Components stored per node: (a_rr, a_tan) in radial mode, where a_tan
+    stands for all n-1 tangential directions; (a_rr, a_theta, a_phi) in
+    axisymmetric mode."""
+    return 2 if chart.mode == RADIAL else 3
 
 
 class MetricField:
@@ -46,7 +54,7 @@ class MetricField:
                  u0_coeffs=None):
         self.chart = chart
         comps = np.asarray(comps, dtype=float)
-        expected = chart.shape + ((2,) if chart.mode == RADIAL else (3,))
+        expected = chart.shape + (_frame_size(chart),)
         if comps.shape != expected:
             raise MetricError(
                 f"component array shape {comps.shape}, expected {expected}")
@@ -93,32 +101,19 @@ class MetricField:
             self._curvature[order] = R
         return self._curvature[order]
 
-    # component accessors broadcast against chart shape
-    @property
-    def a_rr(self):
-        return self.comps[..., 0]
-
-    @property
-    def a_tan(self):
-        """Tangential components; (..., d-1) wide view for axisym."""
-        return self.comps[..., 1:]
-
     def boundary_a_rr(self) -> np.ndarray:
         return np.atleast_1d(self.comps[-1, ..., 0])
 
 
 def flat_metric(chart: Chart) -> MetricField:
     """The Euclidean metric on the chart."""
-    d = 2 if chart.mode == RADIAL else 3
-    comps = np.ones(chart.shape + (d,))
-    return MetricField(chart, comps, is_conformally_flat=True,
-                       u0=np.ones(chart.shape), u0_coeffs=(1.0,))
+    return conformal_metric(chart, np.ones(chart.shape), u0_coeffs=(1.0,))
 
 
 def conformal_factor_from_coeffs(chart: Chart, coeffs) -> np.ndarray:
     """Evaluate u0 = sum_k c_k r^{-k} = sum_k c_k s^k at the nodes."""
     coeffs = [float(c) for c in coeffs]
-    s = chart.s if chart.mode == RADIAL else chart.s[:, None]
+    s = chart.s_col
     u0 = np.zeros(chart.shape)
     for k, c in enumerate(coeffs):
         u0 = u0 + c * s ** k
@@ -134,8 +129,7 @@ def conformal_metric(chart: Chart, u0, u0_coeffs=None) -> MetricField:
             f"(min {u0.min():.3g})")
     n = chart.n
     fac = u0 ** (4.0 / (n - 2.0))
-    d = 2 if chart.mode == RADIAL else 3
-    comps = np.repeat(fac[..., None], d, axis=-1)
+    comps = np.repeat(fac[..., None], _frame_size(chart), axis=-1)
     return MetricField(chart, comps, is_conformally_flat=True, u0=u0,
                        u0_coeffs=u0_coeffs)
 
@@ -156,24 +150,26 @@ def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField
     measured rate slower than declared raises ``DecayError`` carrying the
     measured value.
     """
-    from .weighted import decay_fit  # local import, avoids a cycle
-    from .errors import DecayError
-
     if isinstance(spec, str):
         spec = spec.strip()
         if spec == "flat":
             return flat_metric(chart)
-        if spec.startswith("conformal:"):
-            coeffs = [float(t) for t in spec.split(":", 1)[1].split(",")]
-            spec = {"kind": "conformal", "coeffs": coeffs}
-        else:
+        if not spec.startswith("conformal:"):
             raise MetricError(f"unknown metric spec string {spec!r}")
+        spec = {"kind": "conformal",
+                "coeffs": spec.split(":", 1)[1].split(",")}
+    if not isinstance(spec, dict):
+        raise MetricError("a metric spec is a string or a JSON object, not "
+                          f"{type(spec).__name__}")
 
     kind = spec.get("kind")
     if kind == "flat":
         return flat_metric(chart)
     if kind == "conformal":
-        coeffs = spec["coeffs"]
+        coeffs = _spec_floats(spec, "coeffs")
+        if coeffs.ndim != 1 or coeffs.size == 0:
+            raise MetricError("conformal metric spec: 'coeffs' must be a "
+                              "nonempty list of numbers")
         if abs(coeffs[0] - 1.0) > 1e-14:
             raise MetricError("conformal u0 must tend to 1 (leading "
                               f"coefficient {coeffs[0]}, expected 1)")
@@ -182,22 +178,45 @@ def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField
     if kind == "axisym":
         if chart.mode != AXISYM:
             raise MetricError("axisym metric spec requires an axisymmetric chart")
-        comps = np.stack([np.asarray(spec[k], dtype=float)
-                          for k in ("a_rr", "a_theta", "a_phi")], axis=-1)
-        g = MetricField(chart, comps)
-        declared = float(spec.get("decay", chart.n - 2.5))
-        # measure the decay of the worst component against the flat metric
-        dev = np.max(np.abs(comps - 1.0), axis=(1, 2))
-        fit = decay_fit(ScalarField(Chart(chart.n, chart.s), dev))
-        if fit.status == "ok" and fit.q < declared - decay_tol:
-            raise DecayError(
-                f"metric decay rate {fit.q:.3f} slower than declared "
-                f"{declared:.3f}", measured_rate=fit.q)
-        if fit.status == "no-decay":
-            raise DecayError("metric components do not decay",
-                             measured_rate=fit.q)
+        tables = [_spec_floats(spec, k) for k in ("a_rr", "a_theta", "a_phi")]
+        if any(t.shape != chart.shape for t in tables):
+            raise MetricError("axisym metric spec: component tables must have "
+                              f"the grid shape {chart.shape}")
+        declared = (_spec_floats(spec, "decay") if "decay" in spec
+                    else np.float64(chart.n - 2.5))
+        if declared.ndim != 0:
+            raise MetricError("axisym metric spec: 'decay' must be a number")
+        g = MetricField(chart, np.stack(tables, axis=-1))
+        _check_decay(g, float(declared), decay_tol)
         return g
     raise MetricError(f"unknown metric spec kind {kind!r}")
+
+
+def _spec_floats(spec: dict, key: str) -> np.ndarray:
+    """spec[key] as a float array; MetricError when absent or not numeric."""
+    try:
+        return np.asarray(spec[key], dtype=float)
+    except KeyError:
+        raise MetricError(f"{spec['kind']} metric spec lacks {key!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise MetricError(f"{spec['kind']} metric spec: {key!r} is not "
+                          f"numeric ({exc})") from exc
+
+
+def _check_decay(g: MetricField, need: float, tol: float):
+    """Decay fit of max |g - flat| over each s level (None for exact flat);
+    DecayError when the rate is below need - tol or there is no decay."""
+    c = g.chart
+    dev = np.max(np.abs(g.comps - 1.0).reshape(c.s.size, -1), axis=1)
+    if np.max(dev) < 1e-14:
+        return None
+    fit = decay_fit(ScalarField(Chart(c.n, c.s), dev))
+    if fit.status == "no-decay" or (fit.status == "ok" and fit.q < need - tol):
+        raise DecayError(
+            f"metric is not asymptotically flat at the required rate "
+            f"(measured q={fit.q:.3f}, need >= {need:.3f})",
+            measured_rate=fit.q)
+    return fit
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +266,7 @@ def build_laplace_matrix(g: MetricField):
 
     c = g.chart
     n, h = c.n, c.ds
-    ns, nt = c.s.size, c.boundary_shape[0]
+    ns, nt = c.s.size, c.nt
     if ns < 4:
         raise ChartError("the Laplacian needs at least 4 nodes in s")
     comps = g.comps.reshape(ns, nt, -1)
@@ -482,28 +501,14 @@ def boundary_mean_curvature(g: MetricField) -> BoundaryField:
     s-derivative.
     """
     c = g.chart
-    h = c.ds
     n = c.n
-    s = c.s
-
-    if c.mode == RADIAL:
-        A = g.comps[:, 0]
-        B = g.comps[:, 1]
-        # ln sqrt(det h) = (n-1)/2 ln B + (n-1) ln r  (+ const)
-        f = 0.5 * (n - 1) * np.log(B) + (n - 1) * np.log(
-            np.where(s > 0, np.where(s > 0, s, 1.0) ** -1.0, 1.0))
-        dfs = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-        H = dfs / np.sqrt(A[-1])  # -(1/sqrt A) * (-d/ds f)
-        return BoundaryField(c, np.array([H]))
-
-    A = g.comps[:, :, 0]
-    T = g.comps[:, :, 1]
-    P = g.comps[:, :, 2]
-    with np.errstate(divide="ignore"):
-        lr = np.log(np.where(s > 0, np.where(s > 0, s, 1.0) ** -1.0, 1.0))
-    f = 0.5 * (np.log(T) + np.log(P)) + 2.0 * lr[:, None]
-    dfs = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * h)
-    return BoundaryField(c, dfs / np.sqrt(A[-1]))
+    # ln sqrt(det h) = (n-1)/(2k) sum ln a_tan + (n-1) ln r  (+ const) over
+    # the k tangential entries, which share the n-1 directions equally
+    tan = g.comps[..., 1:]
+    f = ((n - 1) / (2.0 * tan.shape[-1]) * np.sum(np.log(tan), axis=-1)
+         + (n - 1) * np.log(c.s_pow(-1.0, 1.0)))
+    dfs = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * c.ds)
+    return BoundaryField(c, dfs / np.sqrt(g.boundary_a_rr()))
 
 
 def normal_derivative(g: MetricField, u: ScalarField) -> BoundaryField:
@@ -556,22 +561,5 @@ def conformal_mean_curvature(g: MetricField, u: ScalarField) -> BoundaryField:
 
 def check_asymptotic_flatness(g: MetricField, tol: float = 0.25):
     """Decay-rate check of g - flat; returns the fit (None for exact flat)."""
-    from .weighted import decay_fit
-
-    if g.chart.mode == RADIAL:
-        dev = np.max(np.abs(g.comps - 1.0), axis=-1)
-        rc = g.chart
-    else:
-        dev = np.max(np.abs(g.comps - 1.0), axis=(1, 2))
-        rc = Chart(g.chart.n, g.chart.s)
-    if np.max(dev) < 1e-14:
-        return None
-    fit = decay_fit(ScalarField(rc, dev))
-    need = g.chart.n - 2.5  # q >= n - 5/2 means o(r^{5/2-n}) membership
-    if fit.status == "no-decay" or (fit.status == "ok" and fit.q < need - tol):
-        from .errors import DecayError
-        raise DecayError(
-            f"metric is not asymptotically flat at the required rate "
-            f"(measured q={fit.q:.3f}, need >= {need:.3f})",
-            measured_rate=fit.q)
-    return fit
+    # q >= n - 5/2 means o(r^{5/2-n}) membership
+    return _check_decay(g, g.chart.n - 2.5, tol)

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import simpson
 
-from .chart import RADIAL, Chart, ScalarField
+from .chart import AXISYM, RADIAL, Chart, ScalarField, sphere_area
 from .errors import ChartError, ScalarFlatError
-from .metrics import MetricField
+from .metrics import MetricField, _density
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,10 @@ class TrialFamily:
         return [(c, w) for c in self.centers for w in self.widths]
 
     def evaluate(self, chart: Chart, center: float, width: float) -> ScalarField:
-        return ScalarField(chart, self.profile(chart.r, center, width))
+        """The radial profile at every node, the same in each theta column."""
+        prof = self.profile(chart.r, center, width)
+        return ScalarField(chart, np.repeat(prof[:, None], chart.nt,
+                                            axis=1).reshape(chart.shape))
 
     def profile(self, r, center, width):
         r = np.asarray(r, dtype=float)
@@ -71,25 +74,17 @@ def yamabe_energy_density(g: MetricField, f: ScalarField, order: int = 4):
     """Pointwise |grad f|^2_g + (n-2)/(4(n-1)) R f^2 and measure factor."""
     chart = g.chart
     n = chart.n
-    if chart.mode != RADIAL:
-        order = 2
+    if chart.mode == AXISYM:
+        order = 2  # the fourth-order stencils are radial-only
     R = g.scalar_curvature(order).values
     cn = (n - 2.0) / (4.0 * (n - 1.0))
 
-    if chart.mode == RADIAL:
-        fr = chart.d_dr(f.values, order=order)
-        grad2 = fr ** 2 / g.comps[..., 0]
-        measure = (np.sqrt(g.comps[..., 0])
-                   * g.comps[..., 1] ** ((n - 1) / 2.0))
-    else:
-        fr = chart.d_dr(f.values, order=2)
-        ft = chart.d_dtheta(f.values)
-        s = chart.s[:, None]
-        grad2 = (fr ** 2 / g.comps[..., 0]
-                 + (s * ft) ** 2 / g.comps[..., 1])
-        measure = np.sqrt(np.prod(g.comps, axis=-1))
+    grad2 = chart.d_dr(f.values, order=order) ** 2 / g.comps[..., 0]
+    if chart.mode == AXISYM:
+        grad2 = grad2 + ((chart.s_col * chart.d_dtheta(f.values)) ** 2
+                         / g.comps[..., 1])
     dens = grad2 + cn * R * f.values ** 2
-    return dens, measure
+    return dens, _density(g.comps, n)
 
 
 def rayleigh_quotient(g: MetricField, f: ScalarField, order: int = 4) -> float:
@@ -105,9 +100,7 @@ def rayleigh_quotient(g: MetricField, f: ScalarField, order: int = 4) -> float:
     vals = f.values
     if float(np.max(np.abs(vals))) == 0.0:
         raise ScalarFlatError("zero trial: quotient undefined")
-    if abs(vals[-1] if chart.mode == RADIAL else np.max(np.abs(vals[-1]))) > 0 \
-            or abs(vals[0] if chart.mode == RADIAL
-                   else np.max(np.abs(vals[0]))) > 0:
+    if np.max(np.abs(vals[-1])) > 0 or np.max(np.abs(vals[0])) > 0:
         raise ScalarFlatError("trial must vanish at r=1 and at infinity")
 
     dens, measure = yamabe_energy_density(g, f, order=order)
@@ -123,13 +116,8 @@ def _flat_weighted_integral(chart: Chart, integrand):
     The integrand must vanish near s=0 (compact support), so the s^{-(n+1)}
     Jacobian never meets a nonzero value at infinity.
     """
-    s = chart.s if chart.mode == RADIAL else chart.s[:, None]
-    with np.errstate(divide="ignore"):
-        jac = np.where(s > 0, np.where(s > 0, s, 1.0) ** (-(chart.n + 1.0)),
-                       0.0)
-    gvals = integrand * jac
+    gvals = integrand * chart.s_pow(-(chart.n + 1.0), 0.0)
     if chart.mode == RADIAL:
-        from .chart import sphere_area
         return sphere_area(chart.n) * float(simpson(gvals, x=chart.s))
     tint = simpson(gvals * np.sin(chart.theta)[None, :], x=chart.theta,
                    axis=1)

@@ -10,7 +10,6 @@ from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .chart import RADIAL, BoundaryField, ScalarField
 from .errors import ScalarFlatError
 
 SCHEMA_VERSION = 1
@@ -88,10 +87,9 @@ def load_report(path) -> dict:
 
 
 def emit_fields(path, **fields) -> None:
-    """Write named fields to one CSV (coordinates + one value column each).
-
-    All fields must share a chart.  Boundary fields are written separately
-    by ``emit_boundary_fields``.
+    """Write named fields to one CSV: one row per node in (s, theta) order,
+    the coordinates s, r (and theta on axisymmetric grids), then one value
+    column per field.  All fields must share a chart.
     """
     if not fields:
         raise ScalarFlatError("no fields to export")
@@ -100,23 +98,18 @@ def emit_fields(path, **fields) -> None:
         raise ScalarFlatError("fields must share one chart")
     names = sorted(fields)
     chart = fields[names[0]].chart
+    header = ["s", "r"]
+    coords = [chart.s_col, chart.r.reshape(chart.s_col.shape)]
+    if chart.theta is not None:
+        header.append("theta")
+        coords.append(chart.theta)
+    columns = ([np.broadcast_to(c, chart.shape).ravel().tolist()
+                for c in coords]
+               + [fields[n].values.ravel().tolist() for n in names])
     with _create(path) as fh:
         w = csv.writer(fh)
-        if chart.mode == RADIAL:
-            w.writerow(["s", "r"] + names)
-            for i, s in enumerate(chart.s):
-                r = float("inf") if s == 0 else 1.0 / s
-                w.writerow([repr(float(s)), repr(float(r))]
-                           + [repr(float(fields[n].values[i])) for n in names])
-        else:
-            w.writerow(["s", "r", "theta"] + names)
-            for i, s in enumerate(chart.s):
-                r = float("inf") if s == 0 else 1.0 / s
-                for j, th in enumerate(chart.theta):
-                    w.writerow([repr(float(s)), repr(float(r)),
-                                repr(float(th))]
-                               + [repr(float(fields[n].values[i, j]))
-                                  for n in names])
+        w.writerow(header + names)
+        w.writerows([repr(v) for v in row] for row in zip(*columns))
 
 
 def read_fields(path):
@@ -133,23 +126,6 @@ def read_fields(path):
     coords = {k: v for k, v in cols.items() if k in coord_names}
     vals = {k: v for k, v in cols.items() if k not in coord_names}
     return coords, vals
-
-
-def emit_boundary_fields(path, **fields) -> None:
-    if not fields:
-        raise ScalarFlatError("no fields to export")
-    names = sorted(fields)
-    chart = fields[names[0]].chart
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if chart.mode == RADIAL:
-            w.writerow(names)
-            w.writerow([repr(float(fields[n].values[0])) for n in names])
-        else:
-            w.writerow(["theta"] + names)
-            for j, th in enumerate(chart.theta):
-                w.writerow([repr(float(th))]
-                           + [repr(float(fields[n].values[j])) for n in names])
 
 
 def default_output_dir() -> str:

@@ -64,10 +64,8 @@ def _derivative_magnitudes(u: ScalarField, k: int):
     if c.mode == RADIAL:
         grad = np.abs(ur)
     else:
-        with np.errstate(divide="ignore"):
-            inv_r = np.where(c.s > 0, c.s, 0.0)[:, None]
-        ut = c.d_dtheta(u.values)
-        grad = np.sqrt(ur ** 2 + (inv_r * ut) ** 2)
+        # |grad u|^2 = u_r^2 + (u_theta / r)^2, and 1/r = s
+        grad = np.sqrt(ur ** 2 + (c.s_col * c.d_dtheta(u.values)) ** 2)
     out.append(grad)
     if k == 1:
         return out
@@ -76,24 +74,16 @@ def _derivative_magnitudes(u: ScalarField, k: int):
             "derivative order limited to k<=2 (radial) and k<=1 (axisym)")
     # radial Hessian magnitude: sqrt(u_rr^2 + (n-1)(u_r/r)^2)
     urr = c.d_dr(ur)
-    with np.errstate(divide="ignore"):
-        inv_r = np.where(c.s > 0, c.s, 0.0)
-    out.append(np.sqrt(urr ** 2 + (c.n - 1) * (inv_r * ur) ** 2))
+    out.append(np.sqrt(urr ** 2 + (c.n - 1) * (c.s * ur) ** 2))
     return out
 
 
 def _lp_weighted(chart: Chart, mag: np.ndarray, p: float, delta: float):
-    s = chart.s if chart.mode == RADIAL else chart.s[:, None]
-    rpow = np.where(s > 0, np.where(s > 0, s, 1.0) ** delta, 0.0)  # r^{-delta}
     if math.isinf(p):
-        vals = (rpow * mag)
-        if chart.mode == RADIAL:
-            return float(np.max(vals[1:]))
-        return float(np.max(vals[1:, :]))
-    w = chart.weights
-    integrand = mag ** p * np.where(
-        s > 0, np.where(s > 0, s, 1.0) ** (delta * p + chart.n), 0.0)
-    return float(np.sum(w * integrand) ** (1.0 / p))
+        # r^{-delta} |u|, sup over all nodes but the s=0 level
+        return float(np.max((chart.s_pow(delta, 0.0) * mag)[1:]))
+    integrand = mag ** p * chart.s_pow(delta * p + chart.n, 0.0)
+    return float(np.sum(chart.weights * integrand) ** (1.0 / p))
 
 
 def weighted_norm(u: ScalarField, spec: WeightedNormSpec) -> float:

@@ -94,6 +94,63 @@ def test_max_iter_below_one_is_config_error(tmp_path, capsys, max_iter):
     assert "max_iter" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("--mode", "meancurv", "--grid", "41x9", "--f", "cos:0.05,0.02",
+     "--beta", "3"),
+    ("--mode", "meancurv", "--grid", "41x9", "--target", "-1"),
+    ("--mode", "quotient", "--grid", "81x17"),
+], ids=["meancurv-robin", "meancurv-target", "quotient"])
+def test_axisym_modes_run(tmp_path, capsys, argv):
+    code, report, _ = run(tmp_path, *argv)
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0 and report["passed"] is True
+
+
+def test_axisym_quotient_close_to_radial(tmp_path):
+    # a theta-independent metric: the two grids differ only by the theta
+    # quadrature, O(h_theta^2)
+    q = {}
+    for grid in ("201", "201x33"):
+        code, report, _ = run(tmp_path / grid, "--mode", "quotient",
+                              "--grid", grid,
+                              "--metric", "conformal:1,0.5,0.5")
+        assert code == 0
+        q[grid] = report["residuals"]["quotient_upper_bound"]
+    assert q["201x33"] == pytest.approx(q["201"], rel=0.01)
+
+
+def _json_file(directory, doc):
+    path = directory / "metric.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+ONES = np.ones((11, 5)).tolist()
+
+
+@pytest.mark.parametrize("make_argv", [
+    lambda d: ["--metric", _json_file(d, {"kind": "conformal"})],
+    lambda d: ["--metric", _json_file(d, [1.0, 0.5])],
+    lambda d: ["--metric", "conformal:1,abc"],
+    lambda d: ["--grid", "11x5", "--metric",
+               _json_file(d, {"kind": "axisym", "a_rr": ONES, "a_phi": ONES})],
+    lambda d: ["--mode", "oracle", "--f", "cos:1", "--beta", "3"],
+    lambda d: ["--mode", "meancurv", "--grid", "11x5", "--f", "cos:abc",
+               "--beta", "3"],
+    lambda d: ["--grid", "2"],
+    lambda d: ["--grid=-5"],
+    lambda d: ["--n-dim", "2"],
+], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
+        "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
+        "grid-negative",
+        "dimension-2"])
+def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
+    code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "config error" in err and "Traceback" not in err
+
+
 def test_exit_code_solve_failure(tmp_path):
     code = main(["--mode", "meancurv", "--f", "0.2", "--beta", "3",
                  "--grid", "101", "--out", str(tmp_path / "o")])

@@ -102,26 +102,6 @@ def test_chart_mismatch_rejected():
                       limit=0.0)
 
 
-def test_triplet_dump_roundtrip(tmp_path):
-    c = Chart.radial(3, 21)
-    p = flat_problem(c, DirichletBC(BoundaryField.constant(c, 1.0)))
-    system = assemble(p)
-    path = tmp_path / "system.txt"
-    system.dump_triplets(path)
-    lines = path.read_text().strip().splitlines()
-    nrows, ncols, nnz = (int(t) for t in lines[0].split())
-    assert (nrows, ncols) == (21, 21)
-    entries = [ln.split() for ln in lines[1:1 + nnz]]
-    A = np.zeros((nrows, ncols))
-    for i, j, v in entries:
-        A[int(i), int(j)] += float(v)
-    dense = system.matrix.toarray()
-    assert np.allclose(A, dense, rtol=0, atol=0)
-    rhs_lines = [ln.split() for ln in lines[1 + nnz:]]
-    rhs = np.array([float(v) for _, _, v in rhs_lines])
-    assert np.array_equal(rhs, system.rhs)
-
-
 def test_exact_limit_row():
     # the s=0 row is the exact identity u = limit
     c = Chart.radial(3, 41)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from scalarflat import (BarrierError, BoundaryField, Chart, NoSupersolutionError,
-                        ScalarField, boundary_mean_curvature, build_sub_super,
-                        flat_metric, harmonic_unit, monotone_iterate,
+from scalarflat import (AXISYM, RADIAL, BarrierError, BoundaryField, Chart,
+                        NoSupersolutionError, boundary_mean_curvature,
+                        build_sub_super,
+                        flat_metric, harmonic_unit, metric_from_spec,
+                        monotone_iterate,
                         prescribe_mean_curvature, radial_mean_curvature,
                         reduce_to_minimal, rho_threshold, solve_nonlinear_robin)
 import scalarflat.meancurv as meancurv
@@ -143,6 +145,18 @@ def test_prescribe_mean_curvature_pipeline():
     assert sol.report.residuals["target_H_Linf"] < 50 * c.ds
     H = boundary_mean_curvature(sol.metric)
     assert H.values[0] == pytest.approx(-1.0, abs=50 * c.ds)
+
+
+def test_axisym_pipeline_matches_radial_on_theta_independent_metric():
+    sols = {}
+    for c in (Chart.radial(3, 201), Chart.axisymmetric(201, 33)):
+        g = metric_from_spec("conformal:1,0.5,0.5", c)
+        sols[c.mode] = prescribe_mean_curvature(
+            g, BoundaryField.constant(c, 0.03))
+    rad, ax = sols[RADIAL], sols[AXISYM]
+    assert (ax.report.iterations["monotone"]
+            == rad.report.iterations["monotone"])
+    assert np.max(np.abs(ax.u.values - rad.u.values[:, None])) < 1e-10
 
 
 def test_monotone_iterate_validates_pair():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from scalarflat import (Chart, ChartError, DecayError, MetricError,
                         check_asymptotic_flatness, conformal_mean_curvature,
                         conformal_transform, flat_metric, laplace_beltrami,
                         metric_from_spec, normal_derivative, scalar_curvature)
+from scalarflat.weighted import WeightedNormSpec, weighted_norm
 from scalarflat import metrics
 from scalarflat.metrics import (build_laplace_matrix, conformal_law_coefficient,
                                 conformal_metric, flat_laplacian)
@@ -165,6 +168,20 @@ def test_mean_curvature_schwarzschild_minimal():
     g = conf(c, [1.0, 1.0])
     H = boundary_mean_curvature(g)
     assert abs(H.values[0]) < 5e-3
+
+
+def test_axisym_diagnostics_equal_radial_on_theta_independent_metric():
+    # radial mode is the grid with one theta column, so a metric without
+    # theta dependence gives the radial values exactly in every column
+    cr, ca = Chart.radial(3, 201), Chart.axisymmetric(201, 17)
+    gr = metric_from_spec("conformal:1,0.5,0.5", cr)
+    ga = metric_from_spec("conformal:1,0.5,0.5", ca)
+    assert np.array_equal(boundary_mean_curvature(ga).values,
+                          np.full(17, boundary_mean_curvature(gr).values[0]))
+    assert check_asymptotic_flatness(ga) == check_asymptotic_flatness(gr)
+    sup = WeightedNormSpec(math.inf, -0.5)
+    assert (weighted_norm(ScalarField(ca, ga.u0 - 1.0), sup)
+            == weighted_norm(ScalarField(cr, gr.u0 - 1.0), sup))
 
 
 def test_conformal_mean_curvature_prediction():

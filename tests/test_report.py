@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 from scalarflat import Chart, ScalarField, SolveReport, emit_fields, emit_report, read_fields
-from scalarflat.chart import BoundaryField
 from scalarflat.errors import ScalarFlatError
-from scalarflat.report import (default_output_dir, emit_boundary_fields,
-                               load_report)
+from scalarflat.report import default_output_dir, load_report
 
 
 def sample_report():
@@ -94,16 +92,6 @@ def test_emit_fields_validations(tmp_path):
         emit_fields(tmp_path / "y.csv",
                     a=ScalarField(c1, np.ones(11)),
                     b=ScalarField(c2, np.ones(13)))
-
-
-def test_emit_boundary_fields(tmp_path):
-    c = Chart.axisymmetric(11, 7)
-    b = BoundaryField(c, np.cos(c.theta))
-    path = tmp_path / "bnd.csv"
-    emit_boundary_fields(path, H=b)
-    text = path.read_text().splitlines()
-    assert text[0] == "theta,H"
-    assert len(text) == 8
 
 
 def test_default_output_dir(monkeypatch):
