@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 
@@ -18,8 +19,8 @@ import numpy as np
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
 from .dirichlet import lambda_sweep, solve_scalar_flat_dirichlet, sweep_certificate
 from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
-from .meancurv import (CONVENTIONS, prescribe_mean_curvature,
-                       solve_nonlinear_robin)
+from .meancurv import (CONVENTIONS, MAX_MONOTONE_STEPS,
+                       prescribe_mean_curvature, solve_nonlinear_robin)
 from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
 from .quotient import TrialFamily, estimate_sobolev_quotient
@@ -34,7 +35,7 @@ DEFAULTS = {
     "grid": "201",
     "metric": "flat",
     "tol": 1e-10,
-    "max_iter": 500,
+    "max_iter": MAX_MONOTONE_STEPS,
     "f": None,
     "beta": None,
     "target": None,
@@ -98,9 +99,17 @@ def merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg["mode"] not in MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    if type(cfg["max_iter"]) is not int or cfg["max_iter"] < 1:
-        raise ConfigError(f"max_iter must be an integer >= 1, got "
-                          f"{cfg['max_iter']!r}")
+    for key, least in (("max_iter", 1), ("lambda_steps", 0)):
+        if type(cfg[key]) is not int or cfg[key] < least:
+            raise ConfigError(f"{key} must be an integer >= {least}, got "
+                              f"{cfg[key]!r}")
+    for key, low in (("tol", 0.0), ("beta", 0.0), ("target", -math.inf)):
+        val = cfg[key]
+        if val is None and key != "tol":
+            continue  # beta and target are optional
+        if type(val) not in (int, float) or not low < val < math.inf:
+            raise ConfigError(f"{key} must be a number in ({low:g}, inf), "
+                              f"got {val!r}")
     return cfg
 
 
@@ -110,8 +119,9 @@ def parse_grid(text, n: int) -> Chart:
         sizes = [int(t) for t in parts]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}") from exc
-    if min(sizes) < 0:
-        raise ConfigError(f"bad grid spec {text!r}: negative size")
+    if sizes[0] < 4 or min(sizes) < 0:
+        raise ConfigError(f"bad grid spec {text!r}: the solvers need at "
+                          "least 4 nodes in s and no negative size")
     if len(sizes) == 1:
         return Chart.radial(n, sizes[0])
     if len(sizes) == 2:

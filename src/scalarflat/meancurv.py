@@ -30,6 +30,10 @@ from .report import SolveReport
 #: boundary_mean_curvature, "paper-eq7" keeps the (n-2)/n coefficient.
 CONVENTIONS = ("transformation-law", "paper-eq7")
 
+#: step cap of the monotone iteration, for the library and the CLI alike;
+#: targets near the largest feasible mean curvature take a few hundred steps
+MAX_MONOTONE_STEPS = 500
+
 
 @dataclass
 class SubSuperPair:
@@ -244,7 +248,8 @@ def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
 
 
 def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
-                     max_iter: int = 200, linear_tol: float = 1e-11,
+                     max_iter: int = MAX_MONOTONE_STEPS,
+                     linear_tol: float = 1e-11,
                      monotone_slack: float = 1e-9) -> MeanCurvatureSolution:
     """Monotone iteration from the subsolution toward the solution.
 
@@ -353,7 +358,8 @@ def solve_residual_harmonicity(g: MetricField, u: ScalarField) -> float:
 
 def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,
                           tol: float = 1e-9,
-                          max_iter: int = 200) -> MeanCurvatureSolution:
+                          max_iter: int = MAX_MONOTONE_STEPS,
+                          ) -> MeanCurvatureSolution:
     """Barriers plus monotone iteration for du/deta = f u^beta on a
     scalar-flat background (the post-reduction subproblem)."""
     v, dv = harmonic_unit(g)
@@ -385,7 +391,8 @@ def datum_coefficient(n: int, convention: str) -> float:
 def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
                              tol: float = 1e-9,
                              convention: str = "transformation-law",
-                             max_iter: int = 200) -> MeanCurvatureSolution:
+                             max_iter: int = MAX_MONOTONE_STEPS,
+                             ) -> MeanCurvatureSolution:
     """Scalar-flat metric conformal to g with prescribed boundary mean
     curvature.
 

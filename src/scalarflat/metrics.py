@@ -348,8 +348,8 @@ def scalar_curvature(g: MetricField, order: int = 2) -> ScalarField:
 
     Conformally flat metrics use the conformal identity
     R = -(4(n-1)/(n-2)) u0^{-(n+2)/(n-2)} Delta_flat u0; general
-    axisymmetric metrics use a finite-difference Christoffel/Ricci
-    contraction.
+    axisymmetric metrics use the diagonal-metric formula of
+    ``_scalar_curvature_frame``.
     """
     c = g.chart
     n = c.n
@@ -370,121 +370,59 @@ def scalar_curvature(g: MetricField, order: int = 2) -> ScalarField:
     if c.mode != AXISYM:
         raise MetricError("general curvature requires axisymmetric mode "
                           "(radial metrics are stored conformally flat)")
-    return ScalarField(c, _scalar_curvature_christoffel(g))
+    return ScalarField(c, _scalar_curvature_frame(g))
 
 
-def _scalar_curvature_christoffel(g: MetricField) -> np.ndarray:
-    """R by finite-difference Christoffel symbols, axisymmetric n=3.
+def _scalar_curvature_frame(g: MetricField) -> np.ndarray:
+    """R of an axisymmetric n = 3 metric from its diagonal frame components.
 
-    Works in the r coordinate (nonuniform grid), where the flat parts of the
-    coordinate components are low-degree polynomials in r and the stencils
-    are nearly exact; valid away from s=0 (where R -> 0 by asymptotic
-    flatness) and the poles (filled by quadratic extrapolation in theta).
+    With f_i = ln sqrt(g_ii) in the coordinates (r, theta, phi), a diagonal
+    metric has
+
+        R = -2 sum_i g^ii [ sum_{j != i} (d_i^2 f_j + (d_i f_j)^2
+                                          - d_i f_i d_i f_j) + d_i f_j d_i f_k ]
+
+    with j, k in the last term the two indices other than i.  Here
+    f_r = q_r, f_theta = ln r + q_theta and f_phi = ln r + ln sin + q_phi,
+    q_i = (1/2) ln a_i.  The flat parts are differentiated by hand, so the
+    1/sin^2 terms cancel and only the smooth q_i meet a stencil: centred
+    differences in s (d/dr = -s^2 d/ds), one-sided second order on the first
+    and last rows; centred differences in theta on q extended by one even
+    ghost column across each pole, where cot(theta) dw/dtheta takes its limit
+    d^2w/dtheta^2.  R is 0 on the s = 0 row.
     """
     c = g.chart
-    ns, nt = c.shape
-    ht = c.dtheta
+    if c.s.size < 4:
+        raise ChartError("the curvature needs at least 4 nodes in s")
+    h, ht, s = c.ds, c.dtheta, c.s_col
+    q = 0.5 * np.log(g.comps)                  # last axis: r, theta, phi
+    # d/dr = -s^2 d/ds and d^2/dr^2 = s^4 d^2/ds^2 + 2 s^3 d/ds
+    q_s = np.gradient(q, h, axis=0, edge_order=2)
+    d2 = np.empty_like(q)                      # h^2 d^2q/ds^2
+    d2[1:-1] = q[2:] - 2 * q[1:-1] + q[:-2]
+    d2[0] = 2 * q[0] - 5 * q[1] + 4 * q[2] - q[3]
+    d2[-1] = 2 * q[-1] - 5 * q[-2] + 4 * q[-3] - q[-4]
+    sk = s[..., None]                          # s against the last axis
+    dr = -sk ** 2 * q_s
+    drr = sk ** 4 * d2 / h ** 2 + 2 * sk ** 3 * q_s
+    ext = np.concatenate([q[:, 1:2], q, q[:, -2:-1]], axis=1)
+    dt = (ext[:, 2:] - ext[:, :-2]) / (2 * ht)
+    dtt = (ext[:, 2:] - 2 * q + ext[:, :-2]) / ht ** 2
 
-    # work on the subgrid excluding s=0 and the poles to avoid the
-    # coordinate degeneracies; one-sided stencils at the retained edges
-    sl = (slice(1, None), slice(1, nt - 1))
-    r_sub = 1.0 / c.s[1:]
-    th_sub = c.theta[1:nt - 1]
-    sin2 = (np.sin(th_sub) ** 2)[None, :]
-    r2 = (r_sub ** 2)[:, None]
-    Gs = np.zeros((ns - 1, nt - 2, 3, 3))
-    Gs[..., 0, 0] = g.comps[1:, 1:nt - 1, 0]
-    Gs[..., 1, 1] = g.comps[1:, 1:nt - 1, 1] * r2
-    Gs[..., 2, 2] = g.comps[1:, 1:nt - 1, 2] * r2 * sin2
-    Ginv = np.zeros_like(Gs)
-    for k in range(3):
-        Ginv[..., k, k] = 1.0 / Gs[..., k, k]
-
-    def grad(F):
-        # d/dr (nonuniform) and d/dtheta of a nodal array on the subgrid
-        dr = np.gradient(F, r_sub, axis=0, edge_order=2)
-        dt = np.gradient(F, ht, axis=1, edge_order=2)
-        return dr, dt
-
-    # metric derivatives with the flat factors differentiated analytically:
-    # G_ii = a_i * f_i with f = (1, r^2, r^2 sin^2); only the smooth frame
-    # components a_i are finite-differenced, so the coordinate singularities
-    # never meet a difference stencil
-    a_sub = g.comps[1:, 1:nt - 1, :]
-    sin_cos = (np.sin(th_sub) * np.cos(th_sub))[None, :]
-    rcol = r_sub[:, None]
-    f_vals = [np.ones_like(rcol * sin2), r2 + 0.0 * sin2, r2 * sin2]
-    df_dr = [0.0, 2.0 * rcol + 0.0 * sin2, 2.0 * rcol * sin2]
-    df_dt = [0.0, 0.0, r2 * 2.0 * sin_cos]
-    dG = np.zeros(Gs.shape[:2] + (3, 3, 3))  # dG[..., l, i, j] = d_l G_ij
-    for i in range(3):
-        da_dr, da_dt = grad(a_sub[..., i])
-        dG[..., 0, i, i] = da_dr * f_vals[i] + a_sub[..., i] * df_dr[i]
-        dG[..., 1, i, i] = da_dt * f_vals[i] + a_sub[..., i] * df_dt[i]
-
-    # Gamma^k_ij = 1/2 g^{kk} (d_i G_jk + d_j G_ik - d_k G_ij)
-    Gam = np.zeros_like(dG)
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                t = dG[..., i, j, k] if i < 2 else 0.0
-                t2 = dG[..., j, i, k] if j < 2 else 0.0
-                t3 = dG[..., k, i, j] if k < 2 else 0.0
-                Gam[..., k, i, j] = 0.5 * Ginv[..., k, k] * (t + t2 - t3)
-
-    # split Gamma = F + D: F is the flat-background part (exact, including
-    # the cot(theta) singularity), D the smooth deviation.  The purely flat
-    # terms of the Ricci contraction sum to zero curvature, so only terms
-    # containing D survive -- and only D is ever finite-differenced.
-    cot = (np.cos(th_sub) / np.sin(th_sub))[None, :] + 0.0 * rcol
-    inv_r = 1.0 / rcol + 0.0 * sin2
-    F = np.zeros_like(Gam)
-    F[..., 0, 1, 1] = -rcol + 0.0 * sin2
-    F[..., 0, 2, 2] = -rcol * sin2
-    F[..., 1, 0, 1] = F[..., 1, 1, 0] = inv_r
-    F[..., 1, 2, 2] = -sin_cos + 0.0 * rcol
-    F[..., 2, 0, 2] = F[..., 2, 2, 0] = inv_r
-    F[..., 2, 1, 2] = F[..., 2, 2, 1] = cot
-    D = Gam - F
-
-    dD = np.zeros(Gs.shape[:2] + (2, 3, 3, 3))  # dD[..., l, k, i, j]
-    for k in range(3):
-        for i in range(3):
-            for j in range(3):
-                if np.any(D[..., k, i, j]):
-                    ds, dt = grad(D[..., k, i, j])
-                    dD[..., 0, k, i, j] = ds
-                    dD[..., 1, k, i, j] = dt
-
-    Ric = np.zeros(Gs.shape[:2] + (3, 3))
-    for i in range(3):
-        for j in range(3):
-            term = np.zeros(Gs.shape[:2])
-            for k in range(3):
-                if k < 2:
-                    term += dD[..., k, k, i, j]
-                if j < 2:
-                    term -= dD[..., j, k, k, i]
-            for k in range(3):
-                for l in range(3):
-                    term += (F[..., k, k, l] * D[..., l, i, j]
-                             + D[..., k, k, l] * F[..., l, i, j]
-                             + D[..., k, k, l] * D[..., l, i, j]
-                             - F[..., k, j, l] * D[..., l, i, k]
-                             - D[..., k, j, l] * F[..., l, i, k]
-                             - D[..., k, j, l] * D[..., l, i, k])
-            Ric[..., i, j] = term
-
-    Rsub = np.zeros(Gs.shape[:2])
-    for i in range(3):
-        Rsub += Ginv[..., i, i] * Ric[..., i, i]
-
-    R = np.zeros(c.shape)
-    R[sl] = Rsub
-    R[0, :] = 0.0
-    # quadratic extrapolation onto the pole columns
-    R[1:, 0] = 3 * R[1:, 1] - 3 * R[1:, 2] + R[1:, 3]
-    R[1:, -1] = 3 * R[1:, -2] - 3 * R[1:, -3] + R[1:, -4]
+    # i = r, j over (theta, phi); 1/r = s
+    j, i = dr[..., 1:], dr[..., :1]
+    Br = (np.sum(drr[..., 1:] + j * (j + 2 * sk - i) - sk * i, axis=-1)
+          + (s + dr[..., 1]) * (s + dr[..., 2]))
+    # i = theta, j over (r, phi); cot(theta) w_theta, w = q_r - q_theta + 2 q_phi
+    j, i = dt[..., ::2], dt[..., 1:2]
+    w = np.array([1.0, -1.0, 2.0])
+    cot_w = dtt @ w                            # the limit at the poles
+    cot_w[:, 1:-1] = (dt[:, 1:-1] @ w) / np.tan(c.theta[1:-1])
+    Bt = (np.sum(dtt[..., ::2] + j * (j - i), axis=-1)
+          + dt[..., 0] * dt[..., 2] + cot_w - 1.0)
+    # g^rr = 1 / a_rr and g^thth = s^2 / a_theta; the phi term vanishes
+    R = -2.0 * (Br / g.comps[..., 0] + s ** 2 * Bt / g.comps[..., 1])
+    R[0] = 0.0
     return R
 
 

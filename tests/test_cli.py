@@ -140,10 +140,24 @@ ONES = np.ones((11, 5)).tolist()
     lambda d: ["--grid", "2"],
     lambda d: ["--grid=-5"],
     lambda d: ["--n-dim", "2"],
+    lambda d: ["--tol", "-1"],
+    lambda d: ["--tol", "nan"],
+    lambda d: ["--tol", "0"],
+    lambda d: ["--mode", "meancurv", "--f", "0.1", "--beta", "inf"],
+    lambda d: ["--mode", "meancurv", "--f", "0.1", "--beta", "0"],
+    lambda d: ["--mode", "meancurv", "--target", "nan"],
+    lambda d: ["--grid", "3"],
+    lambda d: ["--grid", "3x9"],
+    lambda d: ["--config", _json_file(d, {"lambda_steps": "x"})],
+    lambda d: ["--config", _json_file(d, {"tol": "1e-8"})],
+    lambda d: ["--lambda-steps", "-5"],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
-        "dimension-2"])
+        "dimension-2", "tol-negative", "tol-nan", "tol-zero", "beta-inf",
+        "beta-zero", "target-nan", "grid-3", "grid-3x9",
+        "config-lambda-steps-string", "config-tol-string",
+        "lambda-steps-negative"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from scalarflat import (Chart, PositivityError, flat_metric, lambda_sweep,
-                        metric_from_spec, scalar_curvature,
+from scalarflat import (Chart, PositivityError, ScalarField, flat_metric,
+                        lambda_sweep, metric_from_spec, scalar_curvature,
                         solve_scalar_flat_dirichlet, sweep_certificate)
 import scalarflat.metrics as metrics
 
@@ -44,24 +44,41 @@ def test_boundary_is_exact():
     assert float(sol.phi.boundary_values()[0]) == 1.0
 
 
-def test_positivity_failure_is_loud():
-    # a large compactly supported curvature bump drives phi negative; the
-    # solver must refuse rather than return an unphysical metric
-    c = Chart.axisymmetric(121, 17)
+def _bump_profile(c):
+    """sin^2 bump in s on (0.35, 1], zero further out, on the (s, theta) grid."""
     s = c.s[:, None]
-    th = c.theta[None, :]
-    prof = np.where(
+    return np.where(
         s > 0.35,
         np.sin(np.pi * np.clip((s - 0.35) / 0.65, 0.0, 1.0)) ** 2,
-        0.0) * np.ones_like(th)
+        0.0) * np.ones((1, c.nt))
+
+
+def test_positivity_failure_is_loud(monkeypatch):
+    # a strongly negative curvature bump makes the discrete problem
+    # nonpositive (min phi = -0.85); the solver must refuse rather than
+    # return an unphysical metric
+    c = Chart.axisymmetric(121, 17)
+    R = ScalarField(c, -50.0 * _bump_profile(c))
+    monkeypatch.setattr(metrics.MetricField, "scalar_curvature",
+                        lambda self, order=2: R)
+    with pytest.raises(PositivityError) as exc:
+        solve_scalar_flat_dirichlet(flat_metric(c))
+    assert "Sobolev quotient" in str(exc.value)
+
+
+@pytest.mark.parametrize("grid", [(121, 17), (241, 33), (481, 65)])
+def test_large_anisotropic_bump_stays_positive(grid):
+    # u^4 with u = 1 + 30 prof, made anisotropic: phi stays positive
+    # (min phi near 0.03) on every grid, so the solve must succeed
+    c = Chart.axisymmetric(*grid)
+    prof = _bump_profile(c)
     base = (1.0 + 30.0 * prof) ** 4
-    aniso = 1.0 + 0.5 * prof * np.cos(th) ** 2
+    aniso = 1.0 + 0.5 * prof * np.cos(c.theta)[None, :] ** 2
     g = metric_from_spec({"kind": "axisym", "a_rr": base,
                           "a_theta": base * aniso, "a_phi": base * aniso,
                           "decay": 2.0}, c)
-    with pytest.raises(PositivityError) as exc:
-        solve_scalar_flat_dirichlet(g)
-    assert "Sobolev quotient" in str(exc.value)
+    sol = solve_scalar_flat_dirichlet(g)
+    assert sol.report.extrema["min_phi"] > 0.0
 
 
 def test_lambda_sweep_flat_and_benchmark():

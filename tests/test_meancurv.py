@@ -147,6 +147,16 @@ def test_prescribe_mean_curvature_pipeline():
     assert H.values[0] == pytest.approx(-1.0, abs=50 * c.ds)
 
 
+def test_pipeline_default_step_cap_reaches_bench_target():
+    # t = 0.049 is near the largest feasible mean curvature; the monotone
+    # iteration takes 229 steps, within the library default cap
+    c = Chart.radial(3, 1601)
+    g = metric_from_spec("conformal:1,0.8,0.8", c)
+    sol = prescribe_mean_curvature(g, BoundaryField.constant(c, 0.049))
+    assert sol.report.iterations["monotone"] == 229
+    assert sol.report.checks["target_H"]
+
+
 def test_axisym_pipeline_matches_radial_on_theta_independent_metric():
     sols = {}
     for c in (Chart.radial(3, 201), Chart.axisymmetric(201, 33)):

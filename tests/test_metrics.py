@@ -237,6 +237,28 @@ def test_scalar_curvature_christoffel_vs_conformal():
     assert np.max(np.abs(R_tab - exact)[interior]) < 5e-3
 
 
+def test_table_curvature_is_second_order():
+    # table path on the bench metric u0^4 flat, u0 = 1 + A s^2 (1 + B cos^2),
+    # against R = -8 u0^-5 Delta u0 with
+    # Delta u0 = A s^4 (2 + B (2/3 - (8/3) P2)); poles and r = 1 included
+    A, B = 0.9, 1.0
+    errors = []
+    for ns, nt in ((101, 33), (201, 65), (401, 129)):
+        c = Chart.axisymmetric(ns, nt)
+        s2, cos2 = (c.s ** 2)[:, None], np.cos(c.theta)[None, :] ** 2
+        u0 = 1.0 + A * s2 * (1.0 + B * cos2)
+        a = u0 ** 4
+        g = metric_from_spec({"kind": "axisym", "a_rr": a, "a_theta": a,
+                              "a_phi": a, "decay": 2.0}, c)
+        p2 = 1.5 * cos2 - 0.5
+        lap = A * s2 ** 2 * (2.0 + B * (2.0 / 3.0 - 8.0 / 3.0 * p2))
+        exact = -8.0 * u0 ** -5.0 * lap
+        errors.append(np.max(np.abs(scalar_curvature(g).values - exact)[1:]))
+    assert errors[1] <= 2e-3
+    for coarse, fine in zip(errors, errors[1:]):
+        assert math.log2(coarse / fine) >= 1.8, errors
+
+
 def test_conformal_transform_bookkeeping():
     c = Chart.radial(3, 51)
     g = conf(c, [1.0, 1.0])
