@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
-from .dirichlet import lambda_sweep, solve_scalar_flat_dirichlet, sweep_certificate
+from .dirichlet import solve_scalar_flat_dirichlet
 from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
 from .meancurv import (CONVENTIONS, MAX_MONOTONE_STEPS,
                        prescribe_mean_curvature, solve_nonlinear_robin)
@@ -25,7 +25,7 @@ from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
 from .quotient import TrialFamily, estimate_sobolev_quotient
 from .report import (SolveReport, default_output_dir, emit_fields, emit_report)
-from .weighted import decay_fit
+from .weighted import MIN_S_NODES, decay_fit
 
 MODES = ("dirichlet", "meancurv", "quotient", "oracle", "convergence-study")
 
@@ -39,7 +39,6 @@ DEFAULTS = {
     "f": None,
     "beta": None,
     "target": None,
-    "lambda_steps": 11,
     "convention": "transformation-law",
     "out": None,
     "family": None,
@@ -66,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="boundary nonlinearity exponent")
     p.add_argument("--target", type=float,
                    help="target boundary mean curvature (meancurv pipeline)")
-    p.add_argument("--lambda-steps", type=int, dest="lambda_steps")
     p.add_argument("--coefficient-convention", dest="convention",
                    choices=CONVENTIONS)
     p.add_argument("--out", help="output directory "
@@ -92,14 +90,15 @@ def merge_config(args: argparse.Namespace) -> dict:
     cfg = dict(DEFAULTS)
     if args.config:
         cfg.update(load_config(args.config))
-    for key in ("mode", "tol", "max_iter", "grid", "n", "metric", "f",
-                "beta", "target", "lambda_steps", "convention", "out"):
+    for key in DEFAULTS:  # flags override the config file
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
     if cfg["mode"] not in MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    for key, least in (("max_iter", 1), ("lambda_steps", 0)):
+    if cfg["convention"] not in CONVENTIONS:
+        raise ConfigError(f"unknown convention {cfg['convention']!r}")
+    for key, least in (("max_iter", 1), ("n", 3)):
         if type(cfg[key]) is not int or cfg[key] < least:
             raise ConfigError(f"{key} must be an integer >= {least}, got "
                               f"{cfg[key]!r}")
@@ -119,9 +118,10 @@ def parse_grid(text, n: int) -> Chart:
         sizes = [int(t) for t in parts]
     except ValueError as exc:
         raise ConfigError(f"bad grid spec {text!r}") from exc
-    if sizes[0] < 4 or min(sizes) < 0:
-        raise ConfigError(f"bad grid spec {text!r}: the solvers need at "
-                          "least 4 nodes in s and no negative size")
+    if sizes[0] < MIN_S_NODES or min(sizes) < 0:
+        raise ConfigError(f"bad grid spec {text!r}: the far-field fit needs "
+                          f"at least {MIN_S_NODES} nodes in s, and no size "
+                          "may be negative")
     if len(sizes) == 1:
         return Chart.radial(n, sizes[0])
     if len(sizes) == 2:
@@ -181,14 +181,7 @@ def parse_f(spec, chart: Chart) -> BoundaryField:
 
 def _run_dirichlet(cfg, chart, g):
     sol = solve_scalar_flat_dirichlet(g, tol=cfg["tol"])
-    report = sol.report
-    steps = int(cfg["lambda_steps"])
-    if steps >= 2:
-        sweep = lambda_sweep(g, steps=steps, tol=cfg["tol"])
-        report.iterations["lambda_sweep_min_phi"] = [m for _, m, _ in sweep]
-        report.checks["lambda_sweep_positive"] = sweep_certificate(sweep)
-    fields = {"phi": sol.phi}
-    return report, fields
+    return sol.report, {"phi": sol.phi}
 
 
 def _run_meancurv(cfg, chart, g):
@@ -309,7 +302,7 @@ def run_job(cfg: dict):
     A grid or metric that cannot be built is a configuration error.
     """
     try:
-        chart = parse_grid(cfg["grid"], int(cfg["n"]))
+        chart = parse_grid(cfg["grid"], cfg["n"])
         g = parse_metric(cfg["metric"], chart)
     except (ChartError, MetricError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -328,11 +321,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = merge_config(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         report, fields = run_job(cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,12 +1,18 @@
 """Scalar-flat conformal factor with the metric fixed on the boundary.
 
-Solves the reduced linear problem
-
-    (4(n-1)/(n-2)) Delta_g v - R v = R,    v = 0 at r=1,  v -> 0 at infinity,
-
-sets phi = 1 + v, and certifies positivity of phi through a finite sweep of
-the interpolating operator family (4(n-1)/(n-2)) Delta_g - lambda R over
-lambda in [0, 1].
+Solves (4(n-1)/(n-2)) Delta_g v - R v = R, v = 0 at r=1 and at infinity,
+and sets phi = 1 + v.  This one solve certifies positivity along the whole
+discrete family M(lambda) = (4(n-1)/(n-2)) L_g - lambda R, lambda in [0, 1].
+The interior rows of M have positive off-diagonals by construction
+(``MetricField`` components are positive, so every stencil flux and pole
+coefficient is; lambda moves only the diagonal; the s = 0 and r = 1 rows
+are identity rows).  So if min phi_1 > 0, the interior block -M_int(1) is
+a nonsingular M-matrix (Berman & Plemmons, Nonnegative Matrices in the
+Mathematical Sciences, ch. 6), as is -M_int(0) (L_g 1 = 0 on interior
+rows).  The spectral abscissa is convex in the diagonal (J. E. Cohen,
+Proc. AMS 81 (1981) 657-658), so every -M_int(lambda) is one too, and
+every phi_lambda > 0.  This is exact for the discrete family up to the
+backward error of the solve; ``lambda_sweep`` samples it as a cross-check.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import RADIAL, BoundaryField, ScalarField
-from .elliptic import DirichletBC, LinearProblem, constant_field, solve_linear
+from .elliptic import DirichletBC, LinearProblem, solve_linear
 from .errors import PositivityError, ScalarFlatError
 from .metrics import (MetricField, check_asymptotic_flatness,
                       conformal_transform)
@@ -47,7 +53,8 @@ def solve_scalar_flat_dirichlet(g: MetricField,
                                 tol: float = 1e-10) -> ConformalSolution:
     """Conformal factor phi with R(phi^{4/(n-2)} g) = 0, phi = 1 on r=1.
 
-    Fails loudly if the computed phi is not positive, which is numerical
+    min phi > 0 certifies the whole discrete lambda-family (module
+    docstring).  Fails loudly if phi is not positive, which is numerical
     evidence against positivity of the Sobolev quotient.
     """
     t0 = time.perf_counter()
@@ -55,8 +62,7 @@ def solve_scalar_flat_dirichlet(g: MetricField,
     n = g.chart.n
 
     result = solve_linear(_yamabe_linear_problem(g, 1.0), tol=tol)
-    v = result.solution
-    phi = ScalarField(g.chart, 1.0 + v.values)
+    phi = ScalarField(g.chart, 1.0 + result.solution.values)
     min_phi = float(np.min(phi.values))
     if min_phi <= 0.0:
         raise PositivityError(
@@ -76,14 +82,10 @@ def solve_scalar_flat_dirichlet(g: MetricField,
             ScalarField(g.chart, R_new.values), WeightedNormSpec(2, delta - 2)),
     }
     bnd_dev = float(np.max(np.abs(phi.boundary_values() - 1.0)))
-    report.checks = {
-        "phi_positive": min_phi > 0.0,
-        "boundary_exact": bnd_dev == 0.0,
-    }
-    report.extrema = {
-        "min_phi": min_phi,
-        "max_phi": float(np.max(phi.values)),
-    }
+    report.checks = {"phi_positive": min_phi > 0.0,
+                     "boundary_exact": bnd_dev == 0.0}
+    report.extrema = {"min_phi": min_phi,
+                      "max_phi": float(np.max(phi.values))}
     report.iterations = {"linear": result.iterations}
     if g.chart.mode == RADIAL:
         fit = decay_fit(ScalarField(g.chart, phi.values - 1.0))
@@ -100,9 +102,10 @@ def solve_scalar_flat_dirichlet(g: MetricField,
 def lambda_sweep(g: MetricField, steps: int = 11, tol: float = 1e-10):
     """min phi_lambda along the positivity continuation family.
 
-    For each lambda on a uniform grid in [0, 1] solves the lambda-weighted
-    problem (so phi_lambda = 1 on the boundary and at infinity) and records
-    min phi_lambda.  Per-lambda failures are reported in place and the sweep
+    The sampled cross-check of the one-solve certificate: for each lambda
+    on a uniform grid in [0, 1] solves the lambda-weighted problem (so
+    phi_lambda = 1 on the boundary and at infinity) and records min
+    phi_lambda.  Per-lambda failures are reported in place and the sweep
     continues.  Returns a list of (lambda, min phi or None, error or None).
     """
     if steps < 2:

@@ -21,8 +21,6 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chart import AXISYM, RADIAL, BoundaryField, Chart, ScalarField
@@ -193,14 +191,17 @@ def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField
 
 
 def _spec_floats(spec: dict, key: str) -> np.ndarray:
-    """spec[key] as a float array; MetricError when absent or not numeric."""
+    """spec[key] as a finite float array, else MetricError."""
     try:
-        return np.asarray(spec[key], dtype=float)
+        vals = np.asarray(spec[key], dtype=float)
     except KeyError:
         raise MetricError(f"{spec['kind']} metric spec lacks {key!r}") from None
     except (TypeError, ValueError) as exc:
         raise MetricError(f"{spec['kind']} metric spec: {key!r} is not "
                           f"numeric ({exc})") from exc
+    if np.all(np.isfinite(vals)):
+        return vals
+    raise MetricError(f"{spec['kind']} metric spec: {key!r} is not finite")
 
 
 def _check_decay(g: MetricField, need: float, tol: float):

@@ -113,7 +113,14 @@ class DecayFit:
     status: str = "ok"
 
 
-def decay_fit(u: ScalarField, s_max: float = 0.2,
+#: ``decay_fit`` needs DECAY_MIN_NODES nodes in s in (0, DECAY_WINDOW],
+#: which takes a grid of at least MIN_S_NODES (41) nodes in s
+DECAY_WINDOW = 0.2
+DECAY_MIN_NODES = 8
+MIN_S_NODES = math.ceil(DECAY_MIN_NODES / DECAY_WINDOW) + 1
+
+
+def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
               constant_tol: float = 1e-12) -> DecayFit:
     """Least-squares decay-rate fit over the far region s in (0, s_max].
 
@@ -127,9 +134,9 @@ def decay_fit(u: ScalarField, s_max: float = 0.2,
     if c.mode != RADIAL:
         raise ChartError("decay_fit requires a radial chart")
     mask = (c.s > 0) & (c.s <= s_max)
-    if mask.sum() < 8:
-        raise ChartError("need at least 8 nodes in the far region s <= "
-                         f"{s_max}")
+    if mask.sum() < DECAY_MIN_NODES:
+        raise ChartError(f"need at least {DECAY_MIN_NODES} nodes in the far "
+                         f"region s <= {s_max}")
     s = c.s[mask]
     v = u.values[mask]
     u_inf = float(u.values[0])  # exact nodal limit at s = 0

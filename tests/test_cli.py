@@ -1,12 +1,25 @@
+import contextlib
+import io
 import json
+import math
+import os
+import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scalarflat.cli import main, merge_config, parse_f, parse_grid, run_job
+import scalarflat.dirichlet as dirichlet
+import scalarflat.elliptic as elliptic
+from scalarflat.cli import (DEFAULTS, MODES, main, merge_config, parse_f,
+                            parse_grid, run_job)
 from scalarflat.chart import Chart
 from scalarflat.errors import ConfigError
+from scalarflat.meancurv import CONVENTIONS
 from scalarflat.report import load_report
+from scalarflat.weighted import MIN_S_NODES
 
 
 def run(tmp_path, *argv):
@@ -20,9 +33,13 @@ def run(tmp_path, *argv):
 
 def test_parse_grid():
     assert parse_grid("51", 3).shape == (51,)
-    assert parse_grid("21x9", 3).shape == (21, 9)
+    assert parse_grid("41x9", 3).shape == (41, 9)
+    assert parse_grid(str(MIN_S_NODES), 3).shape == (MIN_S_NODES,)
+    for text in (str(MIN_S_NODES - 1), f"{MIN_S_NODES - 1}x9"):
+        with pytest.raises(ConfigError):
+            parse_grid(text, 3)
     with pytest.raises(ConfigError):
-        parse_grid("21x9", 4)
+        parse_grid("41x9", 4)
     with pytest.raises(ConfigError):
         parse_grid("banana", 3)
 
@@ -41,14 +58,39 @@ def test_parse_f_forms(tmp_path):
 
 
 def test_dirichlet_flat_mode(tmp_path):
-    code, report, out = run(tmp_path, "--mode", "dirichlet",
-                            "--grid", "101", "--lambda-steps", "3")
+    code, report, out = run(tmp_path, "--mode", "dirichlet", "--grid", "101")
     assert code == 0
     assert report["mode"] == "dirichlet"
     assert report["passed"] is True
     assert report["extrema"]["min_phi"] == pytest.approx(1.0, abs=1e-10)
     assert report["residuals"]["scalar_curvature_Linf_interior"] <= 1e-10
     assert (out / "fields.csv").exists()
+
+
+def test_dirichlet_mode_factorizes_once(tmp_path, monkeypatch):
+    # min phi > 0 of the one solve certifies the whole lambda-family, so
+    # the run makes one factorization and no sweep
+    counts = {"factorizations": 0, "sweeps": 0}
+    sweep = dirichlet.lambda_sweep
+
+    class CountingFactorization(elliptic.Factorization):
+        def __init__(self, system):
+            counts["factorizations"] += 1
+            super().__init__(system)
+
+    def counting_sweep(*args, **kwargs):
+        counts["sweeps"] += 1
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(elliptic, "Factorization", CountingFactorization)
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("scalarflat")
+                and getattr(module, "lambda_sweep", None) is sweep):
+            monkeypatch.setattr(module, "lambda_sweep", counting_sweep)
+    code, report, _ = run(tmp_path, "--mode", "dirichlet", "--grid", "201",
+                          "--metric", "conformal:1,0,1")
+    assert code == 0 and report["checks"]["phi_positive"] is True
+    assert counts == {"factorizations": 1, "sweeps": 0}
 
 
 def test_meancurv_mode_benchmark(tmp_path):
@@ -125,17 +167,17 @@ def _json_file(directory, doc):
     return str(path)
 
 
-ONES = np.ones((11, 5)).tolist()
+ONES = np.ones((41, 5)).tolist()
 
 
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["--metric", _json_file(d, {"kind": "conformal"})],
     lambda d: ["--metric", _json_file(d, [1.0, 0.5])],
     lambda d: ["--metric", "conformal:1,abc"],
-    lambda d: ["--grid", "11x5", "--metric",
+    lambda d: ["--grid", "41x5", "--metric",
                _json_file(d, {"kind": "axisym", "a_rr": ONES, "a_phi": ONES})],
     lambda d: ["--mode", "oracle", "--f", "cos:1", "--beta", "3"],
-    lambda d: ["--mode", "meancurv", "--grid", "11x5", "--f", "cos:abc",
+    lambda d: ["--mode", "meancurv", "--grid", "41x5", "--f", "cos:abc",
                "--beta", "3"],
     lambda d: ["--grid", "2"],
     lambda d: ["--grid=-5"],
@@ -150,14 +192,26 @@ ONES = np.ones((11, 5)).tolist()
     lambda d: ["--grid", "3x9"],
     lambda d: ["--config", _json_file(d, {"lambda_steps": "x"})],
     lambda d: ["--config", _json_file(d, {"tol": "1e-8"})],
-    lambda d: ["--lambda-steps", "-5"],
+    # too coarse for the far-field decay fit (these exited 3)
+    lambda d: ["--grid", "4"],
+    lambda d: ["--grid", "20"],
+    lambda d: ["--grid", "36"],
+    lambda d: ["--grid", "40"],
+    lambda d: ["--grid", "21x9", "--metric", "conformal:1,0,1"],
+    lambda d: ["--mode", "meancurv", "--grid", "36", "--target", "0.03"],
+    # a dimension of the wrong type or an unknown convention in a config
+    lambda d: ["--config", _json_file(d, {"n": "3"})],
+    lambda d: ["--config", _json_file(d, {"convention": "bogus",
+                                          "mode": "meancurv",
+                                          "target": 0.03})],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
         "dimension-2", "tol-negative", "tol-nan", "tol-zero", "beta-inf",
         "beta-zero", "target-nan", "grid-3", "grid-3x9",
         "config-lambda-steps-string", "config-tol-string",
-        "lambda-steps-negative"])
+        "grid-4", "grid-20", "grid-36", "grid-40", "grid-21x9-conformal",
+        "meancurv-grid-36", "config-n-string", "config-convention-bogus"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -174,8 +228,7 @@ def test_exit_code_solve_failure(tmp_path):
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps({"mode": "dirichlet", "grid": "101",
-                               "metric": "conformal:1,0,1",
-                               "lambda_steps": 3}))
+                               "metric": "conformal:1,0,1"}))
     code, report, _ = run(tmp_path, "--config", str(cfg))
     assert code == 0
     assert report["mass_coefficient"] == pytest.approx(2.0, rel=0.02)
@@ -193,7 +246,7 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_report_determinism_modulo_timing(tmp_path):
     args = ["--mode", "dirichlet", "--grid", "101", "--metric",
-            "conformal:1,0,1", "--lambda-steps", "3"]
+            "conformal:1,0,1"]
     _, r1, _ = run(tmp_path / "a", *args)
     _, r2, _ = run(tmp_path / "b", *args)
     r1.pop("timing")
@@ -204,7 +257,7 @@ def test_report_determinism_modulo_timing(tmp_path):
 def test_run_job_requires_meancurv_data():
     cfg = merge_config(type("NS", (), {k: None for k in (
         "config", "mode", "tol", "max_iter", "grid", "n", "metric", "f",
-        "beta", "target", "lambda_steps", "convention", "out")})())
+        "beta", "target", "convention", "out")})())
     cfg["mode"] = "meancurv"
     with pytest.raises(ConfigError):
         run_job(cfg)
@@ -212,7 +265,116 @@ def test_run_job_requires_meancurv_data():
 
 def test_outdir_env(tmp_path, monkeypatch):
     monkeypatch.setenv("SCALARFLAT_OUTDIR", str(tmp_path / "envout"))
-    code = main(["--mode", "dirichlet", "--grid", "101",
-                 "--lambda-steps", "2"])
+    code = main(["--mode", "dirichlet", "--grid", "101"])
     assert code == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+# -- a grammar of malformed input: every example must exit 2 ----------------
+# Each piece is invalid however it is combined, and each is rejected before
+# any solve, so no example runs a real job.
+
+JUNK = st.sampled_from(["", "abc", "1..2", "1e", "0x10", "--", "none"])
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf"])
+NOT_POSITIVE = st.floats(max_value=0.0).map(repr)
+SHORT = st.integers(max_value=MIN_S_NODES - 1)
+BAD_GRID = st.one_of(
+    SHORT.map(str),
+    st.tuples(SHORT, st.integers(-5, 65)).map("{0[0]}x{0[1]}".format),
+    st.tuples(st.integers(MIN_S_NODES, 201), st.integers(max_value=-1))
+    .map("{0[0]}x{0[1]}".format),
+    st.sampled_from(["x", "41x", "41x9x9", "41.0", "4l"]), JUNK)
+BAD_METRIC = st.sampled_from(["banana", "conformal:", "conformal:1,abc",
+                              "conformal:2,1", "conformal:nan",
+                              "conformal:1,inf", "missing.json"])
+
+
+def _flag(name, values):
+    return values.map(lambda v: (f"--{name}={v}",))
+
+
+BAD_FLAG = st.one_of(
+    _flag("tol", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
+    _flag("beta", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
+    _flag("target", st.one_of(NON_FINITE, JUNK)),
+    _flag("max-iter", st.one_of(st.integers(max_value=0).map(str), JUNK,
+                                st.just("1.5"))),
+    _flag("n-dim", st.one_of(st.integers(max_value=2).map(str), JUNK)),
+    _flag("grid", BAD_GRID),
+    _flag("metric", BAD_METRIC),
+    _flag("mode", st.text(max_size=12).filter(lambda m: m not in MODES)),
+    _flag("coefficient-convention",
+          st.text(max_size=12).filter(lambda c: c not in CONVENTIONS)),
+    st.just(("--no-such-flag",)))
+
+JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats()
+               | st.text())
+JSON_ANY = st.recursive(
+    JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+
+def _not_number(low):
+    """JSON values other than null that are not a finite number > low."""
+    return (st.booleans() | st.text() | st.lists(st.integers())
+            | st.floats(max_value=low) | st.sampled_from([math.nan,
+                                                          math.inf]))
+
+
+def _not_int(least):
+    """JSON values that are not an integer >= least."""
+    return (st.none() | st.booleans() | st.text() | st.floats()
+            | st.integers(max_value=least - 1) | st.lists(st.integers()))
+
+
+BAD_ENTRY = st.one_of(
+    st.tuples(st.just("tol"), _not_number(0.0) | st.none()),
+    st.tuples(st.just("beta"), _not_number(0.0)),
+    st.tuples(st.just("target"), st.sampled_from(
+        [math.nan, math.inf, -math.inf, "0.03", True, [0.03]])),
+    st.tuples(st.just("max_iter"), _not_int(1)),
+    st.tuples(st.just("n"), _not_int(3)),
+    st.tuples(st.just("grid"), BAD_GRID | SHORT | st.none() | st.booleans()
+              | st.lists(st.integers(MIN_S_NODES, 201))),
+    st.tuples(st.just("mode"), JSON_ANY.filter(
+        lambda m: not (isinstance(m, str) and m in MODES))),
+    st.tuples(st.just("metric"), BAD_METRIC | st.none() | st.booleans()
+              | st.integers() | st.lists(st.floats())
+              | st.dictionaries(st.text(max_size=5), st.integers(),
+                                max_size=3)),
+    st.tuples(st.just("convention"), JSON_ANY.filter(
+        lambda c: not (isinstance(c, str) and c in CONVENTIONS))),
+    st.tuples(st.text(max_size=12).filter(lambda k: k not in DEFAULTS),
+              JSON_ANY))
+
+BAD_CONFIG = st.one_of(
+    st.lists(BAD_ENTRY, min_size=1, max_size=3).map(
+        lambda entries: json.dumps(dict(entries))),
+    (JSON_SCALAR | st.lists(JSON_ANY, max_size=3)).map(json.dumps),
+    st.sampled_from(["", "{", "[1,", "{'grid': 41}", "nan?"]))
+
+BAD_PIECE = BAD_FLAG | BAD_CONFIG.map(lambda text: ("--config", text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(pieces=st.lists(BAD_PIECE, min_size=1, max_size=3))
+def test_malformed_input_grammar_exits_2(pieces):
+    with tempfile.TemporaryDirectory() as d:
+        argv = []
+        for k, piece in enumerate(pieces):
+            if piece[0] == "--config":
+                path = os.path.join(d, f"config-{k}.json")
+                with open(path, "w") as fh:
+                    fh.write(piece[1])
+                piece = ("--config", path)
+            argv += piece
+        argv += ["--out", os.path.join(d, "out")]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's own usage errors
+                code = exc.code
+    assert code == 2, (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

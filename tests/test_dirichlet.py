@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from scalarflat import (Chart, PositivityError, ScalarField, flat_metric,
-                        lambda_sweep, metric_from_spec, scalar_curvature,
-                        solve_scalar_flat_dirichlet, sweep_certificate)
+from scalarflat import (Chart, PositivityError, ScalarField, assemble,
+                        flat_metric, lambda_sweep, metric_from_spec,
+                        scalar_curvature, solve_scalar_flat_dirichlet,
+                        sweep_certificate)
+from scalarflat.dirichlet import _yamabe_linear_problem
 import scalarflat.metrics as metrics
 
 BENCH = {"kind": "conformal", "coeffs": [1.0, 0.0, 1.0]}  # u0 = 1 + r^-2
@@ -53,32 +55,85 @@ def _bump_profile(c):
         0.0) * np.ones((1, c.nt))
 
 
-def test_positivity_failure_is_loud(monkeypatch):
-    # a strongly negative curvature bump makes the discrete problem
-    # nonpositive (min phi = -0.85); the solver must refuse rather than
-    # return an unphysical metric
+def _negative_bump_metric(monkeypatch):
+    """The flat 121x17 metric with R = -50 prof injected: a discrete
+    problem with min phi = -0.85."""
     c = Chart.axisymmetric(121, 17)
     R = ScalarField(c, -50.0 * _bump_profile(c))
     monkeypatch.setattr(metrics.MetricField, "scalar_curvature",
                         lambda self, order=2: R)
+    return flat_metric(c)
+
+
+def _bump_metric(c, amplitude):
+    """u^4 flat with u = 1 + amplitude prof, made anisotropic in theta."""
+    prof = _bump_profile(c)
+    base = (1.0 + amplitude * prof) ** 4
+    aniso = 1.0 + 0.5 * prof * np.cos(c.theta)[None, :] ** 2
+    return metric_from_spec({"kind": "axisym", "a_rr": base,
+                             "a_theta": base * aniso, "a_phi": base * aniso,
+                             "decay": 2.0}, c)
+
+
+def _table_metric(c, A=0.9, B=1.0):
+    """The benchmark's table metric u0^4 flat, u0 = 1 + A s^2 (1 + B cos^2)."""
+    mu = np.cos(c.theta)[None, :]
+    t = (1.0 + A * (c.s ** 2)[:, None] * (1.0 + B * mu * mu)) ** 4
+    return metric_from_spec({"kind": "axisym", "a_rr": t, "a_theta": t,
+                             "a_phi": t, "decay": 2.0}, c)
+
+
+def test_positivity_failure_is_loud(monkeypatch):
+    # a strongly negative curvature bump makes the discrete problem
+    # nonpositive; the solver must refuse rather than return an unphysical
+    # metric
     with pytest.raises(PositivityError) as exc:
-        solve_scalar_flat_dirichlet(flat_metric(c))
+        solve_scalar_flat_dirichlet(_negative_bump_metric(monkeypatch))
     assert "Sobolev quotient" in str(exc.value)
 
 
 @pytest.mark.parametrize("grid", [(121, 17), (241, 33), (481, 65)])
 def test_large_anisotropic_bump_stays_positive(grid):
-    # u^4 with u = 1 + 30 prof, made anisotropic: phi stays positive
-    # (min phi near 0.03) on every grid, so the solve must succeed
-    c = Chart.axisymmetric(*grid)
-    prof = _bump_profile(c)
-    base = (1.0 + 30.0 * prof) ** 4
-    aniso = 1.0 + 0.5 * prof * np.cos(c.theta)[None, :] ** 2
-    g = metric_from_spec({"kind": "axisym", "a_rr": base,
-                          "a_theta": base * aniso, "a_phi": base * aniso,
-                          "decay": 2.0}, c)
-    sol = solve_scalar_flat_dirichlet(g)
+    # phi stays positive (min phi near 0.03) on every grid, so the solve
+    # must succeed
+    sol = solve_scalar_flat_dirichlet(
+        _bump_metric(Chart.axisymmetric(*grid), 30.0))
     assert sol.report.extrema["min_phi"] > 0.0
+
+
+CERTIFICATE_CASES = {
+    "conformal-1-0-1-radial-401":
+        lambda mp: metric_from_spec("conformal:1,0,1", Chart.radial(3, 401)),
+    "conformal-1-0-60-radial-401":
+        lambda mp: metric_from_spec("conformal:1,0,60", Chart.radial(3, 401)),
+    "conformal-1-0.9-1.8-radial-1601":
+        lambda mp: metric_from_spec("conformal:1,0.9,1.8",
+                                    Chart.radial(3, 1601)),
+    "bench-table-201x65": lambda mp: _table_metric(Chart.axisymmetric(201, 65)),
+    "bump-3-121x17": lambda mp: _bump_metric(Chart.axisymmetric(121, 17), 3.0),
+    "bump-30-121x17":
+        lambda mp: _bump_metric(Chart.axisymmetric(121, 17), 30.0),
+    "injected-negative-R-121x17": _negative_bump_metric,
+}
+
+
+@pytest.mark.parametrize("case", list(CERTIFICATE_CASES))
+def test_one_solve_certificate_agrees_with_sweep(case, monkeypatch):
+    # the certificate behind solve_scalar_flat_dirichlet: the interior rows
+    # of the family matrix have positive off-diagonals (lambda moves only
+    # the diagonal), so min phi_1 > 0 certifies every lambda in [0, 1]
+    g = CERTIFICATE_CASES[case](monkeypatch)
+    A = assemble(_yamabe_linear_problem(g, 1.0)).matrix.tocoo()
+    nt, N = g.chart.nt, g.chart.num_nodes
+    off = (A.row != A.col) & (A.row >= nt) & (A.row < N - nt)
+    assert np.all(A.data[off] > 0.0)
+    try:
+        solve_scalar_flat_dirichlet(g)
+        certified = True
+    except PositivityError:
+        certified = False
+    assert certified == (case != "injected-negative-R-121x17")
+    assert certified == sweep_certificate(lambda_sweep(g, steps=11))
 
 
 def test_lambda_sweep_flat_and_benchmark():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scalarflat import (Chart, InvalidNormSpec, ScalarField, WeightedNormSpec,
-                        decay_fit, mass_coefficient, weighted_norm)
+from scalarflat import (Chart, ChartError, InvalidNormSpec, ScalarField,
+                        WeightedNormSpec, decay_fit, mass_coefficient,
+                        weighted_norm)
+from scalarflat.weighted import MIN_S_NODES
 
 CHART = Chart.radial(3, 201)
 
@@ -172,6 +174,15 @@ def test_decay_fit_no_decay():
     vals[0] = 0.0
     fit = decay_fit(ScalarField(CHART, vals))
     assert fit.status == "no-decay"
+
+
+def test_min_s_nodes_is_the_decay_window_minimum():
+    # the CLI's grid minimum is the fewest nodes decay_fit accepts
+    c = Chart.radial(3, MIN_S_NODES)
+    assert decay_fit(ScalarField(c, c.s)).status == "ok"
+    c = Chart.radial(3, MIN_S_NODES - 1)
+    with pytest.raises(ChartError):
+        decay_fit(ScalarField(c, c.s))
 
 
 def test_mass_coefficient_schwarzschild():
