@@ -45,6 +45,9 @@ DEFAULTS = {
     "grids": [100, 200, 400],
 }
 
+#: keys of the quotient mode's "family" config object (see _run_quotient)
+FAMILY_KEYS = ("centers", "widths", "r_in", "r_out", "cutoff_width", "budget")
+
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -109,7 +112,39 @@ def merge_config(args: argparse.Namespace) -> dict:
         if type(val) not in (int, float) or not low < val < math.inf:
             raise ConfigError(f"{key} must be a number in ({low:g}, inf), "
                               f"got {val!r}")
+    grids = cfg["grids"]
+    if (type(grids) is not list or len(grids) < 2
+            or any(type(x) is not int or x < MIN_S_NODES for x in grids)):
+        raise ConfigError(f"grids must be a list of at least two integers "
+                          f">= {MIN_S_NODES}, got {grids!r}")
+    if cfg["family"] is not None:
+        _check_family(cfg["family"])
     return cfg
+
+
+def _finite(x) -> bool:
+    return type(x) in (int, float) and math.isfinite(x)
+
+
+def _check_family(family):
+    """The quotient trial family: an object whose centers and widths are
+    non-empty lists of finite numbers, whose budget is an integer >= 1,
+    and whose other values are finite numbers."""
+    if type(family) is not dict:
+        raise ConfigError(f"family must be an object, got {family!r}")
+    unknown = set(family) - set(FAMILY_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown family keys: {sorted(unknown)}")
+    for key, val in family.items():
+        if key in ("centers", "widths"):
+            ok = (type(val) is list and len(val) > 0
+                  and all(map(_finite, val)))
+        elif key == "budget":
+            ok = type(val) is int and val >= 1
+        else:
+            ok = _finite(val)
+        if not ok:
+            raise ConfigError(f"bad family {key}: {val!r}")
 
 
 def parse_grid(text, n: int) -> Chart:
@@ -213,7 +248,7 @@ def _run_quotient(cfg, chart, g):
         r_in=float(fam_cfg.get("r_in", 1.5)),
         r_out=float(fam_cfg.get("r_out", min(20.0, 0.5 / chart.s[1]))),
         cutoff_width=float(fam_cfg.get("cutoff_width", 0.5)))
-    budget = int(fam_cfg.get("budget", 100))
+    budget = fam_cfg.get("budget", 100)
     q, params, positive = estimate_sobolev_quotient(g, family, budget=budget)
     report = SolveReport(mode="quotient")
     report.residuals = {"quotient_upper_bound": q}
@@ -272,9 +307,7 @@ def _run_convergence(cfg, chart, g):
                           "metric with a closed-form reference")
     coeffs = g.u0_coeffs
     u0 = _u0_function(coeffs)
-    grids = [int(x) for x in cfg["grids"]]
-    if len(grids) < 2:
-        raise ConfigError("need at least two grid sizes")
+    grids = cfg["grids"]
     errors = []
     for num in grids:
         ci = Chart.radial(chart.n, num)

@@ -70,7 +70,10 @@ class LinearSystem:
 
 @dataclass
 class LinearSolveResult:
-    solution: ScalarField
+    """A solve's answer (a field, or an (N, k) array for a block of
+    right-hand sides) and its backward error after each refinement pass."""
+
+    solution: ScalarField | np.ndarray
     residual: float
     iterations: int
     residual_history: list = field(default_factory=list)
@@ -170,17 +173,22 @@ class Factorization:
         """One LU solve plus one refinement step, which takes the forward
         error from ~1e-12 to ~1e-14 at condition ~1e6 (1601 radial nodes).
 
-        ``residual_history`` holds the normwise backward error
-        |A x - b| / (|A| |x| + |b|) after each; the last must be <= tol.
+        ``rhs`` is a vector of N values or an (N, k) block of k right-hand
+        sides; a vector is the k = 1 block.  Each pass is one SuperLU solve
+        over the whole block.  ``residual_history`` holds, after each pass,
+        the normwise backward error |A x - b| / (|A| |x| + |b|) of the worst
+        column; the last must be <= tol.  The solution is a ``ScalarField``
+        for a vector and the (N, k) array of solutions for a block.
         """
-        b = rhs / self.scale
-        bnorm = np.linalg.norm(b)
+        b = np.reshape(rhs, (self.scale.size, -1)) / self.scale[:, None]
+        bnorm = np.linalg.norm(b, axis=0)
         x, r, history = np.zeros_like(b), b, []
         for _ in range(2):
             x = x + self.lu.solve(r)
             r = b - self.matrix @ x
-            history.append(float(np.linalg.norm(r) / max(
-                self.norm * np.linalg.norm(x) + bnorm, 1e-300)))
+            backward = np.linalg.norm(r, axis=0) / np.maximum(
+                self.norm * np.linalg.norm(x, axis=0) + bnorm, 1e-300)
+            history.append(float(np.max(backward)))
         if not np.all(np.isfinite(x)):
             raise DiscreteIsomorphismError("discrete isomorphism failure: "
                                            "non-finite solution")
@@ -188,7 +196,8 @@ class Factorization:
             raise NonConvergenceError(
                 f"linear solve did not reach tol={tol:g} (backward error "
                 f"{history[-1]:.3g})", history=history)
-        sol = ScalarField(self.chart, x.reshape(self.chart.shape))
+        sol = (x if np.ndim(rhs) == 2
+               else ScalarField(self.chart, x.reshape(self.chart.shape)))
         return LinearSolveResult(solution=sol, residual=history[-1],
                                  iterations=len(history),
                                  residual_history=history)

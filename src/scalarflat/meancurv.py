@@ -254,17 +254,37 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
     """Monotone iteration from the subsolution toward the solution.
 
     Each step solves Delta_g u = 0 with the linearized-stabilized boundary
-    condition du/deta + c u = f u_k^beta + c u_k and u -> 1 at infinity.
-    The weight c dominates the slope of the boundary nonlinearity over the
-    barrier range, which makes the iteration order preserving; nodewise
-    monotonicity and the barrier sandwich are asserted every step.  Only
-    the boundary datum changes between steps, so the system is assembled
-    and factorized once.
+    condition du/deta + c u = h(u_k), h(u) = f u^beta + c u, and u -> 1 at
+    infinity.  The weight c is at least 1 and dominates the slope of
+    f u^beta where f > 0 over the barrier range.
+
+    Only the boundary datum changes between steps, and it enters linearly:
+    every iterate is x0 + X h, where x0 solves the system with h = 0 and
+    the columns of the N x nt block X are the responses to unit Robin data.
+    One factorization and one block solve of nt + 1 columns give both.
+    The first step starts from u_-, which is not of that form, and runs on
+    the whole grid.  Later steps update only the boundary values,
+    u_b <- x0_b + X_b h(u_b), at O(nt^2) each, and one more solve with the
+    last datum gives the full u.
+
+    X >= 0 (up to the slack), the inverse positivity that with an
+    increasing h makes the iteration order preserving, is asserted once.
+    The first step's nodal increment and both sides of the barrier
+    sandwich are checked on the whole grid.  From then on the nodal step
+    X (h(u_k) - h(u_{k-1})) is discrete-harmonic: the interior rows have
+    positive off-diagonals and zero row sums, so each interior value is a
+    convex combination of its neighbours, and the step is 0 at s = 0.  Its
+    extremes therefore lie on the r = 1 row: a nonnegative boundary step is
+    a nonnegative nodal step whose maximum is on r = 1.  So each later step
+    checks its size, its increment and both sandwich bounds on the
+    boundary values.  The sequence increases, so the final u bounds every
+    iterate; the upper sandwich and positivity are checked on it.
     """
     t0 = time.perf_counter()
     chart = g.chart
     beta = pair.beta
     fv = pair.f.values
+    nt = fv.size
     lo = float(np.min(pair.u_minus.values))
     hi = float(np.max(pair.u_plus.values))
     fplus = np.maximum(fv, 0.0)
@@ -279,38 +299,54 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
                    h=BoundaryField.constant(chart, 0.0)),
         limit=1.0))
     lu = Factorization(system)
+    block = np.zeros((system.rhs.size, nt + 1))
+    block[:, 0] = system.rhs
+    block[-nt:, 1:] = np.eye(nt)  # unit data on the Robin rows
+    responses = lu.solve(block, tol=linear_tol)
+    x0, X = responses.solution[:, 0], responses.solution[:, 1:]
+    if np.min(X) < -monotone_slack:
+        raise SolveError(
+            f"monotonicity violated: Robin response {np.min(X):.3g} < 0; "
+            "discretization or stabilization-weight error")
 
-    u = pair.u_minus
+    # step 1 runs on the whole grid, later steps on the boundary values
+    lower, upper = pair.u_minus.values.ravel(), pair.u_plus.values.ravel()
+    u, base, rows = lower, x0, X
     history = []
     min_increment = math.inf
     for it in range(1, max_iter + 1):
-        ub = u.boundary_values()
-        rhs = system.rhs.copy()
-        rhs[-fv.size:] = fv * ub ** beta + c_weight * ub  # the Robin rows
-        u_next = lu.solve(rhs, tol=linear_tol).solution
-        step = float(np.max(np.abs(u_next.values - u.values)))
+        h = fv * u[-nt:] ** beta + c_weight * u[-nt:]
+        u_next = base + rows @ h
+        step = float(np.max(np.abs(u_next - u)))
         history.append(step)
-        increment = float(np.min(u_next.values - u.values))
+        increment = float(np.min(u_next - u))
         min_increment = min(min_increment, increment)
         if increment < -monotone_slack:
             raise SolveError(
                 "monotonicity violated at iteration "
                 f"{it} (min increment {increment:.3g}); "
                 "discretization or stabilization-weight error")
-        if (np.min(u_next.values - pair.u_minus.values) < -monotone_slack
-                or np.max(u_next.values - pair.u_plus.values)
-                > monotone_slack):
+        if (np.min(u_next - lower) < -monotone_slack
+                or np.max(u_next - upper) > monotone_slack):
             raise SolveError(
                 f"barrier sandwich violated at iteration {it}")
         u = u_next
         if step < tol:
             break
+        if it == 1:
+            u, base, rows, lower, upper = (
+                a[-nt:] for a in (u, x0, X, lower, upper))
     else:
-        last = f" (last increment {history[-1]:.3g})" if history else ""
         raise NonConvergenceError(
-            f"monotone iteration did not converge in {max_iter} steps{last}",
-            history=history)
+            f"monotone iteration did not converge in {max_iter} steps "
+            f"(last increment {history[-1]:.3g})", history=history)
 
+    rhs = system.rhs.copy()
+    rhs[-nt:] = h  # the Robin rows
+    final = lu.solve(rhs, tol=linear_tol)
+    u = final.solution
+    if np.max(u.values - pair.u_plus.values) > monotone_slack:
+        raise SolveError("barrier sandwich violated by the final iterate")
     if np.any(u.values <= 0.0):
         raise PositivityError("iterate lost positivity")
     g_new = conformal_transform(g, u)
@@ -323,8 +359,10 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
         "harmonicity_Linf_interior": lap,
         "robin_Linf": robin_resid,
     }
-    report.iterations = {"monotone": len(history), "linear": len(history),
-                         "increments": history}
+    report.iterations = {
+        "monotone": len(history),
+        "linear": responses.iterations * (nt + 1) + final.iterations,
+        "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),
                       "u_boundary_min": float(np.min(u.boundary_values())),

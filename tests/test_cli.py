@@ -13,8 +13,8 @@ from hypothesis import strategies as st
 
 import scalarflat.dirichlet as dirichlet
 import scalarflat.elliptic as elliptic
-from scalarflat.cli import (DEFAULTS, MODES, main, merge_config, parse_f,
-                            parse_grid, run_job)
+from scalarflat.cli import (DEFAULTS, FAMILY_KEYS, MODES, main,
+                            merge_config, parse_f, parse_grid, run_job)
 from scalarflat.chart import Chart
 from scalarflat.errors import ConfigError
 from scalarflat.meancurv import CONVENTIONS
@@ -204,6 +204,20 @@ ONES = np.ones((41, 5)).tolist()
     lambda d: ["--config", _json_file(d, {"convention": "bogus",
                                           "mode": "meancurv",
                                           "target": 0.03})],
+    # convergence-study grids and the quotient family of the wrong type
+    # (these exited 1 or 3)
+    lambda d: ["--config", _json_file(d, {
+        "mode": "convergence-study", "metric": "conformal:1,0,1",
+        "grids": ["a", 101]})],
+    lambda d: ["--config", _json_file(d, {
+        "mode": "convergence-study", "metric": "conformal:1,0,1",
+        "grids": 7})],
+    lambda d: ["--config", _json_file(d, {
+        "mode": "convergence-study", "metric": "conformal:1,0,1",
+        "grids": [11, 21]})],
+    lambda d: ["--config", _json_file(d, {"mode": "quotient", "family": 5})],
+    lambda d: ["--config", _json_file(d, {"mode": "quotient",
+                                          "family": {"budget": "x"}})],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -211,7 +225,9 @@ ONES = np.ones((41, 5)).tolist()
         "beta-zero", "target-nan", "grid-3", "grid-3x9",
         "config-lambda-steps-string", "config-tol-string",
         "grid-4", "grid-20", "grid-36", "grid-40", "grid-21x9-conformal",
-        "meancurv-grid-36", "config-n-string", "config-convention-bogus"])
+        "meancurv-grid-36", "config-n-string", "config-convention-bogus",
+        "grids-string", "grids-number", "grids-too-coarse", "family-number",
+        "family-budget-string"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -328,6 +344,29 @@ def _not_int(least):
             | st.integers(max_value=least - 1) | st.lists(st.integers()))
 
 
+GOOD_SIZE = st.integers(MIN_S_NODES, 401)
+BAD_SIZE = (SHORT | st.none() | st.booleans() | st.text(max_size=5)
+            | st.floats())
+BAD_GRIDS = st.one_of(
+    JSON_SCALAR, st.lists(GOOD_SIZE, max_size=1),
+    st.tuples(st.lists(GOOD_SIZE, max_size=2), BAD_SIZE,
+              st.lists(GOOD_SIZE, max_size=2)).map(
+        lambda t: t[0] + [t[1]] + t[2]))
+
+NOT_FINITE = (st.none() | st.booleans() | st.text(max_size=5)
+              | st.sampled_from([math.nan, math.inf, -math.inf])
+              | st.lists(st.integers(), max_size=2))
+BAD_FAMILY_ENTRY = st.one_of(
+    st.tuples(st.sampled_from(["centers", "widths"]),
+              JSON_SCALAR | st.lists(NOT_FINITE, min_size=1, max_size=3)),
+    st.tuples(st.sampled_from(["r_in", "r_out", "cutoff_width"]), NOT_FINITE),
+    st.tuples(st.just("budget"), _not_int(1)),
+    st.tuples(st.text(max_size=8).filter(lambda k: k not in FAMILY_KEYS),
+              JSON_ANY))
+BAD_FAMILY = (JSON_SCALAR.filter(lambda v: v is not None)
+              | st.lists(JSON_ANY, max_size=3)
+              | st.lists(BAD_FAMILY_ENTRY, min_size=1, max_size=3).map(dict))
+
 BAD_ENTRY = st.one_of(
     st.tuples(st.just("tol"), _not_number(0.0) | st.none()),
     st.tuples(st.just("beta"), _not_number(0.0)),
@@ -345,6 +384,8 @@ BAD_ENTRY = st.one_of(
                                 max_size=3)),
     st.tuples(st.just("convention"), JSON_ANY.filter(
         lambda c: not (isinstance(c, str) and c in CONVENTIONS))),
+    st.tuples(st.just("grids"), BAD_GRIDS),
+    st.tuples(st.just("family"), BAD_FAMILY),
     st.tuples(st.text(max_size=12).filter(lambda k: k not in DEFAULTS),
               JSON_ANY))
 

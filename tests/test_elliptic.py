@@ -128,6 +128,44 @@ def test_factorization_reused_across_right_hand_sides():
                              - fresh.solution.values)) <= 1e-12
 
 
+def test_block_solve_matches_vector_solves():
+    # one SuperLU solve per pass over k Robin data gives the k answers of
+    # k vector solves, and the worst column's backward error
+    c = Chart.axisymmetric(41, 9)
+    p = flat_problem(c, RobinBC(gamma=BoundaryField.constant(c, 2.0),
+                                h=BoundaryField.constant(c, 0.0)), limit=1.0)
+    system = assemble(p)
+    lu = Factorization(system)
+    block = np.repeat(system.rhs[:, None], 5, axis=1)
+    for k in range(5):
+        block[-c.nt:, k] = 1.0 + k * np.cos(c.theta) ** 2
+    res = lu.solve(block, tol=1e-10)
+    assert res.solution.shape == block.shape
+    singles = [lu.solve(block[:, k], tol=1e-10) for k in range(5)]
+    for k, single in enumerate(singles):
+        assert np.max(np.abs(res.solution[:, k]
+                             - single.solution.values.ravel())) <= 1e-14
+    for i in range(2):
+        assert res.residual_history[i] == pytest.approx(
+            max(single.residual_history[i] for single in singles), rel=1e-6)
+
+
+def test_block_solve_gates_every_column():
+    # a zero column is solved exactly; the other misses tol, and so does
+    # the block
+    c = Chart.radial(3, 1601)
+    g = metric_from_spec("conformal:1,0.9,1.8", c)
+    system = assemble(_yamabe_linear_problem(g, 1.0))
+    lu = Factorization(system)
+    hard = lu.solve(system.rhs).residual
+    assert 0.0 < hard and lu.solve(np.zeros_like(system.rhs),
+                                   tol=0.5 * hard).residual == 0.0
+    block = np.column_stack([np.zeros_like(system.rhs), system.rhs])
+    with pytest.raises(NonConvergenceError) as exc:
+        lu.solve(block, tol=0.5 * hard)
+    assert exc.value.history[-1] == pytest.approx(hard, rel=1e-6)
+
+
 def test_large_solution_small_rhs_solves_at_once():
     # radial N=1601 Dirichlet system whose solution is ~4e5 times larger
     # than its equilibrated right-hand side: a Krylov target relative to

@@ -9,7 +9,11 @@ from scalarflat import (AXISYM, RADIAL, BarrierError, BoundaryField, Chart,
                         prescribe_mean_curvature, radial_mean_curvature,
                         reduce_to_minimal, rho_threshold, solve_nonlinear_robin)
 import scalarflat.meancurv as meancurv
+from scalarflat.cli import parse_f
+from scalarflat.elliptic import Factorization
+from scalarflat.errors import SolveError
 from scalarflat.meancurv import boundary_defect, datum_coefficient
+from monotone_reference import full_grid_monotone_loop
 
 
 def test_harmonic_unit_flat_n3():
@@ -206,3 +210,74 @@ def test_monotone_iterate_factorizes_once(monkeypatch):
     assert -1e-9 <= barrier["min_increment"] <= min(
         sol.report.iterations["increments"])
     assert barrier["monotone"] and sol.report.checks["monotone"]
+
+
+def _pair(chart, spec="flat", f=None, target=None):
+    """Barrier pair (beta = 3) and background of the monotone stage: on the
+    reduced metric for a target mean curvature, else on the metric itself."""
+    g = metric_from_spec(spec, chart)
+    if target is not None:
+        g = reduce_to_minimal(g)[0]
+        f = datum_coefficient(3, "transformation-law") * target
+    v, dv = harmonic_unit(g)
+    return build_sub_super(v, dv, parse_f(f, chart), 3.0), g
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _pair(Chart.radial(3, 1601), "conformal:1,0.8,0.8", target=0.049),
+    lambda: _pair(Chart.radial(3, 201), f=0.1),
+    lambda: _pair(Chart.axisymmetric(201, 33), f="cos:0.05,0.02"),
+    lambda: _pair(Chart.axisymmetric(41, 9), target=-1.0),
+], ids=["radial-1601-t0.049", "radial-201-f0.1", "axisym-201x33-cos",
+        "axisym-41x9-target-1"])
+def test_boundary_iteration_matches_full_grid_loop(make):
+    pair, g = make()
+    sol = monotone_iterate(pair, g)
+    u_ref, increments, min_increment = full_grid_monotone_loop(pair, g)
+    report = sol.report
+    assert report.iterations["monotone"] == len(increments)
+    assert np.allclose(report.iterations["increments"], increments,
+                       rtol=0.0, atol=1e-10)
+    assert np.max(np.abs(sol.u.values - u_ref.values)) <= 1e-10
+    assert report.barrier["min_increment"] == pytest.approx(min_increment,
+                                                            abs=1e-10)
+    assert report.barrier["alpha_minus"] == pair.alpha_minus
+    assert report.barrier["alpha_plus"] == pair.alpha_plus
+    assert all(report.checks.values())
+
+
+@pytest.mark.parametrize("chart,f", [(Chart.radial(3, 201), -1.0),
+                                     (Chart.radial(3, 201), 0.1),
+                                     (Chart.axisymmetric(41, 9), 0.1)],
+                         ids=["radial-1-step", "radial-51-steps", "axisym"])
+def test_monotone_iterate_makes_two_solves(monkeypatch, chart, f):
+    # one block solve for x0 and X, one full solve for the final u,
+    # whatever the step count (1 step at f = -1, 51 at f = 0.1)
+    pair, g = _pair(chart, f=f)
+    calls = []
+    solve = Factorization.solve
+
+    def counting(self, rhs, tol=1e-10):
+        calls.append(np.shape(rhs))
+        return solve(self, rhs, tol=tol)
+
+    monkeypatch.setattr(Factorization, "solve", counting)
+    sol = monotone_iterate(pair, g)
+    N, nt = chart.num_nodes, chart.nt
+    assert calls == [(N, nt + 1), (N,)]
+    assert sol.report.iterations["linear"] == 2 * (nt + 1) + 2
+
+
+def test_negative_robin_response_raises(monkeypatch):
+    pair, g = _pair(Chart.axisymmetric(41, 9), f=0.1)
+    solve = Factorization.solve
+
+    def one_negative(self, rhs, tol=1e-10):
+        result = solve(self, rhs, tol=tol)
+        if np.ndim(rhs) == 2:
+            result.solution[100, 3] = -1e-6  # a response column of X
+        return result
+
+    monkeypatch.setattr(Factorization, "solve", one_negative)
+    with pytest.raises(SolveError, match="Robin response"):
+        monotone_iterate(pair, g)
