@@ -24,9 +24,8 @@ from .metrics import (MetricField, boundary_mean_curvature,
                       conformal_transform, flat_metric, conformal_metric,
                       laplace_beltrami, metric_from_spec, normal_derivative,
                       scalar_curvature)
-from .oracle import (RadialProblem, radial_dirichlet_yamabe,
-                     radial_mean_curvature, radial_solve_linear,
-                     mean_curvature_root_threshold)
+from .oracle import (mean_curvature_root_threshold, radial_dirichlet_yamabe,
+                     radial_mean_curvature)
 from .quotient import TrialFamily, estimate_sobolev_quotient, rayleigh_quotient
 from .report import SolveReport, emit_fields, emit_report, read_fields
 from .weighted import (DecayFit, WeightedNormSpec, decay_fit,

@@ -33,6 +33,16 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
+def _uniform_step(x: np.ndarray, name: str) -> float:
+    """The step of strictly increasing, uniformly spaced nodes."""
+    d = np.diff(x)
+    if not np.all(d > 0):
+        raise ChartError(f"{name} must be strictly increasing")
+    if not np.allclose(d, d[0], rtol=1e-12, atol=1e-15):
+        raise ChartError(f"{name} must be uniformly spaced")
+    return float(d[0])
+
+
 class Chart:
     """Tensor grid on the compactified exterior domain.
 
@@ -41,11 +51,12 @@ class Chart:
     n : int
         Ambient dimension, n >= 3.
     s_nodes : array_like
-        Strictly increasing nodes on [0, 1] with s_nodes[0] == 0 and
-        s_nodes[-1] == 1.
+        Uniformly spaced increasing nodes on [0, 1] with s_nodes[0] == 0 and
+        s_nodes[-1] == 1; their step is ``ds``.
     theta_nodes : array_like, optional
-        Polar-angle nodes on [0, pi].  Presence selects axisymmetric mode,
-        which is only supported for n == 3.
+        Uniformly spaced polar-angle nodes on [0, pi], with step ``dtheta``.
+        Presence selects axisymmetric mode, which is only supported for
+        n == 3.
 
     Radial mode is the grid with one theta column: ``nt`` (nodes per s
     level, and on the r=1 boundary) is 1, and ``s_col`` (s shaped to
@@ -62,13 +73,12 @@ class Chart:
             raise ChartError("s_nodes must be a 1D array with at least 3 nodes")
         if s[0] != 0.0 or s[-1] != 1.0:
             raise ChartError("s_nodes must start at 0 (infinity) and end at 1 (r=1)")
-        if not np.all(np.diff(s) > 0):
-            raise ChartError("s_nodes must be strictly increasing")
+        self.ds = _uniform_step(s, "s_nodes")
         self.s = s
         self.s.flags.writeable = False
 
         if theta_nodes is None:
-            self.mode, self.theta = RADIAL, None
+            self.mode, self.theta, self.dtheta = RADIAL, None, None
             self.nt, self.s_col = 1, self.s
             self.shape = (s.size,)
             # the one boundary node stands for the whole unit sphere
@@ -81,8 +91,7 @@ class Chart:
                 raise ChartError("theta_nodes must be a 1D array with at least 3 nodes")
             if not (th[0] == 0.0 and abs(th[-1] - math.pi) < 1e-14):
                 raise ChartError("theta_nodes must span [0, pi]")
-            if not np.all(np.diff(th) > 0):
-                raise ChartError("theta_nodes must be strictly increasing")
+            self.dtheta = _uniform_step(th, "theta_nodes")
             self.mode, self.theta = AXISYM, th
             self.theta.flags.writeable = False
             self.nt, self.s_col = th.size, self.s[:, None]
@@ -120,21 +129,6 @@ class Chart:
     def boundary_shape(self):
         """Shape of the r=1 boundary slice (last s index)."""
         return (self.nt,)
-
-    @property
-    def ds(self) -> float:
-        """Grid spacing in s; requires a uniform grid."""
-        d = np.diff(self.s)
-        if not np.allclose(d, d[0], rtol=1e-12, atol=1e-15):
-            raise ChartError("operation requires a uniform s grid")
-        return float(d[0])
-
-    @property
-    def dtheta(self) -> float:
-        d = np.diff(self.theta)
-        if not np.allclose(d, d[0], rtol=1e-12, atol=1e-15):
-            raise ChartError("operation requires a uniform theta grid")
-        return float(d[0])
 
     def __eq__(self, other):
         return isinstance(other, Chart) and self._key == other._key

@@ -45,7 +45,7 @@ DEFAULTS = {
     "grids": [100, 200, 400],
 }
 
-#: keys of the quotient mode's "family" config object (see _run_quotient)
+#: keys of the quotient mode's "family" config object (see parse_family)
 FAMILY_KEYS = ("centers", "widths", "r_in", "r_out", "cutoff_width", "budget")
 
 
@@ -117,8 +117,7 @@ def merge_config(args: argparse.Namespace) -> dict:
             or any(type(x) is not int or x < MIN_S_NODES for x in grids)):
         raise ConfigError(f"grids must be a list of at least two integers "
                           f">= {MIN_S_NODES}, got {grids!r}")
-    if cfg["family"] is not None:
-        _check_family(cfg["family"])
+    parse_family(cfg["family"])
     return cfg
 
 
@@ -126,25 +125,35 @@ def _finite(x) -> bool:
     return type(x) in (int, float) and math.isfinite(x)
 
 
-def _check_family(family):
-    """The quotient trial family: an object whose centers and widths are
-    non-empty lists of finite numbers, whose budget is an integer >= 1,
-    and whose other values are finite numbers."""
+def parse_family(family):
+    """(TrialFamily, budget) from a ``family`` config value: None for the
+    defaults, or an object of ``FAMILY_KEYS`` whose centers and widths are
+    lists of finite numbers, whose budget is an integer >= 1 and whose
+    other values are finite numbers.  The defaults and ranges are
+    ``TrialFamily``'s; every violation is a ``ConfigError``."""
+    if family is None:
+        family = {}
     if type(family) is not dict:
         raise ConfigError(f"family must be an object, got {family!r}")
     unknown = set(family) - set(FAMILY_KEYS)
     if unknown:
         raise ConfigError(f"unknown family keys: {sorted(unknown)}")
+    fields = {}
     for key, val in family.items():
         if key in ("centers", "widths"):
-            ok = (type(val) is list and len(val) > 0
-                  and all(map(_finite, val)))
+            ok = type(val) is list and all(map(_finite, val))
         elif key == "budget":
             ok = type(val) is int and val >= 1
         else:
             ok = _finite(val)
         if not ok:
             raise ConfigError(f"bad family {key}: {val!r}")
+        fields[key] = tuple(val) if type(val) is list else val
+    budget = fields.pop("budget", 100)
+    try:
+        return TrialFamily(**fields), budget
+    except ScalarFlatError as exc:
+        raise ConfigError(f"bad family: {exc}") from exc
 
 
 def parse_grid(text, n: int) -> Chart:
@@ -241,14 +250,7 @@ def _run_meancurv(cfg, chart, g):
 
 
 def _run_quotient(cfg, chart, g):
-    fam_cfg = cfg["family"] or {}
-    family = TrialFamily(
-        centers=tuple(fam_cfg.get("centers", (2.0, 3.0, 5.0, 8.0))),
-        widths=tuple(fam_cfg.get("widths", (0.5, 1.0, 2.0))),
-        r_in=float(fam_cfg.get("r_in", 1.5)),
-        r_out=float(fam_cfg.get("r_out", min(20.0, 0.5 / chart.s[1]))),
-        cutoff_width=float(fam_cfg.get("cutoff_width", 0.5)))
-    budget = fam_cfg.get("budget", 100)
+    family, budget = parse_family(cfg["family"])
     q, params, positive = estimate_sobolev_quotient(g, family, budget=budget)
     report = SolveReport(mode="quotient")
     report.residuals = {"quotient_upper_bound": q}
@@ -286,7 +288,7 @@ def _run_oracle(cfg, chart, g):
             vals = np.where(chart.s > 0, 1.0 + a * chart.s ** (chart.n - 2),
                             1.0)
             fields["u_oracle"] = ScalarField(chart, vals)
-    elif g.is_conformally_flat and g.u0_coeffs is not None:
+    elif g.u0_coeffs is not None:
         s, phi = radial_dirichlet_yamabe(_u0_function(g.u0_coeffs), chart.n,
                                          num=chart.s.size)
         fields["phi_oracle"] = ScalarField(chart, np.interp(chart.s, s, phi))
@@ -302,7 +304,7 @@ def _run_oracle(cfg, chart, g):
 def _run_convergence(cfg, chart, g):
     if chart.mode != RADIAL:
         raise ConfigError("convergence-study mode is radial")
-    if not (g.is_conformally_flat and g.u0_coeffs is not None):
+    if g.u0_coeffs is None:
         raise ConfigError("convergence-study needs a conformal coefficient "
                           "metric with a closed-form reference")
     coeffs = g.u0_coeffs

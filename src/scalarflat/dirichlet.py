@@ -13,6 +13,9 @@ rows).  The spectral abscissa is convex in the diagonal (J. E. Cohen,
 Proc. AMS 81 (1981) 657-658), so every -M_int(lambda) is one too, and
 every phi_lambda > 0.  This is exact for the discrete family up to the
 backward error of the solve; ``lambda_sweep`` samples it as a cross-check.
+
+``solve_conformal_factor`` is the conformal change both problems make:
+this one, and the mean-curvature reduction to a minimal boundary.
 """
 
 from __future__ import annotations
@@ -49,44 +52,58 @@ def _yamabe_linear_problem(g: MetricField, lam: float) -> LinearProblem:
                          limit=0.0)
 
 
-def solve_scalar_flat_dirichlet(g: MetricField,
-                                tol: float = 1e-10) -> ConformalSolution:
-    """Conformal factor phi with R(phi^{4/(n-2)} g) = 0, phi = 1 on r=1.
+def solve_conformal_factor(problem: LinearProblem, offset: float, tol: float,
+                           mode: str):
+    """The conformal change shared by both problems.
 
-    min phi > 0 certifies the whole discrete lambda-family (module
-    docstring).  Fails loudly if phi is not positive, which is numerical
-    evidence against positivity of the Sobolev quotient.
+    Checks that the problem's metric g is asymptotically flat, solves the
+    problem and sets phi = offset + solution (offset 1 for the v-form of
+    the Dirichlet problem, 0 for a problem posed for phi itself).  Fails
+    loudly unless min phi > 0, which is numerical evidence against
+    positivity of the Sobolev quotient.  Returns phi, phi^{4/(n-2)} g and a
+    report of its interior R, the phi extrema and the solve.
     """
-    t0 = time.perf_counter()
+    g = problem.metric
     check_asymptotic_flatness(g)
-    n = g.chart.n
-
-    result = solve_linear(_yamabe_linear_problem(g, 1.0), tol=tol)
-    phi = ScalarField(g.chart, 1.0 + result.solution.values)
+    result = solve_linear(problem, tol=tol)
+    phi = ScalarField(g.chart, offset + result.solution.values)
     min_phi = float(np.min(phi.values))
     if min_phi <= 0.0:
         raise PositivityError(
             f"positivity violated (min phi = {min_phi:.3g}): Sobolev "
             "quotient may be nonpositive")
     g_new = conformal_transform(g, phi)
-    R_new = g_new.scalar_curvature()
-
-    report = SolveReport(mode="dirichlet")
-    delta = 2.5 - n
+    report = SolveReport(mode=mode)
     # residual measured away from the one-sided boundary row
     report.residuals = {
         "linear_relative": result.residual,
         "scalar_curvature_Linf_interior": float(
-            np.max(np.abs(R_new.values[1:-1]))),
-        f"scalar_curvature_{WeightedNormSpec(2, delta - 2)}": weighted_norm(
-            ScalarField(g.chart, R_new.values), WeightedNormSpec(2, delta - 2)),
+            np.max(np.abs(g_new.scalar_curvature().values[1:-1]))),
     }
-    bnd_dev = float(np.max(np.abs(phi.boundary_values() - 1.0)))
-    report.checks = {"phi_positive": min_phi > 0.0,
-                     "boundary_exact": bnd_dev == 0.0}
     report.extrema = {"min_phi": min_phi,
                       "max_phi": float(np.max(phi.values))}
     report.iterations = {"linear": result.iterations}
+    return phi, g_new, report
+
+
+def solve_scalar_flat_dirichlet(g: MetricField,
+                                tol: float = 1e-10) -> ConformalSolution:
+    """Conformal factor phi with R(phi^{4/(n-2)} g) = 0, phi = 1 on r=1.
+
+    min phi > 0 certifies the whole discrete lambda-family (module
+    docstring); a nonpositive phi raises ``PositivityError``.
+    """
+    t0 = time.perf_counter()
+    phi, g_new, report = solve_conformal_factor(
+        _yamabe_linear_problem(g, 1.0), offset=1.0, tol=tol, mode="dirichlet")
+    n = g.chart.n
+    delta = 2.5 - n
+    spec = WeightedNormSpec(2, delta - 2)
+    report.residuals[f"scalar_curvature_{spec}"] = weighted_norm(
+        g_new.scalar_curvature(), spec)
+    bnd_dev = float(np.max(np.abs(phi.boundary_values() - 1.0)))
+    # phi_positive: the factor solve raised otherwise
+    report.checks = {"phi_positive": True, "boundary_exact": bnd_dev == 0.0}
     if g.chart.mode == RADIAL:
         fit = decay_fit(ScalarField(g.chart, phi.values - 1.0))
         report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,

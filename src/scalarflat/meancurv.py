@@ -15,14 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import BoundaryField, ScalarField
+from .dirichlet import solve_conformal_factor
 from .elliptic import (DirichletBC, Factorization, LinearProblem, RobinBC,
                        assemble, constant_field, solve_linear)
 from .errors import (BarrierError, NoSupersolutionError, NonConvergenceError,
                      PositivityError, ScalarFlatError, SolveError, StageError)
 from .metrics import (MetricField, boundary_mean_curvature,
-                      check_asymptotic_flatness, conformal_law_coefficient,
-                      conformal_transform, laplace_beltrami,
-                      normal_derivative)
+                      conformal_law_coefficient, conformal_transform,
+                      laplace_beltrami, normal_derivative)
 from .report import SolveReport
 
 #: datum conventions for prescribe_mean_curvature; "transformation-law" is
@@ -106,35 +106,18 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
     """
     chart = g.chart
     n = chart.n
-    check_asymptotic_flatness(g)
-    R = g.scalar_curvature()
-    H = boundary_mean_curvature(g)
-    a = 4.0 * (n - 1.0) / (n - 2.0)
-    gamma = BoundaryField(chart, H.values / conformal_law_coefficient(n))
+    gamma = boundary_mean_curvature(g).values / conformal_law_coefficient(n)
     problem = LinearProblem(
-        metric=g, a=a, c=ScalarField(chart, -R.values),
+        metric=g, a=4.0 * (n - 1.0) / (n - 2.0),
+        c=ScalarField(chart, -g.scalar_curvature().values),
         src=constant_field(chart, 0.0),
-        bc=RobinBC(gamma=gamma, h=BoundaryField.constant(chart, 0.0)),
+        bc=RobinBC(gamma=BoundaryField(chart, gamma),
+                   h=BoundaryField.constant(chart, 0.0)),
         limit=1.0)
-    result = solve_linear(problem, tol=tol)
-    phi = result.solution
-    if np.min(phi.values) <= 0.0:
-        raise PositivityError(
-            f"positivity violated in reduction (min phi = "
-            f"{np.min(phi.values):.3g}): Sobolev quotient may be nonpositive")
-    ghat = conformal_transform(g, phi)
-    Rhat = ghat.scalar_curvature()
-    Hhat = boundary_mean_curvature(ghat)
-    report = SolveReport(mode="reduce")
-    report.residuals = {
-        "linear_relative": result.residual,
-        "scalar_curvature_Linf_interior": float(
-            np.max(np.abs(Rhat.values[1:-1]))),
-        "boundary_H_Linf": float(np.max(np.abs(Hhat.values))),
-    }
-    report.extrema = {"min_phi": float(np.min(phi.values)),
-                      "max_phi": float(np.max(phi.values))}
-    report.iterations = {"linear": result.iterations}
+    phi, ghat, report = solve_conformal_factor(problem, offset=0.0, tol=tol,
+                                               mode="reduce")
+    report.residuals["boundary_H_Linf"] = float(
+        np.max(np.abs(boundary_mean_curvature(ghat).values)))
     return ghat, phi, report
 
 

@@ -45,11 +45,16 @@ class MetricField:
 
     Radial mode stores (a_rr, a_tan) per node (all tangential directions
     equal); axisymmetric mode stores (a_rr, a_theta, a_phi) per node.
+
+    A conformal metric g = phi^{4/(n-2)} b also keeps its factor phi in
+    ``conformal_phi`` and its base b in ``conformal_base``, where None
+    means the flat metric.  A metric given by its component tables has
+    ``conformal_phi`` None.  ``u0_coeffs`` holds the coefficients of a
+    ``conformal:`` spec, the closed-form references' input.
     """
 
-    def __init__(self, chart: Chart, comps: np.ndarray,
-                 is_conformally_flat: bool = False, u0: np.ndarray = None,
-                 u0_coeffs=None):
+    def __init__(self, chart: Chart, comps: np.ndarray, conformal_base=None,
+                 conformal_phi=None, u0_coeffs=None):
         self.chart = chart
         comps = np.asarray(comps, dtype=float)
         expected = chart.shape + (_frame_size(chart),)
@@ -64,22 +69,14 @@ class MetricField:
                 f"(min {comps.min():.3g})")
         self.comps = comps
         self.comps.flags.writeable = False
-        self.is_conformally_flat = bool(is_conformally_flat)
-        if self.is_conformally_flat:
-            if u0 is None:
-                raise MetricError("conformally flat metric requires u0")
-            self.u0 = np.array(u0, dtype=float)
-            if self.u0.shape != chart.shape:
-                raise MetricError("u0 shape does not match chart")
-            self.u0.flags.writeable = False
-        else:
-            self.u0 = None
+        self.conformal_base = conformal_base
+        self.conformal_phi = None
+        if conformal_phi is not None:
+            self.conformal_phi = ScalarField(chart, np.array(conformal_phi,
+                                                             dtype=float))
+            self.conformal_phi.values.flags.writeable = False
         self.u0_coeffs = None if u0_coeffs is None else tuple(
             float(c) for c in u0_coeffs)
-        # set by conformal_transform on non-conformally-flat bases; lets
-        # scalar_curvature use the exact conformal identity
-        self.conformal_base = None
-        self.conformal_phi = None
         # computed on first use; the metric is immutable
         self._laplacian = None
         self._curvature = {}
@@ -128,8 +125,7 @@ def conformal_metric(chart: Chart, u0, u0_coeffs=None) -> MetricField:
     n = chart.n
     fac = u0 ** (4.0 / (n - 2.0))
     comps = np.repeat(fac[..., None], _frame_size(chart), axis=-1)
-    return MetricField(chart, comps, is_conformally_flat=True, u0=u0,
-                       u0_coeffs=u0_coeffs)
+    return MetricField(chart, comps, conformal_phi=u0, u0_coeffs=u0_coeffs)
 
 
 def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField:
@@ -347,31 +343,32 @@ def flat_laplacian(chart: Chart, values, order: int = 2) -> np.ndarray:
 def scalar_curvature(g: MetricField, order: int = 2) -> ScalarField:
     """Scalar curvature R of g.
 
-    Conformally flat metrics use the conformal identity
-    R = -(4(n-1)/(n-2)) u0^{-(n+2)/(n-2)} Delta_flat u0; general
-    axisymmetric metrics use the diagonal-metric formula of
-    ``_scalar_curvature_frame``.
+    A conformal metric g = phi^{4/(n-2)} b uses the conformal identity
+
+        R = phi^{-(n+2)/(n-2)} (R_b phi - (4(n-1)/(n-2)) Delta_b phi)
+
+    relative to its base b.  The flat base has R_b = 0 and the flat
+    stencil of ``flat_laplacian``, of the given order; a stored base uses
+    its own R and Laplacian.  A table metric uses the diagonal-metric
+    formula of ``_scalar_curvature_frame``.
     """
     c = g.chart
     n = c.n
-    if g.is_conformally_flat:
-        lap = flat_laplacian(c, g.u0, order=order)
-        R = -(4.0 * (n - 1) / (n - 2)) * g.u0 ** (-(n + 2.0) / (n - 2.0)) * lap
-        return ScalarField(c, R)
-    if g.conformal_base is not None:
-        # exact conformal identity relative to the stored base metric
-        base = g.conformal_base
-        phi = g.conformal_phi.values
+    if g.conformal_phi is None:
+        if c.mode != AXISYM:
+            raise MetricError("general curvature requires axisymmetric mode "
+                              "(radial metrics are stored conformally flat)")
+        return ScalarField(c, _scalar_curvature_frame(g))
+    base, phi = g.conformal_base, g.conformal_phi.values
+    if base is None:
+        Rb, lap = 0.0, flat_laplacian(c, phi, order=order)
+    else:
         Rb = base.scalar_curvature(order).values
         lap = laplace_beltrami(base, g.conformal_phi).values
-        R = phi ** (-(n + 2.0) / (n - 2.0)) * (
-            Rb * phi - (4.0 * (n - 1) / (n - 2)) * lap)
-        R[0] = 0.0
-        return ScalarField(c, R)
-    if c.mode != AXISYM:
-        raise MetricError("general curvature requires axisymmetric mode "
-                          "(radial metrics are stored conformally flat)")
-    return ScalarField(c, _scalar_curvature_frame(g))
+    R = phi ** (-(n + 2.0) / (n - 2.0)) * (
+        Rb * phi - (4.0 * (n - 1) / (n - 2)) * lap)
+    R[0] = 0.0
+    return ScalarField(c, R)
 
 
 def _scalar_curvature_frame(g: MetricField) -> np.ndarray:
@@ -463,7 +460,8 @@ def normal_derivative(g: MetricField, u: ScalarField) -> BoundaryField:
 
 
 def conformal_transform(g: MetricField, phi: ScalarField) -> MetricField:
-    """g~ = phi^{4/(n-2)} g, with conformal-factor bookkeeping."""
+    """g~ = phi^{4/(n-2)} g.  The factor folds into g's own, so g~ keeps
+    g's base: phi_g phi over the flat metric or over a table metric."""
     if phi.chart != g.chart:
         raise ChartError("field and metric live on different charts")
     p = phi.values
@@ -471,15 +469,11 @@ def conformal_transform(g: MetricField, phi: ScalarField) -> MetricField:
         raise PositivityError(
             f"conformal factor must be positive (min {p.min():.3g})")
     n = g.chart.n
-    fac = p ** (4.0 / (n - 2.0))
-    comps = g.comps * fac[..., None]
-    if g.is_conformally_flat:
-        return MetricField(g.chart, comps, is_conformally_flat=True,
-                           u0=g.u0 * p)
-    out = MetricField(g.chart, comps)
-    out.conformal_base = g
-    out.conformal_phi = phi
-    return out
+    comps = g.comps * (p ** (4.0 / (n - 2.0)))[..., None]
+    if g.conformal_phi is None:
+        return MetricField(g.chart, comps, conformal_base=g, conformal_phi=p)
+    return MetricField(g.chart, comps, conformal_base=g.conformal_base,
+                       conformal_phi=g.conformal_phi.values * p)
 
 
 def conformal_mean_curvature(g: MetricField, u: ScalarField) -> BoundaryField:

@@ -1,121 +1,19 @@
-"""Independent high-accuracy 1D spherically-symmetric solver.
+"""Closed-form radial references for the two problems.
 
-Serves as the brute-force oracle for cross-checks.  It deliberately shares
-no discretization code with the main solver: problems are collocated on a
-Chebyshev grid in s = 1/r with dense spectral differentiation matrices, and
-the nonlinear boundary problem reduces to a scalar root find.
+Both are exact, so they share no discretization with the main solver: the
+Dirichlet factor of a conformally flat radial metric is a harmonic
+interpolant over u0, and the radial mean-curvature solution reduces to a
+scalar root find.  The oracle mode, ``convergence-study`` and the tests
+check the solver against them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SolveError
-
-
-@dataclass(frozen=True)
-class RadialProblem:
-    """a(r) * Delta_flat u + c(r) * u = src(r) on the exterior of r=1.
-
-    ``bc`` is ("dirichlet", value) or ("robin", gamma, h); ``limit`` is the
-    value at infinity.  Coefficients are callables of r, finite on [1, inf)
-    after the s = 1/r substitution (they are evaluated at r = 1/s with
-    s > 0, and at infinity via r = inf).
-    """
-
-    n: int
-    a: object = None           # callable of r, default 1
-    c: object = None           # callable of r, default 0
-    src: object = None         # callable of r, default 0
-    bc: tuple = ("dirichlet", 0.0)
-    limit: float = 0.0
-
-
-def chebyshev_matrix(num: int):
-    """Chebyshev points on [-1, 1] (descending) and differentiation matrix."""
-    if num < 2:
-        raise ValueError("need at least 2 points")
-    N = num - 1
-    x = np.cos(np.pi * np.arange(num) / N)
-    c = np.ones(num)
-    c[0] = c[-1] = 2.0
-    c *= (-1.0) ** np.arange(num)
-    X = np.tile(x, (num, 1)).T
-    dX = X - X.T
-    D = np.outer(c, 1.0 / c) / (dX + np.eye(num))
-    D -= np.diag(D.sum(axis=1))
-    return x, D
-
-
-def _eval(fn, r):
-    if fn is None:
-        return np.zeros_like(r)
-    return np.array([fn(ri) for ri in r], dtype=float)
-
-
-def radial_solve_linear(p: RadialProblem, tol: float = 1e-10,
-                        num: int = 81):
-    """Spectral collocation solve; returns (s_nodes asc, values, residual).
-
-    The error estimate compares against a refined collocation; failure to
-    meet ``tol`` raises SolveError.
-    """
-    from scipy.interpolate import BarycentricInterpolator
-
-    s, u = _collocate(p, num)
-    s2, u2 = _collocate(p, num + 24)
-    est = float(np.max(np.abs(BarycentricInterpolator(s2, u2)(s) - u)))
-    if not np.isfinite(est) or est > max(tol, 1e-13):
-        raise SolveError(f"radial oracle error estimate {est:.3g} exceeds "
-                         f"tol {tol:g}")
-    return s, u, est
-
-
-def _collocate(p: RadialProblem, num: int):
-    x, D = chebyshev_matrix(num)
-    # map x in [-1,1] (descending) to s in [0,1] ascending: s = (1-x)/2
-    s = (1.0 - x) / 2.0
-    Ds = -2.0 * D  # d/ds
-    n = p.n
-
-    with np.errstate(divide="ignore"):
-        r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
-    a = np.where(np.isfinite(r), _eval(p.a, r), 1.0) if p.a else np.ones(num)
-    c = _eval(p.c, r) if p.c else np.zeros(num)
-    src = _eval(p.src, r) if p.src else np.zeros(num)
-
-    # flat Laplacian in s: s^4 u_ss + (3-n) s^3 u_s
-    Lap = (np.diag(s ** 4) @ Ds @ Ds) + (3.0 - n) * np.diag(s ** 3) @ Ds
-    A = np.diag(a) @ Lap + np.diag(c)
-    rhs = src.copy()
-
-    i_inf = int(np.argmin(s))   # s = 0 row
-    i_bnd = int(np.argmax(s))   # s = 1 row
-    A[i_inf, :] = 0.0
-    A[i_inf, i_inf] = 1.0
-    rhs[i_inf] = p.limit
-    kind = p.bc[0]
-    if kind == "dirichlet":
-        A[i_bnd, :] = 0.0
-        A[i_bnd, i_bnd] = 1.0
-        rhs[i_bnd] = p.bc[1]
-    elif kind == "robin":
-        gamma, hval = p.bc[1], p.bc[2]
-        # du/deta = du/ds at s=1 on the flat background
-        A[i_bnd, :] = Ds[i_bnd, :]
-        A[i_bnd, i_bnd] += gamma
-        rhs[i_bnd] = hval
-    else:
-        raise ValueError(f"unknown boundary condition {kind!r}")
-
-    # row equilibration: the s^4 scaling spreads row norms over ~16 decades
-    scale = np.max(np.abs(A), axis=1)
-    u = np.linalg.solve(A / scale[:, None], rhs / scale)
-    order = np.argsort(s)
-    return s[order], u[order]
 
 
 def radial_dirichlet_yamabe(u0, n: int, tol: float = 1e-10, num: int = 201):

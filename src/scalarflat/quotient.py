@@ -23,22 +23,27 @@ from .metrics import MetricField, _density
 class TrialFamily:
     """Radial bump trials with smooth compact support.
 
-    Profiles are Gaussian bumps of given center/width multiplied by a C^1
-    smoothstep cutoff that vanishes at r <= r_in and r >= r_out, keeping the
-    support inside the open manifold (away from r=1 and infinity).
+    Profiles are Gaussian bumps of given center/width multiplied by a C^2
+    smootherstep cutoff that vanishes at r <= r_in and r >= r_out, keeping
+    the support inside the open manifold (away from r=1 and infinity).
+    The defaults are the quotient mode's family.
     """
 
-    centers: tuple
-    widths: tuple
+    centers: tuple = (2.0, 3.0, 5.0, 8.0)
+    widths: tuple = (0.5, 1.0, 2.0)
     r_in: float = 1.5
     r_out: float = 20.0
     cutoff_width: float = 0.5
 
     def __post_init__(self):
-        if self.r_in <= 1.0 or self.r_out <= self.r_in:
+        if not 1.0 < self.r_in < self.r_out:
             raise ScalarFlatError("need 1 < r_in < r_out")
+        if not self.cutoff_width > 0.0:
+            raise ScalarFlatError("need cutoff_width > 0")
         if not self.centers or not self.widths:
             raise ScalarFlatError("empty trial family")
+        if not all(w > 0.0 for w in self.widths):
+            raise ScalarFlatError("need every width > 0")
 
     def parameters(self):
         return [(c, w) for c in self.centers for w in self.widths]
@@ -98,8 +103,6 @@ def rayleigh_quotient(g: MetricField, f: ScalarField, order: int = 4) -> float:
     if f.chart != chart:
         raise ChartError("trial must live on the metric's chart")
     vals = f.values
-    if float(np.max(np.abs(vals))) == 0.0:
-        raise ScalarFlatError("zero trial: quotient undefined")
     if np.max(np.abs(vals[-1])) > 0 or np.max(np.abs(vals[0])) > 0:
         raise ScalarFlatError("trial must vanish at r=1 and at infinity")
 
@@ -107,6 +110,8 @@ def rayleigh_quotient(g: MetricField, f: ScalarField, order: int = 4) -> float:
     p_crit = 2.0 * n / (n - 2.0)
     num = _flat_weighted_integral(chart, dens * measure)
     den = _flat_weighted_integral(chart, np.abs(vals) ** p_crit * measure)
+    if den == 0.0:  # a zero trial, or one whose |f|^p underflows
+        raise ScalarFlatError("zero trial: quotient undefined")
     return num / den ** (2.0 / p_crit)
 
 

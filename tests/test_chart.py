@@ -36,6 +36,10 @@ def test_chart_validation():
     with pytest.raises(ChartError):
         Chart(3, [0.0, 0.5, 0.4, 1.0])
     with pytest.raises(ChartError):
+        Chart(3, [0.0, 0.25, 0.75, 1.0])  # increasing but not uniform
+    with pytest.raises(ChartError):
+        Chart(3, np.linspace(0, 1, 5), [0.0, 0.5, 2.0, math.pi])
+    with pytest.raises(ChartError):
         # axisymmetric mode is n=3 only
         Chart(4, np.linspace(0, 1, 5), np.linspace(0, math.pi, 5))
 

@@ -170,6 +170,11 @@ def _json_file(directory, doc):
 ONES = np.ones((41, 5)).tolist()
 
 
+def _quotient_family(family):
+    return lambda d: ["--config", _json_file(d, {
+        "mode": "quotient", "grid": "81", "family": family})]
+
+
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["--metric", _json_file(d, {"kind": "conformal"})],
     lambda d: ["--metric", _json_file(d, [1.0, 0.5])],
@@ -218,6 +223,14 @@ ONES = np.ones((41, 5)).tolist()
     lambda d: ["--config", _json_file(d, {"mode": "quotient", "family": 5})],
     lambda d: ["--config", _json_file(d, {"mode": "quotient",
                                           "family": {"budget": "x"}})],
+    # quotient family values of the right type but out of range (these
+    # exited 3, and widths [-1] ran to exit 0)
+    _quotient_family({"r_in": 0.5}),
+    _quotient_family({"r_out": 1.2}),
+    _quotient_family({"cutoff_width": 0}),
+    _quotient_family({"cutoff_width": -1}),
+    _quotient_family({"widths": [0]}),
+    _quotient_family({"widths": [-1]}),
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -227,7 +240,9 @@ ONES = np.ones((41, 5)).tolist()
         "grid-4", "grid-20", "grid-36", "grid-40", "grid-21x9-conformal",
         "meancurv-grid-36", "config-n-string", "config-convention-bogus",
         "grids-string", "grids-number", "grids-too-coarse", "family-number",
-        "family-budget-string"])
+        "family-budget-string", "family-r_in-0.5", "family-r_out-1.2",
+        "family-cutoff-0", "family-cutoff-negative", "family-width-0",
+        "family-width-negative"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -356,10 +371,19 @@ BAD_GRIDS = st.one_of(
 NOT_FINITE = (st.none() | st.booleans() | st.text(max_size=5)
               | st.sampled_from([math.nan, math.inf, -math.inf])
               | st.lists(st.integers(), max_size=2))
+NOT_ABOVE_1 = st.floats(max_value=1.0, allow_nan=False)
+NOT_ABOVE_0 = st.floats(max_value=0.0, allow_nan=False)
 BAD_FAMILY_ENTRY = st.one_of(
     st.tuples(st.sampled_from(["centers", "widths"]),
               JSON_SCALAR | st.lists(NOT_FINITE, min_size=1, max_size=3)),
     st.tuples(st.sampled_from(["r_in", "r_out", "cutoff_width"]), NOT_FINITE),
+    # out of range with any other entry: 1 < r_in < r_out, cutoff_width > 0,
+    # every width > 0
+    st.tuples(st.sampled_from(["r_in", "r_out"]), NOT_ABOVE_1),
+    st.tuples(st.just("cutoff_width"), NOT_ABOVE_0),
+    st.tuples(st.just("widths"),
+              st.tuples(st.lists(st.floats(0.1, 5.0), max_size=2),
+                        NOT_ABOVE_0).map(lambda t: t[0] + [t[1]])),
     st.tuples(st.just("budget"), _not_int(1)),
     st.tuples(st.text(max_size=8).filter(lambda k: k not in FAMILY_KEYS),
               JSON_ANY))

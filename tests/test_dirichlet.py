@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from scalarflat import (Chart, PositivityError, ScalarField, assemble,
-                        flat_metric, lambda_sweep, metric_from_spec,
-                        scalar_curvature, solve_scalar_flat_dirichlet,
-                        sweep_certificate)
+from scalarflat import (BoundaryField, Chart, PositivityError, ScalarField,
+                        StageError, assemble, flat_metric, lambda_sweep,
+                        metric_from_spec, prescribe_mean_curvature,
+                        reduce_to_minimal, scalar_curvature,
+                        solve_scalar_flat_dirichlet, sweep_certificate)
 from scalarflat.dirichlet import _yamabe_linear_problem
 import scalarflat.metrics as metrics
 
@@ -90,6 +91,19 @@ def test_positivity_failure_is_loud(monkeypatch):
     with pytest.raises(PositivityError) as exc:
         solve_scalar_flat_dirichlet(_negative_bump_metric(monkeypatch))
     assert "Sobolev quotient" in str(exc.value)
+
+
+def test_reduction_positivity_failure_is_loud(monkeypatch):
+    # the mean-curvature reduction goes through the same factor solve and
+    # positivity gate (its phi dips to about -0.49 here)
+    g = _negative_bump_metric(monkeypatch)
+    with pytest.raises(PositivityError) as exc:
+        reduce_to_minimal(g)
+    assert "Sobolev quotient" in str(exc.value)
+    with pytest.raises(StageError) as exc:
+        prescribe_mean_curvature(g, BoundaryField.constant(g.chart, 0.03))
+    assert exc.value.stage == "reduce_to_minimal"
+    assert isinstance(exc.value.cause, PositivityError)
 
 
 @pytest.mark.parametrize("grid", [(121, 17), (241, 33), (481, 65)])

@@ -22,10 +22,11 @@ def conf(chart, coeffs):
 
 def test_metric_spec_grammar():
     c = Chart.radial(3, 11)
-    assert metric_from_spec("flat", c).is_conformally_flat
+    flat = metric_from_spec("flat", c)
+    assert flat.conformal_base is None and flat.conformal_phi is not None
     g = metric_from_spec("conformal:1,0.5", c)
     assert g.u0_coeffs == (1.0, 0.5)
-    assert g.u0[-1] == pytest.approx(1.5)
+    assert g.conformal_phi.values[-1] == pytest.approx(1.5)
     with pytest.raises(MetricError):
         metric_from_spec("garbage", c)
     with pytest.raises(MetricError):
@@ -180,8 +181,9 @@ def test_axisym_diagnostics_equal_radial_on_theta_independent_metric():
                           np.full(17, boundary_mean_curvature(gr).values[0]))
     assert check_asymptotic_flatness(ga) == check_asymptotic_flatness(gr)
     sup = WeightedNormSpec(math.inf, -0.5)
-    assert (weighted_norm(ScalarField(ca, ga.u0 - 1.0), sup)
-            == weighted_norm(ScalarField(cr, gr.u0 - 1.0), sup))
+    assert (weighted_norm(ScalarField(ca, ga.conformal_phi.values - 1.0), sup)
+            == weighted_norm(ScalarField(cr, gr.conformal_phi.values - 1.0),
+                             sup))
 
 
 def test_conformal_mean_curvature_prediction():
@@ -220,7 +222,7 @@ def test_scalar_curvature_christoffel_flat():
     ones = np.ones(c.shape)
     g = metric_from_spec({"kind": "axisym", "a_rr": ones, "a_theta": ones,
                           "a_phi": ones, "decay": 2.0}, c)
-    assert not g.is_conformally_flat
+    assert g.conformal_phi is None
     assert np.max(np.abs(scalar_curvature(g).values)) < 1e-9
 
 
@@ -264,8 +266,9 @@ def test_conformal_transform_bookkeeping():
     g = conf(c, [1.0, 1.0])
     phi = ScalarField(c, 1.0 + 0.2 * c.s)
     gt = conformal_transform(g, phi)
-    assert gt.is_conformally_flat
-    assert np.allclose(gt.u0, g.u0 * phi.values)
+    assert gt.conformal_base is None
+    assert np.allclose(gt.conformal_phi.values,
+                       g.conformal_phi.values * phi.values)
     with pytest.raises(PositivityError):
         conformal_transform(g, ScalarField(c, np.linspace(-1, 1, 51)))
 
@@ -282,6 +285,24 @@ def test_conformal_transform_records_base():
     R0 = scalar_curvature(g).values
     R1 = scalar_curvature(gt).values
     assert np.max(np.abs(R0 - R1)) < 1e-10
+
+
+def test_conformal_transform_folds_into_table_base():
+    # a second change multiplies the stored factor instead of stacking a
+    # new base, so R follows from the table metric in one step
+    c = Chart.axisymmetric(61, 9)
+    a = 1.0 + 0.1 * (c.s ** 2)[:, None] * np.ones((1, 9))
+    g = metric_from_spec({"kind": "axisym", "a_rr": a, "a_theta": a,
+                          "a_phi": a, "decay": 2.0}, c)
+    phi1 = ScalarField(c, 1.0 + 0.2 * (c.s ** 2)[:, None] * np.ones((1, 9)))
+    phi2 = ScalarField(c, 1.0 + 0.1 * c.s[:, None] * np.cos(c.theta)[None])
+    twice = conformal_transform(conformal_transform(g, phi1), phi2)
+    once = conformal_transform(g, ScalarField(c, phi1.values * phi2.values))
+    assert twice.conformal_base is g
+    assert np.array_equal(twice.conformal_phi.values,
+                          phi1.values * phi2.values)
+    assert np.array_equal(scalar_curvature(twice).values,
+                          scalar_curvature(once).values)
 
 
 def test_normal_derivative_sign():

@@ -3,39 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from scalarflat import (RadialProblem, SolveError, mean_curvature_root_threshold,
-                        radial_dirichlet_yamabe, radial_mean_curvature,
-                        radial_solve_linear)
-
-
-def test_spectral_dirichlet_exact():
-    p = RadialProblem(n=3, bc=("dirichlet", 2.0), limit=1.0)
-    s, u, est = radial_solve_linear(p)
-    # harmonic interpolant 1 + 1/r
-    assert est < 1e-11
-    assert np.max(np.abs(u - (1.0 + s))) < 1e-11
-
-
-def test_spectral_robin():
-    p = RadialProblem(n=3, bc=("robin", 1.0, 0.0), limit=1.0)
-    s, u, est = radial_solve_linear(p)
-    assert np.max(np.abs(u - (1.0 - 0.5 * s))) < 1e-11
-
-
-def test_spectral_variable_coefficients():
-    # nontrivial c and src still meet the self-consistency estimate
-    p = RadialProblem(n=4, c=lambda r: -1.0 / r ** 5,
-                      src=lambda r: 1.0 / r ** 5,
-                      bc=("dirichlet", 0.5), limit=0.0)
-    s, u, est = radial_solve_linear(p)
-    assert est < 1e-11
-    assert u[0] == pytest.approx(0.0, abs=1e-12)
-    assert u[-1] == pytest.approx(0.5, abs=1e-12)
-
-
-def test_bad_bc_kind():
-    with pytest.raises(ValueError):
-        radial_solve_linear(RadialProblem(n=3, bc=("neumann", 1.0)))
+from scalarflat import (SolveError, mean_curvature_root_threshold,
+                        radial_dirichlet_yamabe, radial_mean_curvature)
 
 
 def test_yamabe_closed_form():

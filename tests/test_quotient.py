@@ -26,6 +26,10 @@ def test_family_validation():
         TrialFamily(centers=(3.0,), widths=(1.0,), r_in=0.5)
     with pytest.raises(ScalarFlatError):
         TrialFamily(centers=(), widths=(1.0,))
+    for bad in ({"r_out": 1.2}, {"cutoff_width": 0.0}, {"widths": (1.0, -1.0)}):
+        with pytest.raises(ScalarFlatError):
+            TrialFamily(**bad)
+    assert TrialFamily().parameters()[0] == (2.0, 0.5)
 
 
 def test_quotient_rejects_bad_trials():
@@ -35,6 +39,11 @@ def test_quotient_rejects_bad_trials():
         rayleigh_quotient(g, ScalarField(c, np.zeros(c.shape)))
     with pytest.raises(ScalarFlatError):
         rayleigh_quotient(g, ScalarField(c, np.ones(c.shape)))
+    # nonzero, but |f|^6 underflows: the quotient is undefined, not 1/0
+    tiny = np.zeros(c.shape)
+    tiny[c.shape[0] // 2] = 1e-70
+    with pytest.raises(ScalarFlatError):
+        rayleigh_quotient(g, ScalarField(c, tiny))
 
 
 def test_quotient_scale_invariance():
