@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import csv
 import json
 import os
 from dataclasses import dataclass, field as dfield
@@ -86,10 +85,21 @@ def load_report(path) -> dict:
         return json.load(fh)
 
 
+#: nodes formatted per pass of ``emit_fields``, so that the strings alive at
+#: once stay near 0.1 MB whatever the grid size
+_CHUNK_NODES = 256
+
+
+def _reprs(a) -> list:
+    """``repr`` of every value of ``a`` in C order, from one list repr."""
+    return repr(np.asarray(a).ravel().tolist())[1:-1].split(", ")
+
+
 def emit_fields(path, **fields) -> None:
     """Write named fields to one CSV: one row per node in (s, theta) order,
     the coordinates s, r (and theta on axisymmetric grids), then one value
-    column per field.  All fields must share a chart.
+    column per field, every number as its Python ``repr`` and every line
+    ended by ``\\r\\n``.  All fields must share a chart.
     """
     if not fields:
         raise ScalarFlatError("no fields to export")
@@ -99,17 +109,21 @@ def emit_fields(path, **fields) -> None:
     names = sorted(fields)
     chart = fields[names[0]].chart
     header = ["s", "r"]
-    coords = [chart.s_col, chart.r.reshape(chart.s_col.shape)]
+    thetas = [""]
     if chart.theta is not None:
         header.append("theta")
-        coords.append(chart.theta)
-    columns = ([np.broadcast_to(c, chart.shape).ravel().tolist()
-                for c in coords]
-               + [fields[n].values.ravel().tolist() for n in names])
+        thetas = [t + "," for t in _reprs(chart.theta)]
+    values = [fields[n].values.reshape(chart.s.size, -1) for n in names]
+    step = max(1, _CHUNK_NODES // len(thetas))
     with _create(path) as fh:
-        w = csv.writer(fh)
-        w.writerow(header + names)
-        w.writerows([repr(v) for v in row] for row in zip(*columns))
+        fh.write(",".join(header + names) + "\r\n")
+        for i in range(0, chart.s.size, step):
+            rows = slice(i, i + step)
+            levels = [f"{s},{r}," for s, r in zip(_reprs(chart.s[rows]),
+                                                  _reprs(chart.r[rows]))]
+            coords = (level + t for level in levels for t in thetas)
+            cols = map(",".join, zip(*(_reprs(v[rows]) for v in values)))
+            fh.writelines(c + v + "\r\n" for c, v in zip(coords, cols))
 
 
 def read_fields(path):
@@ -117,14 +131,13 @@ def read_fields(path):
 
     Returns (coordinate columns dict, value columns dict) as float arrays.
     """
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    header, body = rows[0], rows[1:]
-    cols = {h: np.array([float(row[k]) for row in body])
-            for k, h in enumerate(header)}
+    with open(path) as fh:
+        header = fh.readline().rstrip("\n").split(",")
+        body = np.loadtxt(fh, delimiter=",", ndmin=2)
     coord_names = {"s", "r", "theta"}
-    coords = {k: v for k, v in cols.items() if k in coord_names}
-    vals = {k: v for k, v in cols.items() if k not in coord_names}
+    coords = {h: body[:, k] for k, h in enumerate(header) if h in coord_names}
+    vals = {h: body[:, k] for k, h in enumerate(header)
+            if h not in coord_names}
     return coords, vals
 
 

@@ -8,7 +8,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scalarflat.dirichlet as dirichlet
@@ -422,8 +422,22 @@ BAD_CONFIG = st.one_of(
 BAD_PIECE = BAD_FLAG | BAD_CONFIG.map(lambda text: ("--config", text))
 
 
+def _family_example(mode, family):
+    cfg = {"family": family} if mode is None else {"mode": mode,
+                                                   "family": family}
+    return example(pieces=[("--config", json.dumps(cfg))])
+
+
+# a config whose only fault is one out-of-range family entry, which random
+# draws rarely produce: each range check must still map to exit 2 on its own
 @settings(max_examples=200, deadline=None)
 @given(pieces=st.lists(BAD_PIECE, min_size=1, max_size=3))
+@_family_example(None, {"r_in": 0.5})
+@_family_example(None, {"cutoff_width": 0})
+@_family_example(None, {"widths": [-1]})
+@_family_example("quotient", {"r_in": 0.5})
+@_family_example("quotient", {"cutoff_width": 0})
+@_family_example("quotient", {"widths": [-1]})
 def test_malformed_input_grammar_exits_2(pieces):
     with tempfile.TemporaryDirectory() as d:
         argv = []

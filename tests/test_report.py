@@ -1,11 +1,14 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from scalarflat import Chart, ScalarField, SolveReport, emit_fields, emit_report, read_fields
+from scalarflat import report
 from scalarflat.errors import ScalarFlatError
 from scalarflat.report import default_output_dir, load_report
+from fields_reference import csv_writer_emit_fields
 
 
 def sample_report():
@@ -82,6 +85,51 @@ def test_emit_fields_axisym(tmp_path):
     coords, vals = read_fields(path)
     assert coords["s"].size == c.num_nodes
     assert np.array_equal(vals["u"], u.values.ravel())
+
+
+def _edge_field(chart):
+    # where repr switches between fixed and exponent form, the smallest
+    # subnormal, signed zero and the non-finite values; ScalarField refuses
+    # the last, so they are set after construction
+    edge = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e-5, 1e-4,
+            1e16, 1e15, 123456789.0, -2.5, 1 / 3]
+    f = ScalarField(chart, np.zeros(chart.shape))
+    f.values = np.resize(np.array(edge), chart.shape)
+    return f
+
+
+@pytest.mark.parametrize("chart, make", [
+    (Chart.radial(3, 41), lambda c: {"u": ScalarField(c, c.s ** 2)}),
+    (Chart.axisymmetric(11, 5),
+     lambda c: {"u": ScalarField(c, np.outer(c.s, np.cos(c.theta)))}),
+    # keyword order is not column order: columns are sorted by name
+    (Chart.axisymmetric(11, 5),
+     lambda c: {"zeta": ScalarField(c, np.ones(c.shape)),
+                "alpha": ScalarField(c, np.outer(1.0 + c.s, c.theta))}),
+    (Chart.radial(3, 41),
+     lambda c: {"v": ScalarField(c, 1.0 + c.s),
+                "edge": _edge_field(c)}),
+    (Chart.axisymmetric(11, 5),
+     lambda c: {"edge": _edge_field(c)}),
+])
+# one pass at the default size; 16 nodes give passes of 16 radial or 3
+# axisymmetric levels, 3 nodes of 3 radial or 1 axisymmetric level, most with
+# a shorter last pass
+@pytest.mark.parametrize("chunk_nodes", [report._CHUNK_NODES, 16, 3])
+def test_emit_fields_matches_csv_writer(tmp_path, monkeypatch, chunk_nodes,
+                                        chart, make):
+    monkeypatch.setattr(report, "_CHUNK_NODES", chunk_nodes)
+    # r is inf on the s = 0 level of both charts
+    assert np.isinf(chart.r[0])
+    fields = make(chart)
+    emit_fields(tmp_path / "new.csv", **fields)
+    csv_writer_emit_fields(tmp_path / "ref.csv", **fields)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "ref.csv").read_bytes()
+    assert new.count(b"\r\n") == chart.num_nodes + 1
+    _, vals = read_fields(tmp_path / "new.csv")
+    for name, f in fields.items():
+        assert np.array_equal(vals[name], f.values.ravel(), equal_nan=True)
 
 
 def test_emit_fields_validations(tmp_path):
