@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--tol", type=float, help="linear backward-error bound")
     p.add_argument("--max-iter", type=int, dest="max_iter",
-                   help="step cap of the monotone iteration (meancurv)")
+                   help="Newton step cap on the boundary map (meancurv)")
     p.add_argument("--grid", help="Ns (radial) or NsxNtheta (axisymmetric)")
     p.add_argument("--n-dim", type=int, dest="n", help="ambient dimension")
     p.add_argument("--metric",

@@ -1,9 +1,9 @@
-"""Prescribed boundary mean curvature via barriers and monotone iteration.
+"""Prescribed boundary mean curvature via barriers and Newton's method.
 
 Pipeline: conformally deform to a scalar-flat metric with minimal-surface
 boundary, build the harmonic barrier v, construct explicit sub- and
-supersolutions u_{+/-} = 1 - v + alpha v, then run a stabilized monotone
-iteration on the nonlinear Robin condition du/deta = f u^beta.
+supersolutions u_{+/-} = 1 - v + alpha v, then solve the nonlinear Robin
+condition du/deta = f u^beta between them by Newton on the boundary values.
 """
 
 from __future__ import annotations
@@ -30,9 +30,20 @@ from .report import SolveReport
 #: boundary_mean_curvature, "paper-eq7" keeps the (n-2)/n coefficient.
 CONVENTIONS = ("transformation-law", "paper-eq7")
 
-#: step cap of the monotone iteration, for the library and the CLI alike;
-#: targets near the largest feasible mean curvature take a few hundred steps
-MAX_MONOTONE_STEPS = 500
+#: Newton step cap on the boundary map, for the library and the CLI alike;
+#: targets next to the largest feasible mean curvature take about 10 steps
+MAX_MONOTONE_STEPS = 50
+
+#: values (rows x columns) per block of the unit-data solve, 8 MB a copy:
+#: radial grids and axisymmetric grids up to 201x65 take one block, 401x129
+#: seven blocks of up to 20 columns (one block there peaked 310 MB higher;
+#: 2^18 and 2^22 values were slower)
+BLOCK_VALUES = 1 << 20
+
+#: |F| at the answer counts as rounding when it is at most this many units
+#: in the last place of the largest term of u_b - x0_b - X_b h(u_b); the
+#: answers seen reach 0-2 units, and the nt-term sums of X_b h need room
+ROUNDING_ULPS = 64
 
 
 @dataclass
@@ -230,50 +241,101 @@ def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
     return pair
 
 
+def stabilization_weight(pair: SubSuperPair) -> float:
+    """Weight c >= 1 of the stabilized Robin operator du/deta + c u.
+
+    It dominates beta |f| u^(beta-1), the slope of f u^beta, over the
+    barrier range [min u_-, max u_+]: u^(beta-1) is monotone in u, so its
+    largest value is at one end.  Then h(u) = f u^beta + c u is increasing
+    on that range whatever the sign of f.
+    """
+    lo = max(float(np.min(pair.u_minus.values)), 1e-300)
+    hi = float(np.max(pair.u_plus.values))
+    slope = pair.beta * np.abs(pair.f.values) * max(
+        lo ** (pair.beta - 1.0), hi ** (pair.beta - 1.0))
+    return max(1.0, float(np.max(slope)))
+
+
+def boundary_responses(lu: Factorization, rhs: np.ndarray, nt: int,
+                       tol: float, slack: float):
+    """Boundary rows of the answers to the zero-datum system and to unit
+    Robin data on each boundary node: x0_b (nt,) and X_b (nt, nt).
+
+    The nt + 1 right-hand sides are solved in blocks of at most
+    ``BLOCK_VALUES`` values, and only each block's last nt rows are kept,
+    so memory does not grow as N nt.  Each block checks X >= -slack on
+    every node: that inverse positivity, with h increasing, is what makes
+    u_- <= u <= u_+ a certificate.  Returns (x0_b, X_b, LU solves).
+    """
+    N = rhs.size
+    width = max(1, BLOCK_VALUES // N)
+    kept = np.empty((nt, nt + 1))
+    solves = 0
+    for start in range(0, nt + 1, width):
+        cols = np.arange(start, min(start + width, nt + 1))
+        block = np.zeros((N, cols.size))
+        units = cols[cols > 0]  # column j is unit data on Robin row j - 1
+        block[N - nt - 1 + units, units - start] = 1.0
+        if start == 0:
+            block[:, 0] = rhs
+        result = lu.solve(block, tol=tol)
+        x = result.solution
+        if units.size and np.min(x[:, units - start]) < -slack:
+            raise SolveError(
+                f"monotonicity violated: Robin response "
+                f"{np.min(x[:, units - start]):.3g} < 0; "
+                "discretization or stabilization-weight error")
+        kept[:, cols] = x[-nt:]
+        solves += result.iterations * cols.size
+    return kept[:, 0], kept[:, 1:], solves
+
+
 def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
                      max_iter: int = MAX_MONOTONE_STEPS,
                      linear_tol: float = 1e-11,
                      monotone_slack: float = 1e-9) -> MeanCurvatureSolution:
-    """Monotone iteration from the subsolution toward the solution.
+    """Solution between the barriers, by Newton on the boundary map.
 
-    Each step solves Delta_g u = 0 with the linearized-stabilized boundary
-    condition du/deta + c u = h(u_k), h(u) = f u^beta + c u, and u -> 1 at
-    infinity.  The weight c is at least 1 and dominates the slope of
-    f u^beta where f > 0 over the barrier range.
+    The problem is Delta_g u = 0, u -> 1 at infinity, with the stabilized
+    Robin condition du/deta + c u = h(u), h(u) = f u^beta + c u, on r = 1
+    (``stabilization_weight`` gives c).  Only the boundary datum is
+    nonlinear, and it enters linearly: the answer to datum h is x0 + X h,
+    where x0 solves the system with h = 0 and the columns of the N x nt
+    block X are the responses to unit Robin data.  One factorization and
+    the block solve of ``boundary_responses`` give their boundary rows.
+    The boundary values u_b then solve
 
-    Only the boundary datum changes between steps, and it enters linearly:
-    every iterate is x0 + X h, where x0 solves the system with h = 0 and
-    the columns of the N x nt block X are the responses to unit Robin data.
-    One factorization and one block solve of nt + 1 columns give both.
-    The first step starts from u_-, which is not of that form, and runs on
-    the whole grid.  Later steps update only the boundary values,
-    u_b <- x0_b + X_b h(u_b), at O(nt^2) each, and one more solve with the
-    last datum gives the full u.
+        F(u_b) = u_b - x0_b - X_b h(u_b) = 0,
 
-    X >= 0 (up to the slack), the inverse positivity that with an
-    increasing h makes the iteration order preserving, is asserted once.
-    The first step's nodal increment and both sides of the barrier
-    sandwich are checked on the whole grid.  From then on the nodal step
-    X (h(u_k) - h(u_{k-1})) is discrete-harmonic: the interior rows have
-    positive off-diagonals and zero row sums, so each interior value is a
-    convex combination of its neighbours, and the step is 0 at s = 0.  Its
-    extremes therefore lie on the r = 1 row: a nonnegative boundary step is
-    a nonnegative nodal step whose maximum is on r = 1.  So each later step
-    checks its size, its increment and both sandwich bounds on the
-    boundary values.  The sequence increases, so the final u bounds every
-    iterate; the upper sandwich and positivity are checked on it.
+    and Newton runs on it from u_- with the dense Jacobian
+    I - X_b diag h'(u_b), one nt x nt solve a step, until a step is below
+    ``tol``.  One more sparse solve with the last datum gives the full u.
+
+    Existence is the paper's sub/supersolution argument, checked on the
+    discrete problem: X >= 0 (up to the slack) and h increasing on the
+    barrier range make the map u -> x0 + X h(u) order preserving, so it has
+    a fixed point between u_- and u_+.  Newton is a faster way to find it,
+    so every step's boundary values must stay in that sandwich, and the
+    answer is accepted only in the sandwich on the whole grid, positive,
+    and with |F| at rounding (``checks.boundary_map``).  For f >= 0 and
+    beta > 1, h is convex, so F is concave and Newton from the subsolution
+    increases monotonically toward the minimal solution while
+    (I - X_b diag h')^{-1} >= 0 (Ortega & Rheinboldt 1970, 13.3); for
+    mixed-sign f the steps need not be monotone.  ``barrier.fold_margin``,
+    the smallest singular value of the Jacobian at the answer, goes to 0
+    at the discrete existence threshold.
     """
     t0 = time.perf_counter()
     chart = g.chart
     beta = pair.beta
     fv = pair.f.values
     nt = fv.size
-    lo = float(np.min(pair.u_minus.values))
-    hi = float(np.max(pair.u_plus.values))
-    fplus = np.maximum(fv, 0.0)
-    slope = beta * fplus * max(lo, 1e-300) ** (beta - 1.0)
-    slope = np.maximum(slope, beta * fplus * hi ** (beta - 1.0))
-    c_weight = max(1.0, float(np.max(slope)))
+    c_weight = stabilization_weight(pair)
+    ends = np.array([[np.min(pair.u_minus.values)],
+                     [np.max(pair.u_plus.values)]])
+    if np.min(beta * fv * ends ** (beta - 1.0) + c_weight) < 0.0:
+        raise SolveError("h(u) = f u^beta + c u decreases on the barrier "
+                         "range; stabilization-weight error")
 
     system = assemble(LinearProblem(
         metric=g, a=1.0, c=constant_field(chart, 0.0),
@@ -282,54 +344,53 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
                    h=BoundaryField.constant(chart, 0.0)),
         limit=1.0))
     lu = Factorization(system)
-    block = np.zeros((system.rhs.size, nt + 1))
-    block[:, 0] = system.rhs
-    block[-nt:, 1:] = np.eye(nt)  # unit data on the Robin rows
-    responses = lu.solve(block, tol=linear_tol)
-    x0, X = responses.solution[:, 0], responses.solution[:, 1:]
-    if np.min(X) < -monotone_slack:
-        raise SolveError(
-            f"monotonicity violated: Robin response {np.min(X):.3g} < 0; "
-            "discretization or stabilization-weight error")
+    x0, X, block_solves = boundary_responses(lu, system.rhs, nt, linear_tol,
+                                             monotone_slack)
 
-    # step 1 runs on the whole grid, later steps on the boundary values
-    lower, upper = pair.u_minus.values.ravel(), pair.u_plus.values.ravel()
-    u, base, rows = lower, x0, X
+    def h_of(u):
+        return fv * u ** beta + c_weight * u
+
+    def jacobian(u):
+        return np.eye(nt) - X * (beta * fv * u ** (beta - 1.0) + c_weight)
+
+    lower = pair.u_minus.boundary_values()
+    upper = pair.u_plus.boundary_values()
+    u = lower
     history = []
     min_increment = math.inf
     for it in range(1, max_iter + 1):
-        h = fv * u[-nt:] ** beta + c_weight * u[-nt:]
-        u_next = base + rows @ h
-        step = float(np.max(np.abs(u_next - u)))
+        try:
+            delta = np.linalg.solve(jacobian(u), x0 + X @ h_of(u) - u)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"singular Newton Jacobian at step {it}") from exc
+        u = u + delta
+        step = float(np.max(np.abs(delta)))
         history.append(step)
-        increment = float(np.min(u_next - u))
-        min_increment = min(min_increment, increment)
-        if increment < -monotone_slack:
-            raise SolveError(
-                "monotonicity violated at iteration "
-                f"{it} (min increment {increment:.3g}); "
-                "discretization or stabilization-weight error")
-        if (np.min(u_next - lower) < -monotone_slack
-                or np.max(u_next - upper) > monotone_slack):
-            raise SolveError(
-                f"barrier sandwich violated at iteration {it}")
-        u = u_next
+        min_increment = min(min_increment, float(np.min(delta)))
+        if (np.min(u - lower) < -monotone_slack
+                or np.max(u - upper) > monotone_slack):
+            raise SolveError(f"barrier sandwich violated at Newton step {it}")
         if step < tol:
             break
-        if it == 1:
-            u, base, rows, lower, upper = (
-                a[-nt:] for a in (u, x0, X, lower, upper))
     else:
         raise NonConvergenceError(
-            f"monotone iteration did not converge in {max_iter} steps "
-            f"(last increment {history[-1]:.3g})", history=history)
+            f"Newton on the boundary map did not converge in {max_iter} "
+            f"steps (last step {history[-1]:.3g})", history=history)
 
+    h = h_of(u)
+    boundary_map = float(np.max(np.abs(u - x0 - X @ h)))
+    terms = np.abs(u) + np.abs(x0) + np.abs(X) @ np.abs(h)
+    rounding = ROUNDING_ULPS * np.finfo(float).eps * float(np.max(terms))
+    fold_margin = float(np.linalg.svd(jacobian(u), compute_uv=False)[-1])
     rhs = system.rhs.copy()
     rhs[-nt:] = h  # the Robin rows
     final = lu.solve(rhs, tol=linear_tol)
     u = final.solution
-    if np.max(u.values - pair.u_plus.values) > monotone_slack:
-        raise SolveError("barrier sandwich violated by the final iterate")
+    low = float(np.min(u.values - pair.u_minus.values))
+    high = float(np.max(u.values - pair.u_plus.values))
+    if low < -monotone_slack or high > monotone_slack:
+        raise SolveError("barrier sandwich violated by the final iterate "
+                         f"(margins {low:.3g}, {high:.3g})")
     if np.any(u.values <= 0.0):
         raise PositivityError("iterate lost positivity")
     g_new = conformal_transform(g, u)
@@ -341,10 +402,11 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
     report.residuals = {
         "harmonicity_Linf_interior": lap,
         "robin_Linf": robin_resid,
+        "boundary_map_Linf": boundary_map,
     }
     report.iterations = {
         "monotone": len(history),
-        "linear": responses.iterations * (nt + 1) + final.iterations,
+        "linear": block_solves + final.iterations,
         "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),
@@ -355,17 +417,15 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-9,
         "alpha_plus": pair.alpha_plus,
         "rho_min": None if pair.rho is None else float(np.min(pair.rho.values)),
         "rho_max": None if pair.rho is None else float(np.max(pair.rho.values)),
-        "sandwich_margin_low": float(np.min(u.values - pair.u_minus.values)),
-        "sandwich_margin_high": float(np.max(u.values - pair.u_plus.values)),
+        "sandwich_margin_low": low,
+        "sandwich_margin_high": high,
         "min_increment": min_increment,
-        "monotone": min_increment >= -monotone_slack,
+        "fold_margin": fold_margin,
     }
     report.checks = {
         "u_positive": bool(np.all(u.values > 0.0)),
-        "sandwich": bool(
-            np.min(u.values - pair.u_minus.values) >= -monotone_slack
-            and np.max(u.values - pair.u_plus.values) <= monotone_slack),
-        "monotone": min_increment >= -monotone_slack,
+        "sandwich": bool(low >= -monotone_slack and high <= monotone_slack),
+        "boundary_map": bool(boundary_map <= rounding),
     }
     report.timing = {"wall_s": time.perf_counter() - t0}
     return MeanCurvatureSolution(u=u, metric=g_new, report=report, pair=pair)
@@ -381,19 +441,20 @@ def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,
                           tol: float = 1e-9,
                           max_iter: int = MAX_MONOTONE_STEPS,
                           ) -> MeanCurvatureSolution:
-    """Barriers plus monotone iteration for du/deta = f u^beta on a
+    """Barriers plus Newton between them for du/deta = f u^beta on a
     scalar-flat background (the post-reduction subproblem)."""
     v, dv = harmonic_unit(g)
     if float(np.max(np.abs(f.values))) == 0.0:
         # f == 0 shortcut: u == 1 solves the problem exactly
         u = constant_field(g.chart, 1.0)
         report = SolveReport(mode="meancurv")
-        report.residuals = {"harmonicity_Linf_interior": 0.0, "robin_Linf": 0.0}
+        report.residuals = {"harmonicity_Linf_interior": 0.0,
+                            "robin_Linf": 0.0, "boundary_map_Linf": 0.0}
         report.iterations = {"monotone": 1, "increments": [0.0]}
         report.extrema = {"min_u": 1.0, "max_u": 1.0,
                           "u_boundary_min": 1.0, "u_boundary_max": 1.0}
         report.checks = {"u_positive": True, "sandwich": True,
-                         "monotone": True}
+                         "boundary_map": True}
         return MeanCurvatureSolution(u=u, metric=conformal_transform(g, u),
                                      report=report, pair=None)
     pair = build_sub_super(v, dv, f, beta)
@@ -419,8 +480,9 @@ def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
 
     Stages: reduction to R = 0, H = 0; harmonic barrier; mapping of the
     target to the Robin datum f = coeff * f_target with beta = n/(n-2);
-    barrier construction; monotone iteration; final finite-difference check
-    of the transformed mean curvature against the target.
+    barrier construction; Newton on the boundary map; final
+    finite-difference check of the transformed mean curvature against the
+    target.
     """
     t0 = time.perf_counter()
     n = g.chart.n

@@ -1,9 +1,12 @@
-"""Full-grid reference for ``meancurv.monotone_iterate``.
+"""Full-grid Picard reference for ``meancurv.monotone_iterate``.
 
-The loop form of the monotone iteration that the boundary iteration
-replaced: one LU solve on all nodes per step, with the nodal increment and
-both sides of the barrier sandwich checked on the whole grid at every step.
-Tests compare the boundary iteration against it.
+The stabilized monotone (Picard) iteration that Newton on the boundary map
+replaced: one LU solve on all nodes per step, u_{k+1} solving the Robin
+problem with datum h(u_k), with the nodal increment and both sides of the
+barrier sandwich checked on the whole grid at every step.  It converges
+linearly, at a rate of 0.90-0.96 on targets near the largest feasible mean
+curvature, so a step below ``tol`` leaves an error of up to ~20 tol: tests
+run it at tol = 1e-13 to compare against Newton's converged answer.
 """
 
 import math
@@ -14,21 +17,16 @@ from scalarflat.chart import BoundaryField
 from scalarflat.elliptic import (Factorization, LinearProblem, RobinBC,
                                  assemble, constant_field)
 from scalarflat.errors import NonConvergenceError, SolveError
-from scalarflat.meancurv import MAX_MONOTONE_STEPS
+from scalarflat.meancurv import stabilization_weight
 
 
-def full_grid_monotone_loop(pair, g, tol=1e-9, max_iter=MAX_MONOTONE_STEPS,
+def full_grid_monotone_loop(pair, g, tol=1e-9, max_iter=5000,
                             linear_tol=1e-11, monotone_slack=1e-9):
     """Returns (u, increments, min_increment) of the full-grid loop."""
     chart = g.chart
     beta = pair.beta
     fv = pair.f.values
-    lo = float(np.min(pair.u_minus.values))
-    hi = float(np.max(pair.u_plus.values))
-    fplus = np.maximum(fv, 0.0)
-    slope = beta * fplus * max(lo, 1e-300) ** (beta - 1.0)
-    slope = np.maximum(slope, beta * fplus * hi ** (beta - 1.0))
-    c_weight = max(1.0, float(np.max(slope)))
+    c_weight = stabilization_weight(pair)
 
     system = assemble(LinearProblem(
         metric=g, a=1.0, c=constant_field(chart, 0.0),

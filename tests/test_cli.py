@@ -137,6 +137,22 @@ def test_max_iter_below_one_is_config_error(tmp_path, capsys, max_iter):
 
 
 @pytest.mark.parametrize("argv", [
+    ("--grid", "81x17", "--f", "cos:-0.5,0.6", "--beta", "3"),
+    ("--grid", "81x17", "--f", "cos:-1,1.05", "--beta", "3"),
+    ("--grid", "1601", "--metric", "conformal:1,0.8,0.8", "--target", "0.072"),
+], ids=["mixed-sign-f", "mixed-sign-f-wide", "radial-target-0.072"])
+def test_meancurv_inputs_the_picard_iteration_failed(tmp_path, capsys, argv):
+    # Picard exited 3 on all three: with mixed-sign f its weight let h
+    # decrease ("monotonicity violated at iteration 2"), and t = 0.072 is
+    # so close to the fold (2/27) that it hit the 500-step cap
+    code, report, _ = run(tmp_path, "--mode", "meancurv", *argv)
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0 and report["passed"] is True
+    assert all(report["checks"].values())
+    assert report["iterations"]["monotone"] <= 10
+
+
+@pytest.mark.parametrize("argv", [
     ("--mode", "meancurv", "--grid", "41x9", "--f", "cos:0.05,0.02",
      "--beta", "3"),
     ("--mode", "meancurv", "--grid", "41x9", "--target", "-1"),
