@@ -162,6 +162,14 @@ class Chart:
             self._weights = w
         return self._weights
 
+    def sphere_mean(self, values) -> np.ndarray:
+        """Mean of each s level over the unit sphere, against the sphere
+        weights of ``weights``: the l = 0 profile, one value per s node.  A
+        radial field is its own mean."""
+        _, tw = self._sphere
+        v = np.asarray(values, dtype=float).reshape(self.s.size, self.nt)
+        return v @ tw / tw.sum()
+
     # -- finite differences (background flat derivatives) ------------------
 
     def flat_laplacian(self):
@@ -206,14 +214,10 @@ class Chart:
 
 @dataclass
 class ScalarField:
-    """Nodal scalar data on a chart.
-
-    ``delta`` optionally declares the decay weight (u = o(r^delta)).
-    """
+    """Nodal scalar data on a chart."""
 
     chart: Chart
     values: np.ndarray
-    delta: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -225,7 +229,7 @@ class ScalarField:
             raise ChartError("field values must be finite")
 
     @classmethod
-    def from_function(cls, chart: Chart, fn, delta=None) -> "ScalarField":
+    def from_function(cls, chart: Chart, fn) -> "ScalarField":
         """Sample fn(r) (radial) or fn(r, theta) (axisym) at the nodes.
 
         The s=0 node is sampled at r = inf; fn must return the finite limit.
@@ -235,7 +239,7 @@ class ScalarField:
         else:
             vals = np.array([[fn(ri, tj) for tj in chart.theta]
                              for ri in chart.r], dtype=float)
-        return cls(chart, vals, delta=delta)
+        return cls(chart, vals)
 
     def boundary_values(self) -> np.ndarray:
         v = self.values[-1]

@@ -241,12 +241,10 @@ def _run_meancurv(cfg, chart, g):
         f = parse_f(cfg["f"], chart)
         sol = solve_nonlinear_robin(g, f, float(cfg["beta"]), tol=cfg["tol"],
                                     max_iter=cfg["max_iter"])
-    report = sol.report
-    if chart.mode == RADIAL:
-        fit = decay_fit(sol.u)
-        report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
+    fit = decay_fit(sol.u)
+    sol.report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
                         "residual": fit.residual, "status": fit.status}
-    return report, {"u": sol.u}
+    return sol.report, {"u": sol.u}
 
 
 def _run_quotient(cfg, chart, g):

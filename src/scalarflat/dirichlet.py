@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import RADIAL, BoundaryField, ScalarField
+from .chart import BoundaryField, ScalarField
 from .elliptic import DirichletBC, LinearProblem, solve_linear
 from .errors import PositivityError, ScalarFlatError
 from .metrics import (MetricField, check_asymptotic_flatness,
@@ -104,14 +104,14 @@ def solve_scalar_flat_dirichlet(g: MetricField,
     bnd_dev = float(np.max(np.abs(phi.boundary_values() - 1.0)))
     # phi_positive: the factor solve raised otherwise
     report.checks = {"phi_positive": True, "boundary_exact": bnd_dev == 0.0}
-    if g.chart.mode == RADIAL:
-        fit = decay_fit(ScalarField(g.chart, phi.values - 1.0))
-        report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
-                        "residual": fit.residual, "status": fit.status,
-                        "target_harmonic_q": n - 2.0,
-                        "target_weight_q": n - 2.5}
-        report.mass_coefficient = (0.0 if fit.status == "constant"
-                                   else mass_coefficient(phi))
+    fit = decay_fit(ScalarField(g.chart, phi.values - 1.0))
+    report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
+                    "residual": fit.residual, "status": fit.status,
+                    "target_harmonic_q": n - 2.0,
+                    "target_weight_q": n - 2.5}
+    # the stencil divides rounding by h^{n-2}; a constant phi has no mass
+    report.mass_coefficient = (0.0 if fit.status == "constant"
+                               else mass_coefficient(phi))
     report.timing = {"wall_s": time.perf_counter() - t0}
     return ConformalSolution(phi=phi, metric=g_new, report=report)
 

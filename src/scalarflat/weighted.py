@@ -122,24 +122,25 @@ MIN_S_NODES = math.ceil(DECAY_MIN_NODES / DECAY_WINDOW) + 1
 
 def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
               constant_tol: float = 1e-12) -> DecayFit:
-    """Least-squares decay-rate fit over the far region s in (0, s_max].
+    """Least-squares decay-rate fit of the sphere mean of u over the far
+    region s in (0, s_max].
 
-    The limit u_inf is taken from the exact s=0 node; the rate comes from a
-    linear least-squares fit of log|u - u_inf| against
-    [1, log s, s, s^2], whose polynomial terms absorb the next-order tail
-    corrections and debias the exponent.  The residual is relative to the
-    field scale on the window.
+    The fit runs on the l = 0 profile (``Chart.sphere_mean``), which on a
+    radial chart is u itself.  The limit u_inf is taken from the exact s=0
+    node; the rate comes from a linear least-squares fit of
+    log|u - u_inf| against [1, log s, s, s^2], whose polynomial terms absorb
+    the next-order tail corrections and debias the exponent.  The residual
+    is relative to the field scale on the window.
     """
     c = u.chart
-    if c.mode != RADIAL:
-        raise ChartError("decay_fit requires a radial chart")
     mask = (c.s > 0) & (c.s <= s_max)
     if mask.sum() < DECAY_MIN_NODES:
         raise ChartError(f"need at least {DECAY_MIN_NODES} nodes in the far "
                          f"region s <= {s_max}")
+    profile = c.sphere_mean(u.values)
     s = c.s[mask]
-    v = u.values[mask]
-    u_inf = float(u.values[0])  # exact nodal limit at s = 0
+    v = profile[mask]
+    u_inf = float(profile[0])  # exact nodal limit at s = 0
 
     dev = v - u_inf
     scale = max(np.max(np.abs(v)), 1.0)
@@ -173,21 +174,22 @@ def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
     return DecayFit(u_inf=u_inf, a=a, q=q, residual=resid, status="ok")
 
 
-def mass_coefficient(phi: ScalarField, s_max: float = 0.3) -> float:
+def mass_coefficient(phi: ScalarField) -> float:
     """ADM-type coefficient m in phi ~ 1 + m/(2 r^{n-2}) at infinity.
 
-    Fits phi - 1 to a three-term expansion c1 s^{n-2} + c2 s^{n-1} + c3 s^n
-    over the far window and returns m = 2 c1; the higher terms absorb the
-    curvature of the tail so the leading coefficient is unbiased to high
-    order in the window size.
+    m = 2 c, where c is the s^{n-2} coefficient of the sphere mean of phi
+    at the exact s = 0 row, read by the one-sided stencil on nodes
+    0..n-1 that is exact on polynomials of degree n-1: second order in the
+    step h.  For n = 3 it is m = (-3 phi_0 + 4 phi_1 - phi_2) / h.  The
+    division by h^{n-2} amplifies rounding in phi, so a caller that knows
+    phi is constant should report m = 0 exactly instead.
+    Bartnik, "The mass of an asymptotically flat manifold", Comm. Pure
+    Appl. Math. 39 (1986).
     """
     c = phi.chart
-    if c.mode != RADIAL:
-        raise ChartError("mass_coefficient requires a radial chart")
-    mask = (c.s > 0) & (c.s <= s_max)
-    s = c.s[mask]
-    dev = phi.values[mask] - 1.0
     k = c.n - 2
-    A = np.stack([s ** k, s ** (k + 1), s ** (k + 2)], axis=1)
-    coef, *_ = np.linalg.lstsq(A, dev, rcond=None)
-    return 2.0 * float(coef[0])
+    nodes = np.arange(k + 2.0)
+    # sum_j w_j j^p = [p == k] for p = 0..k+1
+    w = np.linalg.solve(np.vander(nodes, increasing=True).T,
+                        np.eye(k + 2)[k])
+    return 2.0 * float(w @ c.sphere_mean(phi.values)[:k + 2]) / c.ds ** k

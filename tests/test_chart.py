@@ -71,6 +71,21 @@ def test_axisym_weights_sum_to_radial_weights():
     assert np.max(np.abs(rows[1:] / cr.weights[1:] - 1.0)) < 1e-3
 
 
+def test_sphere_mean():
+    cr = Chart.radial(3, 51)
+    v = np.sin(3.0 * cr.s)
+    assert np.array_equal(cr.sphere_mean(v), v)
+    ca = Chart.axisymmetric(51, 33)
+    mu = np.cos(ca.theta)[None, :]
+    vals = cr.s[:, None] * (2.0 + mu + (1.5 * mu * mu - 0.5))
+    mean = ca.sphere_mean(vals)
+    assert mean.shape == (51,)
+    # the l >= 1 parts average out up to the theta quadrature error
+    assert np.max(np.abs(mean - 2.0 * cr.s)) < 2e-3
+    assert np.allclose(ca.sphere_mean(np.full(ca.shape, 3.0)), 3.0,
+                       rtol=1e-15, atol=0.0)
+
+
 def test_d_ds_orders():
     c = Chart.radial(3, 101)
     v = np.sin(2.0 * c.s)

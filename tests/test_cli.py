@@ -164,6 +164,25 @@ def test_axisym_modes_run(tmp_path, capsys, argv):
     assert code == 0 and report["passed"] is True
 
 
+def test_axisym_reports_carry_far_field_diagnostics(tmp_path):
+    code, report, _ = run(tmp_path / "m", "--mode", "meancurv", "--grid",
+                          "41x9", "--target", "-1")
+    assert code == 0 and report["decay"]["status"] == "ok"
+    code, report, _ = run(tmp_path / "d", "--mode", "dirichlet", "--grid",
+                          "41x9", "--metric", "conformal:1,0,1")
+    assert code == 0 and report["decay"]["status"] == "ok"
+    assert report["mass_coefficient"] == pytest.approx(2.0, rel=0.01)
+
+
+def test_loose_tol_does_not_stop_newton_short(tmp_path):
+    # --tol bounds the linear solves only; Newton stops at rounding
+    code, report, _ = run(tmp_path, "--mode", "meancurv", "--grid", "401",
+                          "--metric", "conformal:1,0.8,0.8", "--target",
+                          "0.049", "--tol", "1e-4")
+    assert code == 0
+    assert report["residuals"]["boundary_map_Linf"] <= 1e-14
+
+
 def test_axisym_quotient_close_to_radial(tmp_path):
     # a theta-independent metric: the two grids differ only by the theta
     # quadrature, O(h_theta^2)

@@ -41,6 +41,42 @@ def test_benchmark_mass_and_decay():
     assert sol.report.decay["q"] == pytest.approx(1.0, rel=0.05)
 
 
+@pytest.mark.parametrize("c1,c2", [(0.0, 1.0), (0.8, 0.8), (0.9, 1.8)])
+def test_mass_from_the_s0_row_converges(c1, c2):
+    # u0 = 1 + c1 s + c2 s^2 gives phi = (1 + (c1 + c2) s) / u0, so m = 2 c2
+    for num, bound in ((401, 5e-5), (1601, 5e-6)):
+        c = Chart.radial(3, num)
+        sol = solve_scalar_flat_dirichlet(
+            metric_from_spec(f"conformal:1,{c1},{c2}", c))
+        assert abs(sol.report.mass_coefficient - 2.0 * c2) <= bound
+
+
+def _table_metric(c, A, B):
+    """u0^4 flat, u0 = 1 + A s^2 (1 + B cos^2 theta), as frame tables: the
+    table metric of the axisym-dirichlet benchmark, where m = 2A(1 + B/3)."""
+    s = c.s[:, None]
+    mu = np.cos(c.theta)[None, :]
+    table = ((1.0 + A * s * s * (1.0 + B * mu * mu)) ** 4).tolist()
+    return metric_from_spec({"kind": "axisym", "a_rr": table,
+                             "a_theta": table, "a_phi": table,
+                             "decay": 2.0}, c)
+
+
+@pytest.mark.parametrize("grid", [(101, 33), (201, 65)])
+def test_axisym_mass_and_decay(grid):
+    c = Chart.axisymmetric(*grid)
+    sol = solve_scalar_flat_dirichlet(_table_metric(c, 0.9, 1.0))
+    assert abs(sol.report.mass_coefficient - 2.4) <= 1e-3
+    assert sol.report.decay["status"] == "ok"
+    assert sol.report.decay["q"] == pytest.approx(1.0, rel=0.01)
+
+
+def test_axisym_flat_has_no_mass():
+    sol = solve_scalar_flat_dirichlet(flat_metric(Chart.axisymmetric(41, 9)))
+    assert sol.report.mass_coefficient == 0.0
+    assert sol.report.decay["status"] == "constant"
+
+
 def test_boundary_is_exact():
     c = Chart.radial(3, 151)
     sol = solve_scalar_flat_dirichlet(metric_from_spec(BENCH, c))

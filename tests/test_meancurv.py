@@ -23,6 +23,15 @@ from monotone_reference import full_grid_monotone_loop
 REF_TOL_1601 = 1e-12
 
 
+def assert_boundary_map_at_rounding(report):
+    """max |F| within Newton's rounding stop, for f >= 0.  There x0, X and
+    h are nonnegative and x0 + X h = u up to F, so the stop's scale
+    max(|u| + |x0| + |X| |h|) is at most 2 max u_b."""
+    bound = (meancurv.ROUNDING_ULPS * np.finfo(float).eps
+             * 2.0 * report.extrema["u_boundary_max"])
+    assert report.residuals["boundary_map_Linf"] <= bound
+
+
 def test_harmonic_unit_flat_n3():
     c = Chart.radial(3, 201)
     v, dv = harmonic_unit(flat_metric(c))
@@ -99,7 +108,7 @@ def test_monotone_iteration_benchmark():
     sol = solve_nonlinear_robin(g, BoundaryField.constant(c, 0.1), 3.0)
     a, _ = radial_mean_curvature(0.1, 3.0, 3)
     assert np.max(np.abs(sol.u.values - (1.0 + a * c.s))) < 1e-6
-    assert sol.report.checks["boundary_map"]
+    assert_boundary_map_at_rounding(sol.report)
     assert sol.report.checks["sandwich"]
     incr = sol.report.iterations["increments"]
     assert all(x >= -1e-12 for x in incr)
@@ -114,12 +123,27 @@ def test_monotone_iteration_negative_f():
     assert np.all(sol.u.values > 0.0)
 
 
-def test_zero_f_shortcut():
-    c = Chart.radial(3, 101)
-    sol = solve_nonlinear_robin(flat_metric(c),
-                                BoundaryField.constant(c, 0.0), 3.0)
-    assert np.all(sol.u.values == 1.0)
-    assert sol.report.iterations["monotone"] == 1
+def _report_keys(report):
+    return {k: sorted(v) if isinstance(v, dict) else None
+            for k, v in report.to_dict().items()}
+
+
+@pytest.mark.parametrize("chart", [Chart.radial(3, 101),
+                                   Chart.axisymmetric(41, 9)],
+                         ids=["radial-101", "axisym-41x9"])
+def test_zero_f_takes_no_newton_step(chart):
+    # u_- = 1 already solves du/deta = 0: Newton stops before its first step
+    g = flat_metric(chart)
+    sol = solve_nonlinear_robin(g, BoundaryField.constant(chart, 0.0), 3.0)
+    report = sol.report
+    assert np.max(np.abs(sol.u.values - 1.0)) <= 1e-12
+    assert report.iterations["monotone"] == 0
+    assert report.iterations["increments"] == []
+    assert report.barrier["min_increment"] is None
+    assert_boundary_map_at_rounding(report)
+    assert report.passed
+    ref = solve_nonlinear_robin(g, BoundaryField.constant(chart, 0.1), 3.0)
+    assert _report_keys(report) == _report_keys(ref.report)
 
 
 def test_robin_residual_small():
@@ -221,7 +245,7 @@ def test_monotone_iterate_factorizes_once(monkeypatch):
     assert -1e-9 <= barrier["min_increment"] <= min(
         sol.report.iterations["increments"])
     assert "monotone" not in barrier
-    assert sol.report.checks["boundary_map"]
+    assert_boundary_map_at_rounding(sol.report)
 
 
 def _pair(chart, spec="flat", f=None, target=None):

@@ -186,6 +186,35 @@ def test_min_s_nodes_is_the_decay_window_minimum():
 
 
 def test_mass_coefficient_schwarzschild():
-    # phi = 1 + 1/r has m = 2 exactly
+    # phi = 1 + (m/2) r^{2-n} with m = 2: the stencil is exact on it, so
+    # only rounding, amplified by h^{2-n}, is left
     phi = field(1.0 + CHART.s)
     assert mass_coefficient(phi) == pytest.approx(2.0, rel=1e-10)
+    for n in (3, 4, 5):
+        c = Chart.radial(n, 201)
+        phi = ScalarField(c, 1.0 + c.s ** (n - 2))
+        assert mass_coefficient(phi) == pytest.approx(2.0, rel=1e-8)
+
+
+def test_mass_coefficient_is_second_order():
+    # the n = 3 stencil is exact on quadratics, and a c_3 s^3 term moves m
+    # by -4 c_3 h^2
+    c = Chart.radial(3, 101)
+    assert mass_coefficient(ScalarField(c, 1.0 + c.s + c.s ** 2)) == \
+        pytest.approx(2.0, rel=1e-10)
+    for num in (101, 201):
+        ci = Chart.radial(3, num)
+        m = mass_coefficient(ScalarField(ci, 1.0 + ci.s + ci.s ** 3))
+        assert m - 2.0 == pytest.approx(-4.0 * ci.ds ** 2, rel=1e-6)
+
+
+def test_far_field_diagnostics_on_axisym_chart():
+    # phi - 1 = s + s^2 P2(cos theta): the l = 2 part has zero sphere mean
+    c = Chart.axisymmetric(201, 33)
+    mu = np.cos(c.theta)[None, :]
+    s = c.s[:, None]
+    phi = ScalarField(c, 1.0 + s + s * s * (1.5 * mu * mu - 0.5))
+    assert mass_coefficient(phi) == pytest.approx(2.0, abs=1e-3)
+    fit = decay_fit(ScalarField(c, phi.values - 1.0))
+    assert fit.status == "ok"
+    assert fit.q == pytest.approx(1.0, rel=1e-3)
