@@ -228,19 +228,6 @@ class ScalarField:
         if not np.all(np.isfinite(self.values)):
             raise ChartError("field values must be finite")
 
-    @classmethod
-    def from_function(cls, chart: Chart, fn) -> "ScalarField":
-        """Sample fn(r) (radial) or fn(r, theta) (axisym) at the nodes.
-
-        The s=0 node is sampled at r = inf; fn must return the finite limit.
-        """
-        if chart.mode == RADIAL:
-            vals = np.array([fn(ri) for ri in chart.r], dtype=float)
-        else:
-            vals = np.array([[fn(ri, tj) for tj in chart.theta]
-                             for ri in chart.r], dtype=float)
-        return cls(chart, vals)
-
     def boundary_values(self) -> np.ndarray:
         v = self.values[-1]
         return np.atleast_1d(v)

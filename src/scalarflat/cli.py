@@ -19,13 +19,13 @@ import numpy as np
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
 from .dirichlet import solve_scalar_flat_dirichlet
 from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
-from .meancurv import (CONVENTIONS, MAX_MONOTONE_STEPS,
-                       prescribe_mean_curvature, solve_nonlinear_robin)
+from .meancurv import (MAX_MONOTONE_STEPS, prescribe_mean_curvature,
+                       solve_nonlinear_robin)
 from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
 from .quotient import TrialFamily, estimate_sobolev_quotient
 from .report import (SolveReport, default_output_dir, emit_fields, emit_report)
-from .weighted import MIN_S_NODES, decay_fit
+from .weighted import MIN_S_NODES
 
 MODES = ("dirichlet", "meancurv", "quotient", "oracle", "convergence-study")
 
@@ -39,7 +39,6 @@ DEFAULTS = {
     "f": None,
     "beta": None,
     "target": None,
-    "convention": "transformation-law",
     "out": None,
     "family": None,
     "grids": [100, 200, 400],
@@ -68,8 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, help="boundary nonlinearity exponent")
     p.add_argument("--target", type=float,
                    help="target boundary mean curvature (meancurv pipeline)")
-    p.add_argument("--coefficient-convention", dest="convention",
-                   choices=CONVENTIONS)
     p.add_argument("--out", help="output directory "
                                  "(default $SCALARFLAT_OUTDIR or ./scalarflat-out)")
     return p
@@ -99,8 +96,6 @@ def merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg["mode"] not in MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    if cfg["convention"] not in CONVENTIONS:
-        raise ConfigError(f"unknown convention {cfg['convention']!r}")
     for key, least in (("max_iter", 1), ("n", 3)):
         if type(cfg[key]) is not int or cfg[key] < least:
             raise ConfigError(f"{key} must be an integer >= {least}, got "
@@ -232,7 +227,6 @@ def _run_meancurv(cfg, chart, g):
     if cfg["target"] is not None:
         target = BoundaryField.constant(chart, float(cfg["target"]))
         sol = prescribe_mean_curvature(g, target, tol=cfg["tol"],
-                                       convention=cfg["convention"],
                                        max_iter=cfg["max_iter"])
     else:
         if cfg["f"] is None or cfg["beta"] is None:
@@ -241,9 +235,6 @@ def _run_meancurv(cfg, chart, g):
         f = parse_f(cfg["f"], chart)
         sol = solve_nonlinear_robin(g, f, float(cfg["beta"]), tol=cfg["tol"],
                                     max_iter=cfg["max_iter"])
-    fit = decay_fit(sol.u)
-    sol.report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
-                        "residual": fit.residual, "status": fit.status}
     return sol.report, {"u": sol.u}
 
 
@@ -258,16 +249,9 @@ def _run_quotient(cfg, chart, g):
     return report, {"best_trial": best}
 
 
-def _u0_function(coeffs):
-    """u0(r) = sum_k c_k r^{-k}, with the limit c_0 at r = inf."""
-    def u0(r):
-        if not np.isfinite(r):
-            return coeffs[0]
-        return sum(c * r ** (-k) for k, c in enumerate(coeffs))
-    return u0
-
-
 def _run_oracle(cfg, chart, g):
+    if chart.mode != RADIAL:
+        raise ConfigError("oracle mode is radial")
     report = SolveReport(mode="oracle")
     fields = {}
     if cfg["f"] is not None and cfg["beta"] is not None:
@@ -287,12 +271,10 @@ def _run_oracle(cfg, chart, g):
                             1.0)
             fields["u_oracle"] = ScalarField(chart, vals)
     elif g.u0_coeffs is not None:
-        s, phi = radial_dirichlet_yamabe(_u0_function(g.u0_coeffs), chart.n,
-                                         num=chart.s.size)
-        fields["phi_oracle"] = ScalarField(chart, np.interp(chart.s, s, phi))
+        phi = radial_dirichlet_yamabe(g.u0_coeffs, chart.n, chart.s)
+        fields["phi_oracle"] = ScalarField(chart, phi)
         report.extrema = {"min_phi": float(np.min(phi)),
                           "max_phi": float(np.max(phi))}
-        report.checks = {"phi_positive": bool(np.min(phi) > 0)}
     else:
         raise ConfigError("oracle mode needs --f/--beta or a conformal "
                           "coefficient metric")
@@ -306,7 +288,6 @@ def _run_convergence(cfg, chart, g):
         raise ConfigError("convergence-study needs a conformal coefficient "
                           "metric with a closed-form reference")
     coeffs = g.u0_coeffs
-    u0 = _u0_function(coeffs)
     grids = cfg["grids"]
     errors = []
     for num in grids:
@@ -314,9 +295,8 @@ def _run_convergence(cfg, chart, g):
         gi = metric_from_spec({"kind": "conformal", "coeffs": list(coeffs)},
                               ci)
         sol = solve_scalar_flat_dirichlet(gi, tol=cfg["tol"])
-        s_ref, phi_ref = radial_dirichlet_yamabe(u0, chart.n, num=num)
-        errors.append(float(np.max(np.abs(sol.phi.values
-                                          - np.interp(ci.s, s_ref, phi_ref)))))
+        phi_ref = radial_dirichlet_yamabe(coeffs, chart.n, ci.s)
+        errors.append(float(np.max(np.abs(sol.phi.values - phi_ref))))
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else float("inf")
               for i in range(len(errors) - 1)]
     orders = [float(np.log2(r)) if np.isfinite(r) and r > 0 else float("inf")

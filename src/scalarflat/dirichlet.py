@@ -30,7 +30,8 @@ from .elliptic import DirichletBC, LinearProblem, solve_linear
 from .errors import PositivityError, ScalarFlatError
 from .metrics import (MetricField, check_asymptotic_flatness,
                       conformal_transform)
-from .weighted import WeightedNormSpec, decay_fit, mass_coefficient, weighted_norm
+from .weighted import (WeightedNormSpec, decay_report, mass_coefficient,
+                       weighted_norm)
 from .report import SolveReport
 
 
@@ -102,15 +103,10 @@ def solve_scalar_flat_dirichlet(g: MetricField,
     report.residuals[f"scalar_curvature_{spec}"] = weighted_norm(
         g_new.scalar_curvature(), spec)
     bnd_dev = float(np.max(np.abs(phi.boundary_values() - 1.0)))
-    # phi_positive: the factor solve raised otherwise
-    report.checks = {"phi_positive": True, "boundary_exact": bnd_dev == 0.0}
-    fit = decay_fit(ScalarField(g.chart, phi.values - 1.0))
-    report.decay = {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
-                    "residual": fit.residual, "status": fit.status,
-                    "target_harmonic_q": n - 2.0,
-                    "target_weight_q": n - 2.5}
+    report.checks = {"boundary_exact": bnd_dev == 0.0}
+    report.decay = decay_report(phi)
     # the stencil divides rounding by h^{n-2}; a constant phi has no mass
-    report.mass_coefficient = (0.0 if fit.status == "constant"
+    report.mass_coefficient = (0.0 if report.decay["status"] == "constant"
                                else mass_coefficient(phi))
     report.timing = {"wall_s": time.perf_counter() - t0}
     return ConformalSolution(phi=phi, metric=g_new, report=report)

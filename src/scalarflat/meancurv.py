@@ -24,11 +24,7 @@ from .metrics import (MetricField, boundary_mean_curvature,
                       conformal_law_coefficient, conformal_transform,
                       laplace_beltrami, normal_derivative)
 from .report import SolveReport
-
-#: datum conventions for prescribe_mean_curvature; "transformation-law" is
-#: consistent with the sum-of-principal-curvatures normalization used by
-#: boundary_mean_curvature, "paper-eq7" keeps the (n-2)/n coefficient.
-CONVENTIONS = ("transformation-law", "paper-eq7")
+from .weighted import decay_report
 
 #: Newton step cap on the boundary map, for the library and the CLI alike;
 #: targets next to the largest feasible mean curvature take about 10 steps
@@ -322,6 +318,8 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     a fixed point between u_- and u_+.  Newton is a faster way to find it,
     so every step's boundary values must stay in that sandwich, and the
     answer is accepted only in the sandwich on the whole grid and positive.
+    Each failure raises, so the report has no checks: ``barrier`` carries
+    the sandwich margins, and ``decay`` the far-field fit of u - 1.
     For f >= 0 and beta > 1, h is convex, so F is concave and Newton from
     the subsolution increases monotonically toward the minimal solution
     while (I - X_b diag h')^{-1} >= 0 (Ortega & Rheinboldt 1970, 13.3); for
@@ -426,10 +424,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
         "min_increment": min_increment if history else None,
         "fold_margin": fold_margin,
     }
-    report.checks = {
-        "u_positive": bool(np.all(u.values > 0.0)),
-        "sandwich": bool(low >= -monotone_slack and high <= monotone_slack),
-    }
+    report.decay = decay_report(u)
     report.timing = {"wall_s": time.perf_counter() - t0}
     return MeanCurvatureSolution(u=u, metric=g_new, report=report, pair=pair)
 
@@ -452,25 +447,16 @@ def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,
     return monotone_iterate(pair, g, tol=tol, max_iter=max_iter)
 
 
-def datum_coefficient(n: int, convention: str) -> float:
-    """Factor mapping the target mean curvature to the Robin datum f."""
-    if convention == "transformation-law":
-        return 1.0 / conformal_law_coefficient(n)  # (n-2) / (2(n-1))
-    if convention == "paper-eq7":
-        return (n - 2.0) / n
-    raise ScalarFlatError(f"unknown coefficient convention {convention!r}")
-
-
 def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
                              tol: float = 1e-10,
-                             convention: str = "transformation-law",
                              max_iter: int = MAX_MONOTONE_STEPS,
                              ) -> MeanCurvatureSolution:
     """Scalar-flat metric conformal to g with prescribed boundary mean
     curvature.
 
     Stages: reduction to R = 0, H = 0; harmonic barrier; mapping of the
-    target to the Robin datum f = coeff * f_target with beta = n/(n-2);
+    target to the Robin datum f = f_target / (2(n-1)/(n-2)) with
+    beta = n/(n-2), the transformation law of H at H = 0;
     barrier construction; Newton on the boundary map; final
     finite-difference check of the transformed mean curvature against the
     target.  ``tol`` bounds the backward error of every linear solve.
@@ -485,7 +471,7 @@ def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
         raise StageError("reduce_to_minimal", exc) from exc
     try:
         f = BoundaryField(g.chart,
-                          datum_coefficient(n, convention) * f_target.values)
+                          f_target.values / conformal_law_coefficient(n))
         sol = solve_nonlinear_robin(ghat, f, beta, tol=tol, max_iter=max_iter)
     except ScalarFlatError as exc:
         if isinstance(exc, StageError):

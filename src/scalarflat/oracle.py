@@ -16,24 +16,22 @@ import numpy as np
 from .errors import SolveError
 
 
-def radial_dirichlet_yamabe(u0, n: int, tol: float = 1e-10, num: int = 201):
-    """Scalar-flattening conformal factor for g = u0^{4/(n-2)} * flat.
+def radial_dirichlet_yamabe(coeffs, n: int, s, tol: float = 1e-10):
+    """Scalar-flattening conformal factor for g = u0^{4/(n-2)} * flat, with
+    u0(r) = sum_k c_k r^{-k} = sum_k c_k s^k, at the nodes s = 1/r in [0, 1].
 
     Uses the identity that phi*u0 must be flat-harmonic when the transformed
     metric is scalar-flat and conformally flat: with phi(1) = 1 and
     phi -> 1, the product is the unique harmonic interpolant
-    1 + (u0(1) - 1) r^{2-n}.  Returns (s_nodes, phi_values).
+    1 + (u0(1) - 1) r^{2-n}.  Returns phi at s.
     """
-    s = np.linspace(0.0, 1.0, num)
-    with np.errstate(divide="ignore"):
-        r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
-    u0v = np.array([u0(ri) for ri in r], dtype=float)
-    if np.any(u0v <= 0):
+    s = np.asarray(s, dtype=float)
+    u0 = np.polynomial.polynomial.polyval(s, coeffs)
+    if np.any(u0 <= 0):
         raise SolveError("u0 must be positive")
-    if abs(u0v[0] - 1.0) > tol:
+    if abs(coeffs[0] - 1.0) > tol:
         raise SolveError("u0 must tend to 1 at infinity")
-    hval = 1.0 + (u0v[-1] - 1.0) * s ** (n - 2)
-    return s, hval / u0v
+    return (1.0 + (sum(coeffs) - 1.0) * s ** (n - 2)) / u0  # u0(1) = sum c_k
 
 
 def mean_curvature_root_threshold(beta: float):

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import ScalarFlatError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass

@@ -31,23 +31,6 @@ class WeightedNormSpec:
         if int(self.k) != self.k or self.k < 0:
             raise InvalidNormSpec(f"k must be an integer >= 0, got {self.k}")
 
-    @classmethod
-    def parse(cls, text: str) -> "WeightedNormSpec":
-        """Parse "L(p,delta)" or "W(k,p,delta)"; p may be "inf"."""
-        text = text.strip()
-        try:
-            head, body = text.split("(", 1)
-            args = [t.strip() for t in body.rstrip(")").split(",")]
-            if head == "L":
-                p, delta = args
-                return cls(p=float(p), delta=float(delta))
-            if head == "W":
-                k, p, delta = args
-                return cls(p=float(p), delta=float(delta), k=int(k))
-        except (ValueError, IndexError):
-            pass
-        raise InvalidNormSpec(f"cannot parse norm spec {text!r}")
-
     def __str__(self):
         if self.k == 0:
             return f"L({self.p:g},{self.delta:g})"
@@ -172,6 +155,18 @@ def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
         return DecayFit(u_inf=u_inf, a=a, q=q, residual=resid,
                         status="no-decay")
     return DecayFit(u_inf=u_inf, a=a, q=q, residual=resid, status="ok")
+
+
+def decay_report(u: ScalarField) -> dict:
+    """The report's ``decay`` block for a field u -> 1 at infinity: the
+    ``decay_fit`` of u - 1, with the rates to read its q against: n - 2,
+    the decay of a harmonic function, and n - 2.5 = -delta, the decay that
+    the weight delta = 2.5 - n of the Dirichlet problem's spaces allows."""
+    fit = decay_fit(ScalarField(u.chart, u.values - 1.0))
+    n = u.chart.n
+    return {"u_inf": fit.u_inf, "a": fit.a, "q": fit.q,
+            "residual": fit.residual, "status": fit.status,
+            "target_harmonic_q": n - 2.0, "target_weight_q": n - 2.5}
 
 
 def mass_coefficient(phi: ScalarField) -> float:

@@ -127,7 +127,9 @@ def test_criterion_06_mean_curvature_benchmark():
     wall = time.perf_counter() - t0
     c, sol = sols[201]
     incr_ok = all(x >= -1e-12 for x in sol.report.iterations["increments"])
-    sandwich_ok = sol.report.checks["sandwich"]
+    barrier = sol.report.barrier
+    sandwich_ok = (barrier["sandwich_margin_low"] >= -1e-9
+                   and barrier["sandwich_margin_high"] <= 1e-9)
     robin_ok = sol.report.residuals["robin_Linf"] <= 10 * c.ds
     # iteration tolerance floors the error; O(h^2) or better is accepted
     order_ok = errs[201] <= max(errs[101] / 3.2, 1e-7)

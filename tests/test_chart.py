@@ -116,14 +116,6 @@ def test_d_dtheta_pole_reflection():
     assert np.max(np.abs(dt[:, mid] + np.sin(c.theta)[None, mid])) < 5e-3
 
 
-def test_scalar_field_from_function():
-    c = Chart.radial(3, 11)
-    u = ScalarField.from_function(c, lambda r: 1.0 if np.isinf(r) else 1.0 + 1.0 / r)
-    assert u.values[0] == 1.0
-    assert u.values[-1] == 2.0
-    assert u.boundary_values().shape == (1,)
-
-
 def test_field_shape_validation():
     c = Chart.radial(3, 11)
     with pytest.raises(ChartError):

@@ -17,7 +17,6 @@ from scalarflat.cli import (DEFAULTS, FAMILY_KEYS, MODES, main,
                             merge_config, parse_f, parse_grid, run_job)
 from scalarflat.chart import Chart
 from scalarflat.errors import ConfigError
-from scalarflat.meancurv import CONVENTIONS
 from scalarflat.report import load_report
 from scalarflat.weighted import MIN_S_NODES
 
@@ -89,7 +88,7 @@ def test_dirichlet_mode_factorizes_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "lambda_sweep", counting_sweep)
     code, report, _ = run(tmp_path, "--mode", "dirichlet", "--grid", "201",
                           "--metric", "conformal:1,0,1")
-    assert code == 0 and report["checks"]["phi_positive"] is True
+    assert code == 0 and report["passed"] is True
     assert counts == {"factorizations": 1, "sweeps": 0}
 
 
@@ -162,6 +161,42 @@ def test_axisym_modes_run(tmp_path, capsys, argv):
     code, report, _ = run(tmp_path, *argv)
     assert "Traceback" not in capsys.readouterr().err
     assert code == 0 and report["passed"] is True
+
+
+@pytest.mark.parametrize("grid", ["101", "41x9"])
+def test_decay_blocks_share_one_key_set(tmp_path, grid):
+    # phi - 1 and u - 1, both built in the library with the same targets
+    blocks = {}
+    for mode, extra in (("dirichlet", ("--metric", "conformal:1,0,1")),
+                        ("meancurv", ("--target", "-1"))):
+        code, report, _ = run(tmp_path / mode, "--mode", mode, "--grid",
+                              grid, *extra)
+        assert code == 0
+        blocks[mode] = report["decay"]
+    assert set(blocks["dirichlet"]) == set(blocks["meancurv"]) == {
+        "u_inf", "a", "q", "residual", "status", "target_harmonic_q",
+        "target_weight_q"}
+    assert blocks["meancurv"]["target_harmonic_q"] == 1.0
+    assert blocks["meancurv"]["u_inf"] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "dirichlet", "--grid", "101", "--metric", "conformal:1,0,1"),
+    ("--mode", "dirichlet", "--grid", "41x9"),
+    ("--mode", "meancurv", "--grid", "101", "--f", "0.1", "--beta", "3"),
+    ("--mode", "meancurv", "--grid", "41x9", "--target", "-1"),
+    ("--mode", "quotient", "--grid", "81"),
+    ("--mode", "oracle", "--f", "0.1", "--beta", "3"),
+    ("--mode", "oracle", "--metric", "conformal:1,0,1"),
+    ("--mode", "convergence-study", "--metric", "conformal:1,0,1"),
+], ids=["dirichlet", "dirichlet-axisym", "meancurv-robin", "meancurv-target",
+        "quotient", "oracle-meancurv", "oracle-dirichlet", "convergence"])
+def test_no_report_check_that_cannot_fail(tmp_path, argv):
+    # the solvers raise before a report exists when any of these is False
+    code, report, _ = run(tmp_path, *argv)
+    assert code == 0 and report["schema_version"] == 2
+    assert not {"phi_positive", "u_positive", "sandwich"} & set(
+        report["checks"])
 
 
 def test_axisym_reports_carry_far_field_diagnostics(tmp_path):
@@ -239,11 +274,20 @@ def _quotient_family(family):
     lambda d: ["--grid", "40"],
     lambda d: ["--grid", "21x9", "--metric", "conformal:1,0,1"],
     lambda d: ["--mode", "meancurv", "--grid", "36", "--target", "0.03"],
-    # a dimension of the wrong type or an unknown convention in a config
+    # a dimension of the wrong type, and the removed convention key with
+    # a value that it accepted and one that it did not
     lambda d: ["--config", _json_file(d, {"n": "3"})],
     lambda d: ["--config", _json_file(d, {"convention": "bogus",
                                           "mode": "meancurv",
                                           "target": 0.03})],
+    lambda d: ["--config", _json_file(d, {"convention": "paper-eq7",
+                                          "mode": "meancurv",
+                                          "target": 0.03})],
+    # the oracles are radial (these exited 3)
+    lambda d: ["--mode", "oracle", "--grid", "41x9", "--metric",
+               "conformal:1,0,1"],
+    lambda d: ["--mode", "oracle", "--grid", "41x9", "--f", "0.1",
+               "--beta", "3"],
     # convergence-study grids and the quotient family of the wrong type
     # (these exited 1 or 3)
     lambda d: ["--config", _json_file(d, {
@@ -274,6 +318,8 @@ def _quotient_family(family):
         "config-lambda-steps-string", "config-tol-string",
         "grid-4", "grid-20", "grid-36", "grid-40", "grid-21x9-conformal",
         "meancurv-grid-36", "config-n-string", "config-convention-bogus",
+        "config-convention-paper-eq7", "oracle-axisym-dirichlet",
+        "oracle-axisym-meancurv",
         "grids-string", "grids-number", "grids-too-coarse", "family-number",
         "family-budget-string", "family-r_in-0.5", "family-r_out-1.2",
         "family-cutoff-0", "family-cutoff-negative", "family-width-0",
@@ -283,6 +329,17 @@ def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     err = capsys.readouterr().err
     assert code == 2
     assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["paper-eq7", "transformation-law"])
+def test_coefficient_convention_flag_is_gone(tmp_path, capsys, value):
+    # the datum is f = target / (2(n-1)/(n-2)); no flag selects another
+    with pytest.raises(SystemExit) as exc:
+        main(["--mode", "meancurv", "--grid", "201", "--target", "0.03",
+              "--coefficient-convention", value, "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--coefficient-convention" in err and "Traceback" not in err
 
 
 def test_exit_code_solve_failure(tmp_path):
@@ -323,7 +380,7 @@ def test_report_determinism_modulo_timing(tmp_path):
 def test_run_job_requires_meancurv_data():
     cfg = merge_config(type("NS", (), {k: None for k in (
         "config", "mode", "tol", "max_iter", "grid", "n", "metric", "f",
-        "beta", "target", "convention", "out")})())
+        "beta", "target", "out")})())
     cfg["mode"] = "meancurv"
     with pytest.raises(ConfigError):
         run_job(cfg)
@@ -369,8 +426,7 @@ BAD_FLAG = st.one_of(
     _flag("grid", BAD_GRID),
     _flag("metric", BAD_METRIC),
     _flag("mode", st.text(max_size=12).filter(lambda m: m not in MODES)),
-    _flag("coefficient-convention",
-          st.text(max_size=12).filter(lambda c: c not in CONVENTIONS)),
+    _flag("coefficient-convention", st.text(max_size=12)),
     st.just(("--no-such-flag",)))
 
 JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats()
@@ -441,8 +497,7 @@ BAD_ENTRY = st.one_of(
               | st.integers() | st.lists(st.floats())
               | st.dictionaries(st.text(max_size=5), st.integers(),
                                 max_size=3)),
-    st.tuples(st.just("convention"), JSON_ANY.filter(
-        lambda c: not (isinstance(c, str) and c in CONVENTIONS))),
+    st.tuples(st.just("convention"), JSON_ANY),
     st.tuples(st.just("grids"), BAD_GRIDS),
     st.tuples(st.just("family"), BAD_FAMILY),
     st.tuples(st.text(max_size=12).filter(lambda k: k not in DEFAULTS),

@@ -13,7 +13,8 @@ from scalarflat.cli import parse_f
 from scalarflat.elliptic import (Factorization, LinearProblem, RobinBC,
                                  assemble, constant_field)
 from scalarflat.errors import SolveError
-from scalarflat.meancurv import boundary_defect, datum_coefficient
+from scalarflat.meancurv import boundary_defect
+from scalarflat.metrics import conformal_law_coefficient
 from monotone_reference import full_grid_monotone_loop
 
 
@@ -109,7 +110,8 @@ def test_monotone_iteration_benchmark():
     a, _ = radial_mean_curvature(0.1, 3.0, 3)
     assert np.max(np.abs(sol.u.values - (1.0 + a * c.s))) < 1e-6
     assert_boundary_map_at_rounding(sol.report)
-    assert sol.report.checks["sandwich"]
+    assert sol.report.barrier["sandwich_margin_low"] >= -1e-9
+    assert sol.report.barrier["sandwich_margin_high"] <= 1e-9
     incr = sol.report.iterations["increments"]
     assert all(x >= -1e-12 for x in incr)
 
@@ -162,14 +164,6 @@ def test_reduce_to_minimal_flat():
     assert report.residuals["boundary_H_Linf"] < 1e-4
     H = boundary_mean_curvature(ghat)
     assert np.max(np.abs(H.values)) < 1e-4
-
-
-def test_datum_coefficient_conventions():
-    assert datum_coefficient(3, "transformation-law") == pytest.approx(0.25)
-    assert datum_coefficient(3, "paper-eq7") == pytest.approx(1.0 / 3.0)
-    assert datum_coefficient(4, "transformation-law") == pytest.approx(1.0 / 3.0)
-    with pytest.raises(Exception):
-        datum_coefficient(3, "bogus")
 
 
 def test_prescribe_mean_curvature_pipeline():
@@ -254,7 +248,7 @@ def _pair(chart, spec="flat", f=None, target=None):
     g = metric_from_spec(spec, chart)
     if target is not None:
         g = reduce_to_minimal(g)[0]
-        f = datum_coefficient(3, "transformation-law") * target
+        f = target / conformal_law_coefficient(3)
     v, dv = harmonic_unit(g)
     return build_sub_super(v, dv, parse_f(f, chart), 3.0), g
 

@@ -8,15 +8,23 @@ from scalarflat import (SolveError, mean_curvature_root_threshold,
 
 
 def test_yamabe_closed_form():
-    s, phi = radial_dirichlet_yamabe(
-        lambda r: 1.0 if np.isinf(r) else 1.0 + r ** -2.0, 3)
+    s = np.linspace(0.0, 1.0, 201)
+    phi = radial_dirichlet_yamabe((1.0, 0.0, 1.0), 3, s)  # u0 = 1 + r^-2
     exact = (1.0 + s) / (1.0 + s ** 2)
     assert np.max(np.abs(phi - exact)) < 1e-13
+    # n = 4, u0 = 1 + r^-1 + r^-2: phi u0 = 1 + 2 r^-2
+    phi4 = radial_dirichlet_yamabe((1.0, 1.0, 1.0), 4, s)
+    assert np.max(np.abs(phi4 - (1.0 + 2.0 * s ** 2) / (1.0 + s + s ** 2))) \
+        < 1e-13
+    assert phi[0] == 1.0 and phi4[-1] == 1.0
 
 
 def test_yamabe_rejects_bad_u0():
+    s = np.linspace(0.0, 1.0, 11)
     with pytest.raises(SolveError):
-        radial_dirichlet_yamabe(lambda r: 2.0, 3)  # limit is not 1
+        radial_dirichlet_yamabe((2.0,), 3, s)  # limit is not 1
+    with pytest.raises(SolveError):
+        radial_dirichlet_yamabe((1.0, -3.0), 3, s)  # u0 <= 0 near r = 1
 
 
 def test_threshold_value():

@@ -16,7 +16,7 @@ def sample_report():
     r.residuals = {"linear_relative": 1.2e-12}
     r.decay = {"q": np.float64(1.0), "status": "ok"}
     r.mass_coefficient = 2.0
-    r.checks = {"phi_positive": True}
+    r.checks = {"boundary_exact": True}
     r.iterations = {"linear": np.int64(7)}
     r.timing = {"wall_s": 0.123}
     return r
@@ -27,7 +27,7 @@ def test_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     emit_report(r, path)
     doc = load_report(path)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["mode"] == "dirichlet"
     assert doc["passed"] is True
     assert doc["decay"]["q"] == 1.0
