@@ -180,23 +180,11 @@ class Chart:
             self._flat_laplacian = flat_metric(self).laplacian()
         return self._flat_laplacian
 
-    def d_ds(self, values, order: int = 2) -> np.ndarray:
-        """d/ds on the uniform grid, second or fourth order accurate."""
-        v = np.asarray(values, dtype=float)
-        h = self.ds
-        if order == 2:
-            return np.gradient(v, h, axis=0, edge_order=2)
-        if order != 4:
-            raise ChartError("order must be 2 or 4")
-        out = np.empty_like(v)
-        out[2:-2] = (v[:-4] - 8 * v[1:-3] + 8 * v[3:-1] - v[4:]) / (12 * h)
-        # one-sided 4th-order stencils at the edges
-        c = np.array([-25.0, 48.0, -36.0, 16.0, -3.0]) / 12.0
-        for k in (0, 1):
-            out[k] = np.tensordot(c, v[k:k + 5], axes=(0, 0)) / h
-        for k in (-1, -2):
-            out[k] = -np.tensordot(c, v[k:k - 5:-1], axes=(0, 0)) / h
-        return out
+    def d_ds(self, values) -> np.ndarray:
+        """d/ds on the uniform grid, second order accurate (one-sided at the
+        first and last rows)."""
+        return np.gradient(np.asarray(values, dtype=float), self.ds, axis=0,
+                           edge_order=2)
 
     def d_dtheta(self, values) -> np.ndarray:
         """d/dtheta with ghost reflection at theta = 0, pi for regularity."""
@@ -206,10 +194,9 @@ class Chart:
         out[:, 1:-1] = (v[:, 2:] - v[:, :-2]) / (2 * h)
         return out
 
-    def d_dr(self, values, order: int = 2) -> np.ndarray:
+    def d_dr(self, values) -> np.ndarray:
         """Radial derivative d/dr = -s^2 d/ds; zero at the s=0 node."""
-        ds = self.d_ds(values, order=order)
-        return -(self.s_col ** 2) * ds
+        return -(self.s_col ** 2) * self.d_ds(values)
 
 
 @dataclass

@@ -19,8 +19,7 @@ import numpy as np
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
 from .dirichlet import solve_scalar_flat_dirichlet
 from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
-from .meancurv import (MAX_MONOTONE_STEPS, prescribe_mean_curvature,
-                       solve_nonlinear_robin)
+from .meancurv import prescribe_mean_curvature, solve_nonlinear_robin
 from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
 from .quotient import TrialFamily, estimate_sobolev_quotient
@@ -35,7 +34,6 @@ DEFAULTS = {
     "grid": "201",
     "metric": "flat",
     "tol": 1e-10,
-    "max_iter": MAX_MONOTONE_STEPS,
     "f": None,
     "beta": None,
     "target": None,
@@ -55,8 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--config", help="JSON config file; flags override it")
     p.add_argument("--tol", type=float, help="linear backward-error bound")
-    p.add_argument("--max-iter", type=int, dest="max_iter",
-                   help="Newton step cap on the boundary map (meancurv)")
     p.add_argument("--grid", help="Ns (radial) or NsxNtheta (axisymmetric)")
     p.add_argument("--n-dim", type=int, dest="n", help="ambient dimension")
     p.add_argument("--metric",
@@ -96,10 +92,8 @@ def merge_config(args: argparse.Namespace) -> dict:
             cfg[key] = val
     if cfg["mode"] not in MODES:
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    for key, least in (("max_iter", 1), ("n", 3)):
-        if type(cfg[key]) is not int or cfg[key] < least:
-            raise ConfigError(f"{key} must be an integer >= {least}, got "
-                              f"{cfg[key]!r}")
+    if type(cfg["n"]) is not int or cfg["n"] < 3:
+        raise ConfigError(f"n must be an integer >= 3, got {cfg['n']!r}")
     for key, low in (("tol", 0.0), ("beta", 0.0), ("target", -math.inf)):
         val = cfg[key]
         if val is None and key != "tol":
@@ -226,15 +220,13 @@ def _run_dirichlet(cfg, chart, g):
 def _run_meancurv(cfg, chart, g):
     if cfg["target"] is not None:
         target = BoundaryField.constant(chart, float(cfg["target"]))
-        sol = prescribe_mean_curvature(g, target, tol=cfg["tol"],
-                                       max_iter=cfg["max_iter"])
+        sol = prescribe_mean_curvature(g, target, tol=cfg["tol"])
     else:
         if cfg["f"] is None or cfg["beta"] is None:
             raise ConfigError("meancurv mode needs --target, or --f and "
                               "--beta for the Robin subproblem")
         f = parse_f(cfg["f"], chart)
-        sol = solve_nonlinear_robin(g, f, float(cfg["beta"]), tol=cfg["tol"],
-                                    max_iter=cfg["max_iter"])
+        sol = solve_nonlinear_robin(g, f, float(cfg["beta"]), tol=cfg["tol"])
     return sol.report, {"u": sol.u}
 
 

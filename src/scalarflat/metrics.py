@@ -79,7 +79,7 @@ class MetricField:
             float(c) for c in u0_coeffs)
         # computed on first use; the metric is immutable
         self._laplacian = None
-        self._curvature = {}
+        self._curvature = None
 
     def laplacian(self):
         """Sparse Delta_g from ``build_laplace_matrix``, built once per
@@ -88,13 +88,13 @@ class MetricField:
             self._laplacian = build_laplace_matrix(self)
         return self._laplacian
 
-    def scalar_curvature(self, order: int = 2) -> ScalarField:
-        """Read-only R from ``scalar_curvature``, computed once per order."""
-        if order not in self._curvature:
-            R = scalar_curvature(self, order=order)
+    def scalar_curvature(self) -> ScalarField:
+        """Read-only R from ``scalar_curvature``, computed once per metric."""
+        if self._curvature is None:
+            R = scalar_curvature(self)
             R.values.flags.writeable = False
-            self._curvature[order] = R
-        return self._curvature[order]
+            self._curvature = R
+        return self._curvature
 
     def boundary_a_rr(self) -> np.ndarray:
         return np.atleast_1d(self.comps[-1, ..., 0])
@@ -324,33 +324,17 @@ def build_laplace_matrix(g: MetricField):
 # Curvature
 # ---------------------------------------------------------------------------
 
-def flat_laplacian(chart: Chart, values, order: int = 2) -> np.ndarray:
-    """Flat-background Laplacian of nodal values (limit 0 at s=0)."""
-    if order == 2:
-        L = chart.flat_laplacian()
-        return (L @ np.asarray(values, float).ravel()).reshape(chart.shape)
-    if chart.mode != RADIAL:
-        raise ChartError("order-4 flat Laplacian is radial-only")
-    # Delta u = s^4 u_ss + (3-n) s^3 u_s, evaluated with 4th-order stencils
-    s = chart.s
-    us = chart.d_ds(values, order=4)
-    uss = chart.d_ds(us, order=4)
-    out = s ** 4 * uss + (3.0 - chart.n) * s ** 3 * us
-    out[0] = 0.0
-    return out
-
-
-def scalar_curvature(g: MetricField, order: int = 2) -> ScalarField:
+def scalar_curvature(g: MetricField) -> ScalarField:
     """Scalar curvature R of g.
 
     A conformal metric g = phi^{4/(n-2)} b uses the conformal identity
 
         R = phi^{-(n+2)/(n-2)} (R_b phi - (4(n-1)/(n-2)) Delta_b phi)
 
-    relative to its base b.  The flat base has R_b = 0 and the flat
-    stencil of ``flat_laplacian``, of the given order; a stored base uses
-    its own R and Laplacian.  A table metric uses the diagonal-metric
-    formula of ``_scalar_curvature_frame``.
+    relative to its base b.  The flat base has R_b = 0 and the Laplacian
+    ``Chart.flat_laplacian``; a stored base uses its own R and Laplacian.
+    A table metric uses the diagonal-metric formula of
+    ``_scalar_curvature_frame``.
     """
     c = g.chart
     n = c.n
@@ -361,9 +345,10 @@ def scalar_curvature(g: MetricField, order: int = 2) -> ScalarField:
         return ScalarField(c, _scalar_curvature_frame(g))
     base, phi = g.conformal_base, g.conformal_phi.values
     if base is None:
-        Rb, lap = 0.0, flat_laplacian(c, phi, order=order)
+        Rb = 0.0
+        lap = (c.flat_laplacian() @ phi.ravel()).reshape(c.shape)
     else:
-        Rb = base.scalar_curvature(order).values
+        Rb = base.scalar_curvature().values
         lap = laplace_beltrami(base, g.conformal_phi).values
     R = phi ** (-(n + 2.0) / (n - 2.0)) * (
         Rb * phi - (4.0 * (n - 1) / (n - 2)) * lap)

@@ -8,13 +8,11 @@ a proof; a nonpositive value disproves it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .chart import AXISYM, RADIAL, Chart, ScalarField, sphere_area
+from .chart import AXISYM, Chart, ScalarField
 from .errors import ChartError, ScalarFlatError
 from .metrics import MetricField, _density
 
@@ -75,16 +73,14 @@ def _smoothstep(t):
     return t ** 3 * (t * (6.0 * t - 15.0) + 10.0)
 
 
-def yamabe_energy_density(g: MetricField, f: ScalarField, order: int = 4):
+def yamabe_energy_density(g: MetricField, f: ScalarField):
     """Pointwise |grad f|^2_g + (n-2)/(4(n-1)) R f^2 and measure factor."""
     chart = g.chart
     n = chart.n
-    if chart.mode == AXISYM:
-        order = 2  # the fourth-order stencils are radial-only
-    R = g.scalar_curvature(order).values
+    R = g.scalar_curvature().values
     cn = (n - 2.0) / (4.0 * (n - 1.0))
 
-    grad2 = chart.d_dr(f.values, order=order) ** 2 / g.comps[..., 0]
+    grad2 = chart.d_dr(f.values) ** 2 / g.comps[..., 0]
     if chart.mode == AXISYM:
         grad2 = grad2 + ((chart.s_col * chart.d_dtheta(f.values)) ** 2
                          / g.comps[..., 1])
@@ -92,11 +88,13 @@ def yamabe_energy_density(g: MetricField, f: ScalarField, order: int = 4):
     return dens, _density(g.comps, n)
 
 
-def rayleigh_quotient(g: MetricField, f: ScalarField, order: int = 4) -> float:
+def rayleigh_quotient(g: MetricField, f: ScalarField) -> float:
     """Yamabe-functional quotient of a compactly supported trial.
 
     numerator = int |grad f|^2_g + (n-2)/(4(n-1)) R f^2 dmu_g;
     denominator = ||f||^2 in L^{2n/(n-2)}(dmu_g).
+    Both integrals are sums against the flat-measure weights
+    ``Chart.weights`` times the density of dmu_g.
     """
     chart = g.chart
     n = chart.n
@@ -106,27 +104,14 @@ def rayleigh_quotient(g: MetricField, f: ScalarField, order: int = 4) -> float:
     if np.max(np.abs(vals[-1])) > 0 or np.max(np.abs(vals[0])) > 0:
         raise ScalarFlatError("trial must vanish at r=1 and at infinity")
 
-    dens, measure = yamabe_energy_density(g, f, order=order)
+    dens, measure = yamabe_energy_density(g, f)
     p_crit = 2.0 * n / (n - 2.0)
-    num = _flat_weighted_integral(chart, dens * measure)
-    den = _flat_weighted_integral(chart, np.abs(vals) ** p_crit * measure)
+    w = chart.weights * measure
+    num = float(np.sum(w * dens))
+    den = float(np.sum(w * np.abs(vals) ** p_crit))
     if den == 0.0:  # a zero trial, or one whose |f|^p underflows
         raise ScalarFlatError("zero trial: quotient undefined")
     return num / den ** (2.0 / p_crit)
-
-
-def _flat_weighted_integral(chart: Chart, integrand):
-    """Integral against the flat measure, Simpson in s for radial charts.
-
-    The integrand must vanish near s=0 (compact support), so the s^{-(n+1)}
-    Jacobian never meets a nonzero value at infinity.
-    """
-    gvals = integrand * chart.s_pow(-(chart.n + 1.0), 0.0)
-    if chart.mode == RADIAL:
-        return sphere_area(chart.n) * float(simpson(gvals, x=chart.s))
-    tint = simpson(gvals * np.sin(chart.theta)[None, :], x=chart.theta,
-                   axis=1)
-    return 2.0 * math.pi * float(simpson(tint, x=chart.s))
 
 
 def estimate_sobolev_quotient(g: MetricField, family: TrialFamily,

@@ -126,13 +126,22 @@ def test_exit_code_config_error(tmp_path):
     assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
-@pytest.mark.parametrize("max_iter", ["0", "-3"])
-def test_max_iter_below_one_is_config_error(tmp_path, capsys, max_iter):
-    code = main(["--mode", "meancurv", "--f", "0.1", "--beta", "3",
-                 "--max-iter", max_iter, "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize("make_argv", [
+    lambda d: ["--max-iter", "5"],
+    lambda d: ["--config", _json_file(d, {"max_iter": 5})],
+], ids=["flag", "config-key"])
+def test_max_iter_knob_is_gone(tmp_path, capsys, make_argv):
+    # Newton's step cap is meancurv.MAX_MONOTONE_STEPS; no input sets it
+    argv = ["--mode", "meancurv", "--f", "0.1", "--beta", "3",
+            *make_argv(tmp_path), "--out", str(tmp_path / "o")]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
     err = capsys.readouterr().err
     assert code == 2
-    assert "max_iter" in err and "Traceback" not in err
+    assert "max-iter" in err or "max_iter" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -379,7 +388,7 @@ def test_report_determinism_modulo_timing(tmp_path):
 
 def test_run_job_requires_meancurv_data():
     cfg = merge_config(type("NS", (), {k: None for k in (
-        "config", "mode", "tol", "max_iter", "grid", "n", "metric", "f",
+        "config", "mode", "tol", "grid", "n", "metric", "f",
         "beta", "target", "out")})())
     cfg["mode"] = "meancurv"
     with pytest.raises(ConfigError):
@@ -420,8 +429,8 @@ BAD_FLAG = st.one_of(
     _flag("tol", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
     _flag("beta", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
     _flag("target", st.one_of(NON_FINITE, JUNK)),
-    _flag("max-iter", st.one_of(st.integers(max_value=0).map(str), JUNK,
-                                st.just("1.5"))),
+    # the removed Newton step cap, with any value
+    _flag("max-iter", st.one_of(st.integers().map(str), JUNK)),
     _flag("n-dim", st.one_of(st.integers(max_value=2).map(str), JUNK)),
     _flag("grid", BAD_GRID),
     _flag("metric", BAD_METRIC),
@@ -487,7 +496,7 @@ BAD_ENTRY = st.one_of(
     st.tuples(st.just("beta"), _not_number(0.0)),
     st.tuples(st.just("target"), st.sampled_from(
         [math.nan, math.inf, -math.inf, "0.03", True, [0.03]])),
-    st.tuples(st.just("max_iter"), _not_int(1)),
+    st.tuples(st.just("max_iter"), JSON_ANY),  # the removed step cap
     st.tuples(st.just("n"), _not_int(3)),
     st.tuples(st.just("grid"), BAD_GRID | SHORT | st.none() | st.booleans()
               | st.lists(st.integers(MIN_S_NODES, 201))),

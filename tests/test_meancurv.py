@@ -176,6 +176,39 @@ def test_prescribe_mean_curvature_pipeline():
     assert H.values[0] == pytest.approx(-1.0, abs=50 * c.ds)
 
 
+def test_target_H_check_catches_a_wrong_datum(monkeypatch):
+    # a Robin datum 30% too large misses the target by ~9e-3; the bound is
+    # (n-1)^3 (1 + |target|)^2 h^2 = 2.1e-4 at n = 3, 201 nodes
+    c = Chart.radial(3, 201)
+    target = BoundaryField.constant(c, 0.03)
+    sol = prescribe_mean_curvature(flat_metric(c), target)
+    assert sol.report.checks["target_H"]
+    real = meancurv.solve_nonlinear_robin
+    monkeypatch.setattr(meancurv, "solve_nonlinear_robin",
+                        lambda g, f, beta, tol: real(
+                            g, BoundaryField(c, 1.3 * f.values), beta,
+                            tol=tol))
+    wrong = prescribe_mean_curvature(flat_metric(c), target)
+    assert wrong.report.residuals["target_H_Linf"] > 5e-3
+    assert wrong.report.checks["target_H"] is False
+
+
+def test_target_H_check_passes_on_a_table_metric():
+    # an anisotropic axisymmetric table metric: the error is second order,
+    # 0.3-0.8 h^2 over these targets, against a bound of 8 (1 + |t|)^2 h^2
+    c = Chart.axisymmetric(101, 17)
+    s, mu = c.s[:, None], np.cos(c.theta)[None, :]
+    u0 = (1.0 + 0.6 * s ** 2 * (1.0 + mu ** 2)) ** 4
+    aniso = 1.0 + 0.5 * s ** 3 * (1.0 - mu ** 2)
+    g = metric_from_spec({"kind": "axisym", "a_rr": u0,
+                          "a_theta": u0 * aniso, "a_phi": u0 * aniso,
+                          "decay": 2.0}, c)
+    for t in (-1.0, 0.04):
+        sol = prescribe_mean_curvature(g, BoundaryField.constant(c, t))
+        assert sol.report.checks["target_H"]
+        assert sol.report.residuals["target_H_Linf"] < 1.0 * c.ds ** 2
+
+
 def test_pipeline_default_step_cap_reaches_bench_target():
     # t = 0.049 is the hardest bench stratum; Picard took 229 steps there,
     # Newton takes a few, well within the library default cap

@@ -1,6 +1,12 @@
+import math
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import scalarflat
 from scalarflat import (Chart, ScalarField, TrialFamily, conformal_transform,
                         estimate_sobolev_quotient, flat_metric,
                         metric_from_spec, rayleigh_quotient)
@@ -94,3 +100,40 @@ def test_positive_on_benchmark_metric():
     g = metric_from_spec({"kind": "conformal", "coeffs": [1.0, 0.0, 1.0]}, c)
     q, _, positive = estimate_sobolev_quotient(g, FAMILY)
     assert positive and q > 0.0
+
+
+@pytest.mark.parametrize("spec", ["flat", "conformal:1,0,1"])
+@pytest.mark.parametrize("ns,nt", [(101, 9), (201, 33)])
+def test_axisym_quotient_is_radial_times_sphere_weight(spec, ns, nt):
+    # a theta-independent metric and trial: the two grids share every
+    # integrand, and both integrals carry the axisymmetric sphere weights'
+    # sum over the radial 4 pi, so Q_axi = Q_rad (sum w_axi / sum w_rad)^{2/3}
+    family = TrialFamily()
+    cr, ca = Chart.radial(3, ns), Chart.axisymmetric(ns, nt)
+    gr, ga = metric_from_spec(spec, cr), metric_from_spec(spec, ca)
+    factor = (ca.weights.sum() / cr.weights.sum()) ** (2.0 / 3.0)
+    for c, w in family.parameters():
+        q_rad = rayleigh_quotient(gr, family.evaluate(cr, c, w))
+        q_axi = rayleigh_quotient(ga, family.evaluate(ca, c, w))
+        assert q_axi == pytest.approx(q_rad * factor, rel=1e-12, abs=0.0)
+
+
+def test_quotient_is_second_order():
+    family = TrialFamily()
+    q = {ns: estimate_sobolev_quotient(
+        metric_from_spec("conformal:1,0,1", Chart.radial(3, ns)), family)[0]
+        for ns in (401, 801, 3201)}
+    order = math.log2(abs(q[401] - q[3201]) / abs(q[801] - q[3201]))
+    assert abs(order - 2.0) <= 0.2, (q, order)
+
+
+def test_cli_import_leaves_out_scipy_integrate_and_optimize():
+    code = ("import sys, scalarflat.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))")
+    # the child imports the package this test imported, however it is found
+    root = os.path.dirname(os.path.dirname(scalarflat.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=root)).stdout
+    assert out.strip() == "[]"
