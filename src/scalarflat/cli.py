@@ -22,7 +22,8 @@ from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
 from .meancurv import prescribe_mean_curvature, solve_nonlinear_robin
 from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
-from .quotient import TrialFamily, estimate_sobolev_quotient
+from .quotient import (MIN_TRIAL_CELLS, TrialFamily,
+                       estimate_sobolev_quotient)
 from .report import (SolveReport, default_output_dir, emit_fields, emit_report)
 from .weighted import MIN_S_NODES
 
@@ -232,9 +233,15 @@ def _run_meancurv(cfg, chart, g):
 
 def _run_quotient(cfg, chart, g):
     family, budget = parse_family(cfg["family"])
+    resolved = family.resolved(chart)
+    if not resolved:
+        raise ConfigError(f"no trial of the family spans {MIN_TRIAL_CELLS} "
+                          f"cells in s on a grid of {chart.s.size} nodes")
+    skipped = len(family.parameters()) - len(resolved)
     q, params, positive = estimate_sobolev_quotient(g, family, budget=budget)
     report = SolveReport(mode="quotient")
     report.residuals = {"quotient_upper_bound": q}
+    report.iterations = {"trials_skipped": skipped}
     report.extrema = {"argmin_center": params[0], "argmin_width": params[1]}
     report.checks = {"positivity_evidence": bool(positive)}
     best = family.evaluate(chart, *params)

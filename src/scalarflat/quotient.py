@@ -16,6 +16,9 @@ from .chart import AXISYM, Chart, ScalarField
 from .errors import ChartError, ScalarFlatError
 from .metrics import MetricField, _density
 
+#: a trial bump narrower than this many grid cells in s is not resolved
+MIN_TRIAL_CELLS = 2
+
 
 @dataclass(frozen=True)
 class TrialFamily:
@@ -45,6 +48,12 @@ class TrialFamily:
 
     def parameters(self):
         return [(c, w) for c in self.centers for w in self.widths]
+
+    def resolved(self, chart: Chart):
+        """The parameters whose bump spans at least ``MIN_TRIAL_CELLS``
+        cells in s; near r = center its s-width is width / center^2."""
+        return [(c, w) for c, w in self.parameters()
+                if w / c ** 2 >= MIN_TRIAL_CELLS * chart.ds]
 
     def evaluate(self, chart: Chart, center: float, width: float) -> ScalarField:
         """The radial profile at every node, the same in each theta column."""
@@ -116,21 +125,25 @@ def rayleigh_quotient(g: MetricField, f: ScalarField) -> float:
 
 def estimate_sobolev_quotient(g: MetricField, family: TrialFamily,
                               budget: int = 100):
-    """Minimum quotient over the family within an evaluation budget.
+    """Minimum quotient over the family's resolved trials within an
+    evaluation budget.
 
-    Deterministic: parameters are scanned in declaration order and ties go
-    to the lowest index.  Returns (Q_upper, (center, width), positivity
+    A trial under ``MIN_TRIAL_CELLS`` cells in s is skipped, not evaluated:
+    its quotient is a discretization artifact, not an upper bound.
+    Deterministic: trials are scanned in declaration order and ties go to
+    the lowest index.  Returns (Q_upper, (center, width), positivity
     evidence flag).
     """
     if budget <= 0:
         raise ScalarFlatError("budget must be positive")
+    trials = family.resolved(g.chart)[:budget]
+    if not trials:
+        raise ScalarFlatError(f"no trial spans {MIN_TRIAL_CELLS} cells in s "
+                              "on this grid")
     best = None
     best_params = None
-    for k, (c, w) in enumerate(family.parameters()):
-        if k >= budget:
-            break
-        trial = family.evaluate(g.chart, c, w)
-        q = rayleigh_quotient(g, trial)
+    for c, w in trials:
+        q = rayleigh_quotient(g, family.evaluate(g.chart, c, w))
         if best is None or q < best:
             best, best_params = q, (c, w)
     return best, best_params, best > 0.0

@@ -240,6 +240,30 @@ def test_axisym_quotient_close_to_radial(tmp_path):
     assert q["201x33"] == pytest.approx(q["201"], rel=0.01)
 
 
+def test_quotient_skips_unresolved_trials(tmp_path):
+    # on 41 s nodes the (8, 0.5) bump is a third of a cell wide in s and
+    # used to win the minimum; the report counts the trials it skipped
+    code, report, _ = run(tmp_path / "coarse", "--mode", "quotient",
+                          "--grid", "41x9")
+    assert code == 0
+    params = (report["extrema"]["argmin_center"],
+              report["extrema"]["argmin_width"])
+    assert params != (8.0, 0.5)
+    assert report["iterations"]["trials_skipped"] == 5
+    code, report, _ = run(tmp_path / "fine", "--mode", "quotient",
+                          "--grid", "401")
+    assert code == 0 and report["iterations"]["trials_skipped"] == 0
+
+
+def test_quotient_with_every_trial_skipped_is_config_error(tmp_path):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"mode": "quotient", "grid": "41",
+                                "family": {"centers": [8.0],
+                                           "widths": [0.5, 1.0]}}))
+    code, report, _ = run(tmp_path, "--config", str(path))
+    assert code == 2 and report is None
+
+
 def _json_file(directory, doc):
     path = directory / "metric.json"
     path.write_text(json.dumps(doc))

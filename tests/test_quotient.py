@@ -118,6 +118,37 @@ def test_axisym_quotient_is_radial_times_sphere_weight(spec, ns, nt):
         assert q_axi == pytest.approx(q_rad * factor, rel=1e-12, abs=0.0)
 
 
+def test_unresolved_trials_are_not_evaluated(monkeypatch):
+    # on 41 s nodes (h = 0.025) five default trials are under two cells
+    # wide in s, (8, 0.5) among them
+    g = flat_metric(Chart.radial(3, 41))
+    family = TrialFamily()
+    assert (8.0, 0.5) not in family.resolved(g.chart)
+    assert len(family.resolved(g.chart)) == len(family.parameters()) - 5
+    seen = []
+    evaluate = TrialFamily.evaluate
+    monkeypatch.setattr(TrialFamily, "evaluate",
+                        lambda self, chart, c, w: seen.append((c, w))
+                        or evaluate(self, chart, c, w))
+    _, params, _ = estimate_sobolev_quotient(g, family)
+    assert seen == family.resolved(g.chart) and params != (8.0, 0.5)
+    with pytest.raises(ScalarFlatError):
+        estimate_sobolev_quotient(g, TrialFamily(centers=(8.0,)))
+
+
+@pytest.mark.parametrize("ns", [401, 801])
+def test_nothing_skipped_from_401_nodes(ns):
+    # the minimum over the whole family, bit for bit
+    g = metric_from_spec("conformal:1,0,1", Chart.radial(3, ns))
+    family = TrialFamily()
+    assert family.resolved(g.chart) == family.parameters()
+    quotients = [rayleigh_quotient(g, family.evaluate(g.chart, c, w))
+                 for c, w in family.parameters()]
+    q, params, _ = estimate_sobolev_quotient(g, family)
+    assert q == min(quotients)
+    assert params == family.parameters()[int(np.argmin(quotients))]
+
+
 def test_quotient_is_second_order():
     family = TrialFamily()
     q = {ns: estimate_sobolev_quotient(
