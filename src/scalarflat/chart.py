@@ -19,6 +19,12 @@ from .errors import ChartError
 RADIAL = "radial-1D"
 AXISYM = "axisymmetric-2D"
 
+#: charts at most this many nodes across keep the natural order of their
+#: interior in ``boundary_last_order``: its band fills less than dissection
+#: up to 11 nodes, and more from 13 on (LU fill against minimum degree's:
+#: 1.38x against 1.58x at 41x9, 3.32x against 1.34x at 201x65)
+BAND_NT = 12
+
 
 def sphere_area(n: int) -> float:
     """Surface area of the unit (n-1)-sphere in R^n."""
@@ -31,6 +37,29 @@ def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
     w[:-1] += 0.5 * dx
     w[1:] += 0.5 * dx
     return w
+
+
+def _dissection(rows: int, cols: int, stride: int) -> np.ndarray:
+    """Nested-dissection order (A. George, SIAM J. Numer. Anal. 10 (1973)
+    345-363) of a rows x cols box of a row-major grid, as flat offsets: the
+    longer side (rows on ties) is split at its middle line, and the
+    separator comes after both halves.  A box one node wide keeps natural
+    order.  Boxes of one shape share their relative order."""
+    memo = {}
+
+    def order(m, n, sm, sn):  # m x n nodes with strides sm and sn
+        if (m, sm) < (n, sn):
+            return order(n, m, sn, sm)
+        if (m, n, sm) not in memo:
+            k = m // 2
+            memo[m, n, sm] = (np.arange(m * n) * sm if n <= 1 else
+                              np.concatenate([order(k, n, sm, sn),
+                                              order(m - k - 1, n, sm, sn)
+                                              + (k + 1) * sm,
+                                              k * sm + np.arange(n) * sn]))
+        return memo[m, n, sm]
+
+    return order(rows, cols, stride, 1)
 
 
 def _uniform_step(x: np.ndarray, name: str) -> float:
@@ -107,6 +136,7 @@ class Chart:
         self.r.flags.writeable = False
         self._weights = None
         self._flat_laplacian = None
+        self._order = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -141,6 +171,21 @@ class Chart:
         s = 0 node, where s^p has no finite value for p < 0."""
         s = self.s_col
         return np.where(s > 0, np.where(s > 0, s, 1.0) ** p, at_infinity)
+
+    @property
+    def boundary_last_order(self) -> np.ndarray:
+        """Node order, by flat index, of an LU that eliminates the r = 1
+        level last: the s = 0 level, the interior by ``_dissection`` (in
+        natural order up to ``BAND_NT`` nodes across, so the identity on
+        radial charts), then r = 1.  Built once per chart, read-only."""
+        if self._order is None:
+            nt, N = self.nt, self.num_nodes
+            self._order = np.arange(N)
+            if nt > BAND_NT:
+                self._order[nt:N - nt] = nt + _dissection(self.s.size - 2,
+                                                          nt, nt)
+            self._order.flags.writeable = False
+        return self._order
 
     # -- quadrature --------------------------------------------------------
 

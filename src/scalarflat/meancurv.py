@@ -16,8 +16,8 @@ import numpy as np
 
 from .chart import BoundaryField, ScalarField
 from .dirichlet import solve_conformal_factor
-from .elliptic import (DirichletBC, Factorization, LinearProblem, RobinBC,
-                       assemble, constant_field, solve_linear)
+from .elliptic import (Factorization, LinearProblem, RobinBC, assemble,
+                       constant_field)
 from .errors import (BarrierError, NoSupersolutionError, NonConvergenceError,
                      PositivityError, ScalarFlatError, SolveError, StageError)
 from .metrics import (MetricField, boundary_mean_curvature,
@@ -30,17 +30,18 @@ from .weighted import decay_report
 #: feasible mean curvature take about 10 steps
 MAX_MONOTONE_STEPS = 50
 
-#: values (rows x columns) per block of the unit-data solve, 8 MB a copy:
-#: radial grids and axisymmetric grids up to 201x65 take one block, 401x129
-#: seven blocks of up to 20 columns (one block there peaked 310 MB higher;
-#: 2^18 and 2^22 values were slower)
-BLOCK_VALUES = 1 << 20
+#: weight c0 of the Robin system du/deta + c0 u = datum whose one LU on the
+#: minimal background serves the barrier, the boundary map for every weight
+#: c >= c0 and the final solve: the floor of ``stabilization_weight``
+BASE_WEIGHT = 1.0
 
 #: |F| counts as rounding, and Newton stops, when it is at most this many
 #: units in the last place of the largest term of u_b - x0_b - X_b h(u_b);
 #: Newton's answers reach 0-2 units, and the nt-term sums of X_b h need
-#: room.  For f = 0, u_- = 1 is the answer, and F(1) is the forward error
-#: of x0_b + c X_b 1 = 1: 58 units on radial 101, 20 on 41x9
+#: room.  For f = 0, u_- = 1 is the answer, and F(1) is the rounding of
+#: x0_b = 1 - c X_b 1 (constants solve the c-Robin problem with datum c
+#: and limit 1): 0 and 0.5 units on radial 101 and 41x9.  The final
+#: solve's r = 1 values match u_b within the same bound
 ROUNDING_ULPS = 64
 
 
@@ -130,21 +131,46 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
     return ghat, phi, report
 
 
+def robin_factors(g: MetricField):
+    """The boundary-last LU of the harmonic Robin system du/deta + c0 u =
+    datum on g and its ``boundary_inverse`` X_b, built once per metric."""
+    if g.robin_factors is None:
+        chart = g.chart
+        lu = Factorization(assemble(LinearProblem(
+            metric=g, a=1.0, c=constant_field(chart, 0.0),
+            src=constant_field(chart, 0.0),
+            bc=RobinBC(gamma=BoundaryField.constant(chart, BASE_WEIGHT),
+                       h=BoundaryField.constant(chart, 0.0)),
+            limit=1.0)), boundary_last=True)
+        X_b = lu.boundary_inverse()
+        X_b.flags.writeable = False
+        g.robin_factors = (lu, X_b)
+    return g.robin_factors
+
+
 def harmonic_unit(g: MetricField, tol: float = 1e-10):
     """Harmonic barrier: Delta_g v = 0, v = 1 at r=1, v -> 0 at infinity.
+
+    One solve on the LU of ``robin_factors``: Robin datum h = X_b^-1 1 and
+    limit 0 give r = 1 values 1, so the answer is v, and its Robin row,
+    ``normal_derivative`` plus c0 v, gives dv/deta = h - c0 v.  X_b comes
+    from no gated solve, so v must be 1 on r = 1 within 1e-8, the slack of
+    the bound v <= 1 (its error is up to ~1e-12; ``tol`` bounds backward
+    errors only).
 
     Requires the metric to be (numerically) scalar-flat.  Enforces the
     maximum-principle bounds 0 < v <= 1 and dv/deta > 0; violations signal
     discretization error.
     """
-    chart = g.chart
-    problem = LinearProblem(
-        metric=g, a=1.0, c=constant_field(chart, 0.0),
-        src=constant_field(chart, 0.0),
-        bc=DirichletBC(BoundaryField.constant(chart, 1.0)),
-        limit=0.0)
-    result = solve_linear(problem, tol=tol)
-    v = result.solution
+    lu, X_b = robin_factors(g)
+    h = np.linalg.solve(X_b, np.ones(X_b.shape[0]))
+    rhs = np.zeros(lu.scale.size)
+    rhs[-h.size:] = h
+    v = lu.solve(rhs, tol=tol).solution
+    miss = float(np.max(np.abs(v.boundary_values() - 1.0)))
+    if not miss <= 1e-8:
+        raise SolveError(f"harmonic barrier misses 1 on r = 1 by {miss:.3g}: "
+                         "inaccurate boundary block X_b of the Robin LU")
     vals = v.values
     eps = 1e-12
     if np.min(vals[1:]) <= 0.0 or np.max(vals) > 1.0 + 1e-8:
@@ -153,7 +179,7 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10):
             f"(range [{vals.min():.3g}, {vals.max():.3g}]); refine the grid")
     if np.max(np.abs(vals[0])) > eps:
         raise SolveError("harmonic barrier limit at infinity not met")
-    dv = normal_derivative(g, v)
+    dv = BoundaryField(g.chart, h - BASE_WEIGHT * v.boundary_values())
     if np.min(dv.values) <= 0.0:
         raise SolveError("dv/deta not positive; refine the grid")
     return v, dv
@@ -254,38 +280,27 @@ def stabilization_weight(pair: SubSuperPair) -> float:
     return max(1.0, float(np.max(slope)))
 
 
-def boundary_responses(lu: Factorization, rhs: np.ndarray, nt: int,
-                       tol: float, slack: float):
-    """Boundary rows of the answers to the zero-datum system and to unit
-    Robin data on each boundary node: x0_b (nt,) and X_b (nt, nt).
+def robin_responses(g: MetricField, c: float, slack: float):
+    """x0_b (nt,) and X_b (nt, nt): the r = 1 values of the answers to the
+    Robin problem du/deta + c u = h, limit 1, on g for h = 0 and for unit
+    data on each boundary node, c >= BASE_WEIGHT, with no sparse solve:
+    X_b(c) = K^-1 X_b(c0) with K = I + (c - c0) X_b(c0), and
+    x0_b = 1 - c X_b 1, as constants solve the problem with datum c.
 
-    The nt + 1 right-hand sides are solved in blocks of at most
-    ``BLOCK_VALUES`` values, and only each block's last nt rows are kept,
-    so memory does not grow as N nt.  Each block checks X >= -slack on
-    every node: that inverse positivity, with h increasing, is what makes
-    u_- <= u <= u_+ a certificate.  Returns (x0_b, X_b, LU solves).
+    X_b >= -slack is checked on the nt x nt block, and that is X >= 0 on
+    the grid: a response is 0 at s = 0 and a weighted mean of its
+    neighbours on interior rows (positive off-diagonals, L 1 = 0; see
+    ``dirichlet``), so by the discrete maximum principle it is nowhere
+    below its r = 1 values.  With h increasing, that makes u_- <= u <= u_+
+    a certificate.
     """
-    N = rhs.size
-    width = max(1, BLOCK_VALUES // N)
-    kept = np.empty((nt, nt + 1))
-    solves = 0
-    for start in range(0, nt + 1, width):
-        cols = np.arange(start, min(start + width, nt + 1))
-        block = np.zeros((N, cols.size))
-        units = cols[cols > 0]  # column j is unit data on Robin row j - 1
-        block[N - nt - 1 + units, units - start] = 1.0
-        if start == 0:
-            block[:, 0] = rhs
-        result = lu.solve(block, tol=tol)
-        x = result.solution
-        if units.size and np.min(x[:, units - start]) < -slack:
-            raise SolveError(
-                f"monotonicity violated: Robin response "
-                f"{np.min(x[:, units - start]):.3g} < 0; "
-                "discretization or stabilization-weight error")
-        kept[:, cols] = x[-nt:]
-        solves += result.iterations * cols.size
-    return kept[:, 0], kept[:, 1:], solves
+    X0 = robin_factors(g)[1]
+    X = np.linalg.solve(np.eye(X0.shape[0]) + (c - BASE_WEIGHT) * X0, X0)
+    if np.min(X) < -slack:
+        raise SolveError(
+            f"monotonicity violated: Robin response {np.min(X):.3g} < 0; "
+            "discretization or stabilization-weight error")
+    return 1.0 - c * X.sum(axis=1), X
 
 
 def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
@@ -297,9 +312,9 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     (``stabilization_weight`` gives c).  Only the boundary datum is
     nonlinear, and it enters linearly: the answer to datum h is x0 + X h,
     where x0 solves the system with h = 0 and the columns of the N x nt
-    block X are the responses to unit Robin data.  One factorization and
-    the block solve of ``boundary_responses`` give their boundary rows.
-    The boundary values u_b then solve
+    block X are the responses to unit Robin data.  ``robin_responses``
+    gives their boundary rows from the LU of ``harmonic_unit`` on g, so
+    this stage factors nothing after it.  The boundary values u_b solve
 
         F(u_b) = u_b - x0_b - X_b h(u_b) = 0,
 
@@ -309,8 +324,10 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     largest term of F.  It takes no step when F(u_-) is already rounding,
     and raises ``NonConvergenceError`` when F is not after
     ``MAX_MONOTONE_STEPS`` steps.  One more sparse solve with the last
-    datum gives the full u.  ``tol`` bounds the backward error of every
-    sparse solve.
+    datum gives the full u.  That solve is refined and X_b is not: when
+    its r = 1 values miss u_b by more than rounding, they give an accurate
+    F(u_b) for one more Newton step and solve (``iterations.corrections``).
+    ``tol`` bounds the backward error of every sparse solve.
 
     Existence is the paper's sub/supersolution argument, checked on the
     discrete problem: X >= 0 (up to the slack) and h increasing on the
@@ -318,6 +335,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     a fixed point between u_- and u_+.  Newton is a faster way to find it,
     so every step's boundary values must stay in that sandwich, and the
     answer is accepted only in the sandwich on the whole grid and positive.
+    The margins skip s = 0, where u, u_- and u_+ are all 1.
     Each failure raises, so the report has no checks: ``barrier`` carries
     the sandwich margins, and ``decay`` the far-field fit of u - 1.
     For f >= 0 and beta > 1, h is convex, so F is concave and Newton from
@@ -328,7 +346,6 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     at the discrete existence threshold.
     """
     t0 = time.perf_counter()
-    chart = g.chart
     beta = pair.beta
     fv = pair.f.values
     nt = fv.size
@@ -339,19 +356,18 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
         raise SolveError("h(u) = f u^beta + c u decreases on the barrier "
                          "range; stabilization-weight error")
 
-    system = assemble(LinearProblem(
-        metric=g, a=1.0, c=constant_field(chart, 0.0),
-        src=constant_field(chart, 0.0),
-        bc=RobinBC(gamma=BoundaryField.constant(chart, c_weight),
-                   h=BoundaryField.constant(chart, 0.0)),
-        limit=1.0))
-    lu = Factorization(system)
-    x0, X, block_solves = boundary_responses(lu, system.rhs, nt, tol,
-                                             monotone_slack)
+    lu = robin_factors(g)[0]
+    x0, X = robin_responses(g, c_weight, monotone_slack)
     abs_X = np.abs(X)
 
     def jacobian(u):
         return np.eye(nt) - X * (beta * fv * u ** (beta - 1.0) + c_weight)
+
+    def newton_step(u, minus_F, when):
+        try:
+            return np.linalg.solve(jacobian(u), minus_F)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(f"singular Newton Jacobian {when}") from exc
 
     lower = pair.u_minus.boundary_values()
     upper = pair.u_plus.boundary_values()
@@ -363,19 +379,15 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
         minus_F = x0 + X @ h - u
         boundary_map = float(np.max(np.abs(minus_F)))
         terms = np.abs(u) + np.abs(x0) + abs_X @ np.abs(h)
-        if boundary_map <= (ROUNDING_ULPS * np.finfo(float).eps
-                            * float(np.max(terms))):
+        stop = ROUNDING_ULPS * np.finfo(float).eps * float(np.max(terms))
+        if boundary_map <= stop:
             break
         if it == MAX_MONOTONE_STEPS:
             raise NonConvergenceError(
                 "Newton on the boundary map did not converge in "
                 f"{MAX_MONOTONE_STEPS} steps (|F| = {boundary_map:.3g})",
                 history=history)
-        try:
-            delta = np.linalg.solve(jacobian(u), minus_F)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(
-                f"singular Newton Jacobian at step {it + 1}") from exc
+        delta = newton_step(u, minus_F, f"at step {it + 1}")
         u = u + delta
         history.append(float(np.max(np.abs(delta))))
         min_increment = min(min_increment, float(np.min(delta)))
@@ -384,13 +396,24 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
             raise SolveError(
                 f"barrier sandwich violated at Newton step {it + 1}")
 
+    def final_solve(u):  # the datum of u_b on the c0 system, limit 1
+        rhs = np.zeros(lu.scale.size)
+        rhs[:nt], rhs[-nt:] = 1.0, fv * u ** beta + BASE_WEIGHT * u
+        return lu.solve(rhs, tol=tol)
+
     fold_margin = float(np.linalg.svd(jacobian(u), compute_uv=False)[-1])
-    rhs = system.rhs.copy()
-    rhs[-nt:] = h  # the Robin rows
-    final = lu.solve(rhs, tol=tol)
+    final = final_solve(u)
+    linear, corrections = final.iterations, 0
+    gap = final.solution.boundary_values() - u
+    if np.max(np.abs(gap)) > stop:
+        # F(u_b) = K^-1 (u_b - w_b), K^-1 = I - (c - c0) X_b(c)
+        u = u + newton_step(u, gap - (c_weight - BASE_WEIGHT) * X @ gap,
+                            "at the final correction")
+        final = final_solve(u)
+        linear, corrections = linear + final.iterations, 1
     u = final.solution
-    low = float(np.min(u.values - pair.u_minus.values))
-    high = float(np.max(u.values - pair.u_plus.values))
+    low = float(np.min(u.values[1:] - pair.u_minus.values[1:]))
+    high = float(np.max(u.values[1:] - pair.u_plus.values[1:]))
     if low < -monotone_slack or high > monotone_slack:
         raise SolveError("barrier sandwich violated by the final iterate "
                          f"(margins {low:.3g}, {high:.3g})")
@@ -409,7 +432,8 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     }
     report.iterations = {
         "monotone": len(history),
-        "linear": block_solves + final.iterations,
+        "linear": linear,
+        "corrections": corrections,
         "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),

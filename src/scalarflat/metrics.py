@@ -80,6 +80,7 @@ class MetricField:
         # computed on first use; the metric is immutable
         self._laplacian = None
         self._curvature = None
+        self.robin_factors = None  # kept by meancurv.robin_factors
 
     def laplacian(self):
         """Sparse Delta_g from ``build_laplace_matrix``, built once per

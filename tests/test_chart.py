@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from scalarflat import BoundaryField, Chart, ChartError, ScalarField
-from scalarflat.chart import sphere_area
+from scalarflat.chart import BAND_NT, sphere_area
 
 
 def test_sphere_area_values():
@@ -127,3 +127,28 @@ def test_boundary_field_constant():
     b = BoundaryField.constant(c, 2.5)
     assert b.values.shape == (9,)
     assert np.all(b.values == 2.5)
+
+
+@pytest.mark.parametrize("chart", [Chart.radial(3, 41),
+                                   Chart.axisymmetric(41, 9),
+                                   Chart.axisymmetric(41, 13),
+                                   Chart.axisymmetric(201, 65)],
+                         ids=["radial", "axisym-41x9", "axisym-41x13",
+                              "axisym-201x65"])
+def test_boundary_last_order(chart):
+    # a permutation with the s = 0 level first and the r = 1 level last;
+    # natural up to BAND_NT nodes across, else the middle interior level is
+    # the last separator of the dissection
+    order = chart.boundary_last_order
+    N, nt = chart.num_nodes, chart.nt
+    assert np.array_equal(np.sort(order), np.arange(N))
+    assert np.array_equal(order[:nt], np.arange(nt))
+    assert np.array_equal(order[-nt:], np.arange(N - nt, N))
+    if nt <= BAND_NT:
+        assert np.array_equal(order, np.arange(N))
+    else:
+        middle = 1 + (chart.s.size - 2) // 2
+        assert np.array_equal(order[-2 * nt:-nt],
+                              np.arange(middle * nt, (middle + 1) * nt))
+    assert chart.boundary_last_order is order
+    assert not order.flags.writeable

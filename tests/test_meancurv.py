@@ -10,12 +10,14 @@ from scalarflat import (AXISYM, RADIAL, BarrierError, BoundaryField, Chart,
                         reduce_to_minimal, rho_threshold, solve_nonlinear_robin)
 import scalarflat.meancurv as meancurv
 from scalarflat.cli import parse_f
-from scalarflat.elliptic import (Factorization, LinearProblem, RobinBC,
-                                 assemble, constant_field)
+from scalarflat.elliptic import Factorization
 from scalarflat.errors import SolveError
 from scalarflat.meancurv import boundary_defect
 from scalarflat.metrics import conformal_law_coefficient
 from monotone_reference import full_grid_monotone_loop
+import robin_reference
+from robin_reference import (dirichlet_harmonic_unit, reference_responses,
+                             robin_system)
 
 
 #: Picard stopping tolerance of the radial 1601 references: there the full
@@ -246,11 +248,10 @@ def test_monotone_iterate_validates_pair():
                                                           abs=1e-3)
 
 
-def test_monotone_iterate_factorizes_once(monkeypatch):
+def test_one_factorization_per_background(monkeypatch):
+    # the barrier factors the c0-Robin system on g once; the boundary map
+    # and the final solve reuse that LU, whatever the weight c
     c = Chart.radial(3, 201)
-    g = flat_metric(c)
-    v, dv = harmonic_unit(g)
-    pair = build_sub_super(v, dv, BoundaryField.constant(c, 0.1), 3.0)
     calls = {"assemble": 0, "Factorization": 0}
 
     def counting(name):
@@ -263,8 +264,14 @@ def test_monotone_iterate_factorizes_once(monkeypatch):
 
     for name in calls:
         monkeypatch.setattr(meancurv, name, counting(name))
-    sol = monotone_iterate(pair, g)
+    solve_nonlinear_robin(flat_metric(c), BoundaryField.constant(c, 0.1), 3.0)
     assert calls == {"assemble": 1, "Factorization": 1}
+    g = flat_metric(c)
+    v, dv = harmonic_unit(g)
+    assert calls == {"assemble": 2, "Factorization": 2}
+    pair = build_sub_super(v, dv, BoundaryField.constant(c, 0.1), 3.0)
+    sol = monotone_iterate(pair, g)
+    assert calls == {"assemble": 2, "Factorization": 2}
     u_ref = full_grid_monotone_loop(pair, g, tol=1e-13)[0]
     assert np.max(np.abs(sol.u.values - u_ref.values)) <= 1e-10
     # f >= 0: Newton from the subsolution increases at every step
@@ -273,6 +280,11 @@ def test_monotone_iterate_factorizes_once(monkeypatch):
         sol.report.iterations["increments"])
     assert "monotone" not in barrier
     assert_boundary_map_at_rounding(sol.report)
+    # a pair whose weight is above c0 reuses the LU too
+    neg = build_sub_super(v, dv, BoundaryField.constant(c, -1.0), 3.0)
+    assert meancurv.stabilization_weight(neg) > meancurv.BASE_WEIGHT
+    monotone_iterate(neg, g)
+    assert calls == {"assemble": 2, "Factorization": 2}
 
 
 def _pair(chart, spec="flat", f=None, target=None):
@@ -360,19 +372,14 @@ def test_stabilization_weight_covers_negative_f(monkeypatch):
 
 
 def test_blocked_responses_match_one_block(monkeypatch):
-    # the unit-data columns solved 3 at a time, keeping only their boundary
-    # rows, give the x0_b and X_b of the one-block solve
+    # the reference's unit-data columns solved 3 at a time, keeping only
+    # their boundary rows, give the x0_b and X_b of the one-block solve
     chart = Chart.axisymmetric(41, 9)
     N, nt = chart.num_nodes, chart.nt
-    system = assemble(LinearProblem(
-        metric=flat_metric(chart), a=1.0, c=constant_field(chart, 0.0),
-        src=constant_field(chart, 0.0),
-        bc=RobinBC(gamma=BoundaryField.constant(chart, 2.0),
-                   h=BoundaryField.constant(chart, 0.0)),
-        limit=1.0))
+    system = robin_system(flat_metric(chart), 2.0)
     lu = Factorization(system)
-    x0, X, solves = meancurv.boundary_responses(lu, system.rhs, nt,
-                                                1e-11, 1e-9)
+    x0, X, solves = robin_reference.boundary_responses(lu, system.rhs, nt,
+                                                       1e-11, 1e-9)
     widths = []
     solve = Factorization.solve
 
@@ -381,9 +388,9 @@ def test_blocked_responses_match_one_block(monkeypatch):
         return solve(self, rhs, tol=tol)
 
     monkeypatch.setattr(Factorization, "solve", counting)
-    monkeypatch.setattr(meancurv, "BLOCK_VALUES", 3 * N)
-    x0_b, X_b, solves_b = meancurv.boundary_responses(lu, system.rhs, nt,
-                                                      1e-11, 1e-9)
+    monkeypatch.setattr(robin_reference, "BLOCK_VALUES", 3 * N)
+    x0_b, X_b, solves_b = robin_reference.boundary_responses(
+        lu, system.rhs, nt, 1e-11, 1e-9)
     assert widths == [3, 3, 3, 1]
     assert solves_b == solves == 2 * (nt + 1)
     assert np.max(np.abs(x0_b - x0)) <= 1e-13
@@ -391,13 +398,15 @@ def test_blocked_responses_match_one_block(monkeypatch):
     assert np.min(X) > 0.0
 
 
-@pytest.mark.parametrize("chart,f", [(Chart.radial(3, 201), -1.0),
-                                     (Chart.radial(3, 201), 0.1),
-                                     (Chart.axisymmetric(41, 9), 0.1)],
-                         ids=["radial-1-step", "radial-5-steps", "axisym"])
-def test_monotone_iterate_makes_two_solves(monkeypatch, chart, f):
-    # one block solve for x0 and X, one full solve for the final u,
-    # whatever the step count (1 Newton step at f = -1, 5 at f = 0.1)
+@pytest.mark.parametrize("chart,f,corrections", [
+    (Chart.radial(3, 41), -1.0, 0), (Chart.radial(3, 201), -1.0, 1),
+    (Chart.radial(3, 201), 0.1, 1),
+    (Chart.axisymmetric(201, 33), "cos:0.05,0.02", 1)],
+    ids=["radial-41", "radial-201-1-step", "radial-201-4-steps", "axisym"])
+def test_monotone_iterate_linear_count(monkeypatch, chart, f, corrections):
+    # one full solve for the final u, whatever the step count, and one
+    # more where its r = 1 values miss u_b by more than rounding: 14x
+    # below that bound on radial 41, 6.6-17x above it on the others
     pair, g = _pair(chart, f=f)
     calls = []
     solve = Factorization.solve
@@ -408,21 +417,64 @@ def test_monotone_iterate_makes_two_solves(monkeypatch, chart, f):
 
     monkeypatch.setattr(Factorization, "solve", counting)
     sol = monotone_iterate(pair, g)
-    N, nt = chart.num_nodes, chart.nt
-    assert calls == [(N, nt + 1), (N,)]
-    assert sol.report.iterations["linear"] == 2 * (nt + 1) + 2
+    assert calls == [(chart.num_nodes,)] * (1 + corrections)
+    assert sol.report.iterations["corrections"] == corrections
+    assert sol.report.iterations["linear"] == 2 * (1 + corrections)
 
 
-def test_negative_robin_response_raises(monkeypatch):
+def test_negative_robin_response_raises():
     pair, g = _pair(Chart.axisymmetric(41, 9), f=0.1)
-    solve = Factorization.solve
-
-    def one_negative(self, rhs, tol=1e-10):
-        result = solve(self, rhs, tol=tol)
-        if np.ndim(rhs) == 2:
-            result.solution[100, 3] = -1e-6  # a response column of X
-        return result
-
-    monkeypatch.setattr(Factorization, "solve", one_negative)
+    lu, X_b = meancurv.robin_factors(g)
+    bad = X_b.copy()
+    bad[3, 5] = -1e-6  # a response the barrier gate did not see
+    g.robin_factors = (lu, bad)
     with pytest.raises(SolveError, match="Robin response"):
         monotone_iterate(pair, g)
+
+
+def test_inaccurate_boundary_block_raises(monkeypatch):
+    # X_b comes from no gated solve: the barrier's r = 1 values catch it
+    inverse = Factorization.boundary_inverse
+    monkeypatch.setattr(Factorization, "boundary_inverse",
+                        lambda self: inverse(self) * (1.0 + 1e-6))
+    with pytest.raises(SolveError, match="boundary block X_b"):
+        harmonic_unit(flat_metric(Chart.axisymmetric(41, 9)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _pair(Chart.radial(3, 201), f=0.1),
+    lambda: _pair(Chart.radial(3, 1601), "conformal:1,0.8,0.8",
+                  target=0.049),
+    lambda: _pair(Chart.axisymmetric(41, 9), target=-1.0),
+    lambda: _pair(Chart.axisymmetric(201, 33), f="cos:0.05,0.02"),
+    lambda: _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6"),
+], ids=["radial-201", "radial-1601", "axisym-41x9", "axisym-201x33",
+        "axisym-81x17"])
+def test_barrier_and_responses_match_references(make):
+    # v and dv/deta of the Dirichlet system, and x0_b and X_b of nt + 1
+    # refined solves, for the pair's weight and one above it; the
+    # reference's full N x nt responses pass X >= -slack too
+    pair, g = make()
+    v_ref, dv_ref = dirichlet_harmonic_unit(g)
+    assert np.max(np.abs(pair.v.values - v_ref.values)) <= 1e-11
+    assert (np.max(np.abs(pair.dv_deta.values - dv_ref.values))
+            <= 1e-11 * np.max(np.abs(dv_ref.values)))
+    for c in (meancurv.stabilization_weight(pair), 2.5):
+        x0, X = meancurv.robin_responses(g, c, 1e-9)
+        x0_ref, X_ref = reference_responses(g, c, slack=1e-9)
+        assert np.max(np.abs(x0 - x0_ref)) <= 1e-11
+        assert np.max(np.abs(X - X_ref)) <= 1e-11 * np.max(np.abs(X_ref))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _pair(Chart.radial(3, 1601), "conformal:1,0.8,0.8",
+                  target=0.049),
+    lambda: _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6"),
+], ids=["radial-1601-t0.049", "axisym-81x17-mixed-sign"])
+def test_sandwich_margins_are_informative(make):
+    # over s > 0 the answer sits strictly between the barriers; the s = 0
+    # row, where all three are 1, would pin both margins at 0.0
+    pair, g = make()
+    barrier = monotone_iterate(pair, g).report.barrier
+    assert barrier["sandwich_margin_low"] > 0.0 > barrier[
+        "sandwich_margin_high"]
