@@ -146,9 +146,9 @@ class Chart:
         return cls(n, np.linspace(0.0, 1.0, num_s))
 
     @classmethod
-    def axisymmetric(cls, num_s: int, num_theta: int, n: int = 3) -> "Chart":
+    def axisymmetric(cls, num_s: int, num_theta: int) -> "Chart":
         """Uniform axisymmetric chart (n=3 only)."""
-        return cls(n, np.linspace(0.0, 1.0, num_s),
+        return cls(3, np.linspace(0.0, 1.0, num_s),
                    np.linspace(0.0, math.pi, num_theta))
 
     @property

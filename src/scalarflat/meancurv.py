@@ -44,6 +44,15 @@ BASE_WEIGHT = 1.0
 #: solve's r = 1 values match u_b within the same bound
 ROUNDING_ULPS = 64
 
+#: slack of the certificate u_- <= u <= u_+, X_b(c) >= 0
+SANDWICH_SLACK = 1e-9
+
+#: slack of the barrier bounds v <= 1 and v = 1 on r = 1
+BARRIER_SLACK = 1e-8
+
+#: width at which the bisection for alpha_- stops
+BISECT_TOL = 1e-12
+
 
 @dataclass
 class SubSuperPair:
@@ -58,31 +67,6 @@ class SubSuperPair:
     u_minus: ScalarField
     u_plus: ScalarField
     rho: BoundaryField | None
-
-    def validate(self, tol: float = 1e-8):
-        vv = self.v.values
-        # strict positivity holds away from the s=0 node, where v -> 0
-        if not (np.all(vv[1:] > 0.0) and np.all(vv >= 0.0)
-                and np.all(vv <= 1.0 + tol)):
-            raise BarrierError("barrier v must satisfy 0 < v <= 1")
-        if not np.all(self.dv_deta.values > 0.0):
-            raise BarrierError("dv/deta must be positive on the boundary")
-        if not (0.0 < self.alpha_minus <= 1.0 <= self.alpha_plus):
-            raise BarrierError(
-                f"need 0 < alpha_- <= 1 <= alpha_+, got "
-                f"({self.alpha_minus}, {self.alpha_plus})")
-        if np.any(self.u_minus.values > self.u_plus.values + tol):
-            raise BarrierError("u_- <= u_+ violated")
-        sub = boundary_defect(self.alpha_minus, self.dv_deta.values,
-                              self.f.values, self.beta)
-        sup = boundary_defect(self.alpha_plus, self.dv_deta.values,
-                              self.f.values, self.beta)
-        if np.max(sub) > tol:
-            raise BarrierError(f"subsolution defect positive ({np.max(sub):.3g})")
-        if np.min(sup) < -tol:
-            raise BarrierError(f"supersolution defect negative "
-                               f"({np.min(sup):.3g})")
-
 
 @dataclass
 class MeanCurvatureSolution:
@@ -154,9 +138,10 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10):
     One solve on the LU of ``robin_factors``: Robin datum h = X_b^-1 1 and
     limit 0 give r = 1 values 1, so the answer is v, and its Robin row,
     ``normal_derivative`` plus c0 v, gives dv/deta = h - c0 v.  X_b comes
-    from no gated solve, so v must be 1 on r = 1 within 1e-8, the slack of
-    the bound v <= 1 (its error is up to ~1e-12; ``tol`` bounds backward
-    errors only).
+    from no gated solve, so v must be 1 on r = 1 within ``BARRIER_SLACK``,
+    the slack of the bound v <= 1 (its error is up to ~1e-12; ``tol``
+    bounds backward errors only).  v = 0 at s = 0 exactly: those identity
+    rows are eliminated first, with diagonal pivots.
 
     Requires the metric to be (numerically) scalar-flat.  Enforces the
     maximum-principle bounds 0 < v <= 1 and dv/deta > 0; violations signal
@@ -168,17 +153,14 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10):
     rhs[-h.size:] = h
     v = lu.solve(rhs, tol=tol).solution
     miss = float(np.max(np.abs(v.boundary_values() - 1.0)))
-    if not miss <= 1e-8:
+    if not miss <= BARRIER_SLACK:
         raise SolveError(f"harmonic barrier misses 1 on r = 1 by {miss:.3g}: "
                          "inaccurate boundary block X_b of the Robin LU")
     vals = v.values
-    eps = 1e-12
-    if np.min(vals[1:]) <= 0.0 or np.max(vals) > 1.0 + 1e-8:
+    if np.min(vals[1:]) <= 0.0 or np.max(vals) > 1.0 + BARRIER_SLACK:
         raise SolveError(
             "harmonic barrier violates the maximum principle "
             f"(range [{vals.min():.3g}, {vals.max():.3g}]); refine the grid")
-    if np.max(np.abs(vals[0])) > eps:
-        raise SolveError("harmonic barrier limit at infinity not met")
     dv = BoundaryField(g.chart, h - BASE_WEIGHT * v.boundary_values())
     if np.min(dv.values) <= 0.0:
         raise SolveError("dv/deta not positive; refine the grid")
@@ -202,16 +184,24 @@ def rho_threshold(dv_deta: BoundaryField, beta: float):
 
 
 def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
-                    beta: float, bisect_tol: float = 1e-12) -> SubSuperPair:
+                    beta: float) -> SubSuperPair:
     """Construct the explicit barrier pair u_{+/-} = 1 - v + alpha v.
 
     The supersolution parameter is alpha_+ = beta/(beta-1) for beta > 1
     (requires f < rho nodewise); for f <= 0 any alpha_+ > 1 works and 2 is
     used.  The subsolution parameter is the largest admissible alpha in
     (0, 1], located by bisection on the worst-case boundary defect.
+    Only 0 <= v <= 1 needs a check: ``rho_threshold`` gates dv/deta > 0,
+    u_- <= u_+ as alpha_- <= alpha_+, the sub-defect is <= 0 as the
+    bisection's invariant and the super-defect >= 0 as f < rho.
     """
     if beta <= 0.0:
         raise BarrierError("beta must be positive")
+    vv = v.values
+    # strict positivity holds away from the s=0 node, where v -> 0
+    if not (np.all(vv[1:] > 0.0) and np.all(vv >= 0.0)
+            and np.all(vv <= 1.0 + BARRIER_SLACK)):
+        raise BarrierError("barrier v must satisfy 0 < v <= 1")
     fv = f.values
     dv = dv_deta.values
     rho = rho_threshold(dv_deta, beta)
@@ -247,7 +237,7 @@ def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
                     "bisection failure: no admissible subsolution parameter; "
                     f"defect at alpha->0 is {worst(1e-300):.3g}")
         hi = 1.0
-        while hi - lo > bisect_tol:
+        while hi - lo > BISECT_TOL:
             mid = 0.5 * (lo + hi)
             if worst(mid) <= 0.0:
                 lo = mid
@@ -256,13 +246,11 @@ def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
         alpha_minus = lo
 
     chart = v.chart
-    u_minus = ScalarField(chart, 1.0 - v.values + alpha_minus * v.values)
-    u_plus = ScalarField(chart, 1.0 - v.values + alpha_plus * v.values)
-    pair = SubSuperPair(v=v, dv_deta=dv_deta, beta=beta, f=f,
+    u_minus = ScalarField(chart, 1.0 - vv + alpha_minus * vv)
+    u_plus = ScalarField(chart, 1.0 - vv + alpha_plus * vv)
+    return SubSuperPair(v=v, dv_deta=dv_deta, beta=beta, f=f,
                         alpha_minus=alpha_minus, alpha_plus=alpha_plus,
                         u_minus=u_minus, u_plus=u_plus, rho=rho)
-    pair.validate()
-    return pair
 
 
 def stabilization_weight(pair: SubSuperPair) -> float:
@@ -303,8 +291,8 @@ def robin_responses(g: MetricField, c: float, slack: float):
     return 1.0 - c * X.sum(axis=1), X
 
 
-def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
-                     monotone_slack: float = 1e-9) -> MeanCurvatureSolution:
+def monotone_iterate(pair: SubSuperPair, g: MetricField,
+                     tol: float = 1e-10) -> MeanCurvatureSolution:
     """Solution between the barriers, by Newton on the boundary map.
 
     The problem is Delta_g u = 0, u -> 1 at infinity, with the stabilized
@@ -357,7 +345,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
                          "range; stabilization-weight error")
 
     lu = robin_factors(g)[0]
-    x0, X = robin_responses(g, c_weight, monotone_slack)
+    x0, X = robin_responses(g, c_weight, SANDWICH_SLACK)
     abs_X = np.abs(X)
 
     def jacobian(u):
@@ -391,8 +379,8 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
         u = u + delta
         history.append(float(np.max(np.abs(delta))))
         min_increment = min(min_increment, float(np.min(delta)))
-        if (np.min(u - lower) < -monotone_slack
-                or np.max(u - upper) > monotone_slack):
+        if (np.min(u - lower) < -SANDWICH_SLACK
+                or np.max(u - upper) > SANDWICH_SLACK):
             raise SolveError(
                 f"barrier sandwich violated at Newton step {it + 1}")
 
@@ -414,13 +402,14 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     u = final.solution
     low = float(np.min(u.values[1:] - pair.u_minus.values[1:]))
     high = float(np.max(u.values[1:] - pair.u_plus.values[1:]))
-    if low < -monotone_slack or high > monotone_slack:
+    if low < -SANDWICH_SLACK or high > SANDWICH_SLACK:
         raise SolveError("barrier sandwich violated by the final iterate "
                          f"(margins {low:.3g}, {high:.3g})")
     if np.any(u.values <= 0.0):
         raise PositivityError("iterate lost positivity")
     g_new = conformal_transform(g, u)
-    lap = (solve_residual_harmonicity(g, u))
+    # interior sup of Delta_g u: only boundary rows are nonlinear
+    lap = float(np.max(np.abs(laplace_beltrami(g, u).values[1:-1])))
     robin_resid = float(np.max(np.abs(
         normal_derivative(g, u).values - fv * u.boundary_values() ** beta)))
 
@@ -452,12 +441,6 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField, tol: float = 1e-10,
     report.decay = decay_report(u)
     report.timing = {"wall_s": time.perf_counter() - t0}
     return MeanCurvatureSolution(u=u, metric=g_new, report=report, pair=pair)
-
-
-def solve_residual_harmonicity(g: MetricField, u: ScalarField) -> float:
-    """Interior sup norm of Delta_g u (the iteration only moves boundary
-    rows, so this should stay at solver tolerance)."""
-    return float(np.max(np.abs(laplace_beltrami(g, u).values[1:-1])))
 
 
 def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,

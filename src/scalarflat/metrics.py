@@ -27,6 +27,9 @@ from .chart import AXISYM, RADIAL, BoundaryField, Chart, ScalarField
 from .errors import ChartError, DecayError, MetricError, PositivityError
 from .weighted import decay_fit
 
+#: how much slower than required a metric's measured decay rate q may be
+DECAY_RATE_SLACK = 0.25
+
 
 def conformal_law_coefficient(n: int) -> float:
     """Coefficient of du/deta in the sum-convention mean-curvature law."""
@@ -129,7 +132,7 @@ def conformal_metric(chart: Chart, u0, u0_coeffs=None) -> MetricField:
     return MetricField(chart, comps, conformal_phi=u0, u0_coeffs=u0_coeffs)
 
 
-def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField:
+def metric_from_spec(spec, chart: Chart) -> MetricField:
     """Instantiate a metric from a specification.
 
     Accepted forms:
@@ -142,8 +145,8 @@ def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField
       rate q (components - 1 = O(r^{-q})).
 
     Axisymmetric tables are decay-checked against the declared rate; a
-    measured rate slower than declared raises ``DecayError`` carrying the
-    measured value.
+    measured rate below it by more than DECAY_RATE_SLACK raises
+    ``DecayError`` carrying the measured value.
     """
     if isinstance(spec, str):
         spec = spec.strip()
@@ -182,7 +185,7 @@ def metric_from_spec(spec, chart: Chart, decay_tol: float = 0.25) -> MetricField
         if declared.ndim != 0:
             raise MetricError("axisym metric spec: 'decay' must be a number")
         g = MetricField(chart, np.stack(tables, axis=-1))
-        _check_decay(g, float(declared), decay_tol)
+        _check_decay(g, float(declared))
         return g
     raise MetricError(f"unknown metric spec kind {kind!r}")
 
@@ -201,15 +204,16 @@ def _spec_floats(spec: dict, key: str) -> np.ndarray:
     raise MetricError(f"{spec['kind']} metric spec: {key!r} is not finite")
 
 
-def _check_decay(g: MetricField, need: float, tol: float):
+def _check_decay(g: MetricField, need: float):
     """Decay fit of max |g - flat| over each s level (None for exact flat);
-    DecayError when the rate is below need - tol or there is no decay."""
+    DecayError when q < need - DECAY_RATE_SLACK or there is no decay."""
     c = g.chart
     dev = np.max(np.abs(g.comps - 1.0).reshape(c.s.size, -1), axis=1)
     if np.max(dev) < 1e-14:
         return None
     fit = decay_fit(ScalarField(Chart(c.n, c.s), dev))
-    if fit.status == "no-decay" or (fit.status == "ok" and fit.q < need - tol):
+    if fit.status == "no-decay" or (fit.status == "ok"
+                                    and fit.q < need - DECAY_RATE_SLACK):
         raise DecayError(
             f"metric is not asymptotically flat at the required rate "
             f"(measured q={fit.q:.3f}, need >= {need:.3f})",
@@ -478,7 +482,7 @@ def conformal_mean_curvature(g: MetricField, u: ScalarField) -> BoundaryField:
     return BoundaryField(g.chart, Ht)
 
 
-def check_asymptotic_flatness(g: MetricField, tol: float = 0.25):
+def check_asymptotic_flatness(g: MetricField):
     """Decay-rate check of g - flat; returns the fit (None for exact flat)."""
     # q >= n - 5/2 means o(r^{5/2-n}) membership
-    return _check_decay(g, g.chart.n - 2.5, tol)
+    return _check_decay(g, g.chart.n - 2.5)

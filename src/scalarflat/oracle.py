@@ -16,7 +16,11 @@ import numpy as np
 from .errors import SolveError
 
 
-def radial_dirichlet_yamabe(coeffs, n: int, s, tol: float = 1e-10):
+#: how far u0's leading coefficient may be from 1, its limit at infinity
+UNIT_LIMIT_TOL = 1e-10
+
+
+def radial_dirichlet_yamabe(coeffs, n: int, s):
     """Scalar-flattening conformal factor for g = u0^{4/(n-2)} * flat, with
     u0(r) = sum_k c_k r^{-k} = sum_k c_k s^k, at the nodes s = 1/r in [0, 1].
 
@@ -29,7 +33,7 @@ def radial_dirichlet_yamabe(coeffs, n: int, s, tol: float = 1e-10):
     u0 = np.polynomial.polynomial.polyval(s, coeffs)
     if np.any(u0 <= 0):
         raise SolveError("u0 must be positive")
-    if abs(coeffs[0] - 1.0) > tol:
+    if abs(coeffs[0] - 1.0) > UNIT_LIMIT_TOL:
         raise SolveError("u0 must tend to 1 at infinity")
     return (1.0 + (sum(coeffs) - 1.0) * s ** (n - 2)) / u0  # u0(1) = sum c_k
 
@@ -42,13 +46,13 @@ def mean_curvature_root_threshold(beta: float):
     return a_star / (1.0 + a_star) ** beta
 
 
-def radial_mean_curvature(f: float, beta: float, n: int,
-                          tol: float = 1e-12):
+def radial_mean_curvature(f: float, beta: float, n: int):
     """Radial solution u = 1 + a r^{2-n} of the nonlinear Robin problem.
 
-    Solves a (n-2) = f (1+a)^beta by safeguarded Newton for the root closest
-    to 0 on the physical branch (u > 0).  Returns (a, profile callable) or
-    None when no root exists on that branch.
+    Solves a (n-2) = f (1+a)^beta for the root closest to 0 on the physical
+    branch (u > 0): 1/(beta-1) at the threshold's double root, else by
+    bisection to adjacent doubles.  Returns (a, profile callable) or None
+    when no root exists on that branch.
     """
     if beta <= 0:
         raise ValueError("beta must be positive")
@@ -57,26 +61,23 @@ def radial_mean_curvature(f: float, beta: float, n: int,
     def g(a):
         return m * a - f * (1.0 + a) ** beta
 
-    def gp(a):
-        return m - f * beta * (1.0 + a) ** (beta - 1.0)
-
     if f == 0.0:
         a = 0.0
-    elif f > 0.0:
-        if beta > 1 and f / m > mean_curvature_root_threshold(beta):
+    elif f < 0.0:  # g(-1) = -m < 0 < g(0) = -f, and g increases
+        a = _bisect(g, -1.0, 0.0)
+    elif beta > 1:
+        a_star, limit = 1.0 / (beta - 1.0), mean_curvature_root_threshold(beta)
+        if f / m > limit:
             return None
-        # root in (0, a_crit]; bracket then bisect/Newton
-        hi = 1.0 / (beta - 1.0) if beta > 1 else 1.0
-        while beta <= 1 and g(hi) <= 0:
+        # a* is a double root at the threshold; below it g(0) < 0 < g(a*)
+        a = a_star if f / m == limit else _bisect(g, 0.0, a_star)
+    else:
+        hi = 1.0
+        while g(hi) <= 0:
             hi *= 2.0
             if hi > 1e12:
                 return None
-        a = _safeguarded_newton(g, gp, 0.0, hi, tol)
-    else:
-        # f < 0: root in (-1, 0)
-        a = _safeguarded_newton(g, gp, -1.0 + 1e-14, 0.0, tol)
-    if a is None:
-        return None
+        a = _bisect(g, 0.0, hi)
 
     def profile(r):
         return 1.0 + a * r ** (2.0 - n)
@@ -84,35 +85,13 @@ def radial_mean_curvature(f: float, beta: float, n: int,
     return a, profile
 
 
-def _safeguarded_newton(g, gp, lo, hi, tol, max_iter=200):
-    """Newton iteration with bisection fallback on a sign-change bracket."""
-    glo, ghi = g(lo), g(hi)
-    if glo == 0.0:
-        return lo
-    if ghi == 0.0:
-        return hi
-    if glo * ghi > 0:
-        # threshold (double-root) case: look for a tangency via the
-        # stationary point of g
-        from scipy.optimize import minimize_scalar
-        res = minimize_scalar(lambda a: abs(g(a)), bounds=(lo, hi),
-                              method="bounded",
-                              options={"xatol": 1e-14})
-        if abs(g(res.x)) < 1e-10:
-            return float(res.x)
-        return None
-    a = 0.5 * (lo + hi)
-    for _ in range(max_iter):
-        ga = g(a)
-        if abs(ga) < tol:
-            return float(a)
-        if glo * ga < 0:
-            hi = a
+def _bisect(g, lo, hi):
+    """Root of g in [lo, hi], g(lo) < 0 < g(hi), to adjacent doubles."""
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if g(mid) <= 0.0:
+            lo = mid
         else:
-            lo, glo = a, ga
-        d = gp(a)
-        step = a - ga / d if d != 0 else None
-        if step is None or not (lo < step < hi):
-            step = 0.5 * (lo + hi)
-        a = step
-    return float(a)
+            hi = mid

@@ -102,11 +102,13 @@ DECAY_WINDOW = 0.2
 DECAY_MIN_NODES = 8
 MIN_S_NODES = math.ceil(DECAY_MIN_NODES / DECAY_WINDOW) + 1
 
+#: relative deviation from the limit below which a field fits as constant
+CONSTANT_TOL = 1e-12
 
-def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
-              constant_tol: float = 1e-12) -> DecayFit:
+
+def decay_fit(u: ScalarField) -> DecayFit:
     """Least-squares decay-rate fit of the sphere mean of u over the far
-    region s in (0, s_max].
+    region s in (0, DECAY_WINDOW].
 
     The fit runs on the l = 0 profile (``Chart.sphere_mean``), which on a
     radial chart is u itself.  The limit u_inf is taken from the exact s=0
@@ -116,10 +118,10 @@ def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
     is relative to the field scale on the window.
     """
     c = u.chart
-    mask = (c.s > 0) & (c.s <= s_max)
+    mask = (c.s > 0) & (c.s <= DECAY_WINDOW)
     if mask.sum() < DECAY_MIN_NODES:
         raise ChartError(f"need at least {DECAY_MIN_NODES} nodes in the far "
-                         f"region s <= {s_max}")
+                         f"region s <= {DECAY_WINDOW}")
     profile = c.sphere_mean(u.values)
     s = c.s[mask]
     v = profile[mask]
@@ -127,7 +129,7 @@ def decay_fit(u: ScalarField, s_max: float = DECAY_WINDOW,
 
     dev = v - u_inf
     scale = max(np.max(np.abs(v)), 1.0)
-    if np.max(np.abs(dev)) <= constant_tol * scale:
+    if np.max(np.abs(dev)) <= CONSTANT_TOL * scale:
         return DecayFit(u_inf=u_inf, a=0.0, q=math.inf, residual=0.0,
                         status="constant")
 

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from scalarflat import (AXISYM, RADIAL, BarrierError, BoundaryField, Chart,
-                        NoSupersolutionError, boundary_mean_curvature,
+                        NoSupersolutionError, ScalarField,
+                        boundary_mean_curvature,
                         build_sub_super,
                         flat_metric, harmonic_unit, metric_from_spec,
                         monotone_iterate,
@@ -84,6 +85,43 @@ def test_build_sub_super_negative_f_bisects():
     pair = build_sub_super(v, dv, BoundaryField.constant(c, -1.0), 3.0)
     assert 0.0 < pair.alpha_minus < 1.0
     assert pair.alpha_plus == pytest.approx(2.0)
+
+
+def _flat_pair_below_rho(share):
+    """Pair on flat radial 201 for f = share * rho, nodewise."""
+    c = Chart.radial(3, 201)
+    v, dv = harmonic_unit(flat_metric(c))
+    rho = rho_threshold(dv, 3.0).values
+    return build_sub_super(v, dv, BoundaryField(c, share * rho), 3.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _pair(Chart.radial(3, 201), f=0.1)[0],
+    lambda: _pair(Chart.radial(3, 201), f=-1.0)[0],
+    lambda: _flat_pair_below_rho(0.99),
+    lambda: _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6")[0],
+], ids=["radial-201-f0.1", "radial-201-f-1", "radial-201-0.99rho",
+        "axisym-81x17-mixed-sign"])
+def test_pair_holds_by_construction(make):
+    # build_sub_super checks only 0 <= v <= 1; the rest follows from how
+    # it builds the pair, exactly and at every node
+    pair = make()
+    assert 0.0 < pair.alpha_minus <= 1.0 <= pair.alpha_plus
+    assert np.all(pair.u_minus.values <= pair.u_plus.values)
+    dv, fv = pair.dv_deta.values, pair.f.values
+    assert np.all(boundary_defect(pair.alpha_minus, dv, fv, pair.beta) <= 0.0)
+    assert np.all(boundary_defect(pair.alpha_plus, dv, fv, pair.beta) >= 0.0)
+    # the s = 0 identity rows are eliminated first: v's limit is exact
+    assert np.all(pair.v.values[0] == 0.0)
+
+
+def test_build_sub_super_rejects_v_out_of_range():
+    c = Chart.radial(3, 201)
+    v, dv = harmonic_unit(flat_metric(c))
+    f = BoundaryField.constant(c, 0.1)
+    for bad in (v.values * 1.01, v.values - 0.5):
+        with pytest.raises(BarrierError, match="0 < v <= 1"):
+            build_sub_super(ScalarField(c, bad), dv, f, 3.0)
 
 
 def test_no_supersolution_above_rho():

@@ -82,3 +82,36 @@ def test_dimension_dependence():
     # n=4: a * 2 = f (1+a)^beta
     a, _ = radial_mean_curvature(0.1, 3.0, 4)
     assert 2.0 * a == pytest.approx(0.1 * (1.0 + a) ** 3, abs=1e-11)
+
+
+#: 198 beta in (1.05, 8); the parent's Newton missed a* = 1/(beta - 1) by
+#: 4.1e-6 at beta = 1.2595477386934673, the threshold's double root
+THRESHOLD_BETAS = np.linspace(1.05, 8.0, 200)[1:-1]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_root_at_threshold_is_closed_form(n):
+    assert 1.2595477386934673 in THRESHOLD_BETAS
+    for beta in THRESHOLD_BETAS:
+        f = (n - 2) * mean_curvature_root_threshold(beta)
+        a, _ = radial_mean_curvature(f, beta, n)
+        assert a == 1.0 / (beta - 1.0), beta
+        assert radial_mean_curvature(f * (1.0 + 1e-15), beta, n) is None
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize("beta", [0.5, 1.0, 2.0, 3.0, 4.5])
+@pytest.mark.parametrize("share", [None, 0.1, 0.5, 0.99])
+def test_root_solves_equation(share, beta, n):
+    # share * the threshold of f/(n-2), which is 1 at beta = 1 and is
+    # replaced by that scale at beta < 1, where none exists; None is f = -1
+    m = n - 2.0
+    f = -1.0 if share is None else share * m * min(
+        mean_curvature_root_threshold(beta), 1.0)
+    a, _ = radial_mean_curvature(f, beta, n)
+    terms = abs(m * a) + abs(f) * (1.0 + a) ** beta
+    assert abs(m * a - f * (1.0 + a) ** beta) <= 1e-12 * terms
+    if f < 0.0:
+        assert -1.0 < a < 0.0
+    else:
+        assert 0.0 < a <= (1.0 / (beta - 1.0) if beta > 1.0 else math.inf)
