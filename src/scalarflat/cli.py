@@ -102,6 +102,15 @@ def merge_config(args: argparse.Namespace) -> dict:
         if type(val) not in (int, float) or not low < val < math.inf:
             raise ConfigError(f"{key} must be a number in ({low:g}, inf), "
                               f"got {val!r}")
+    f = cfg["f"]
+    if type(f) is str:
+        try:
+            f = float(f)
+        except ValueError:
+            f = None  # a "cos:" or "csv:" spec: parse_f checks its values
+    if f is not None and not _finite(f):
+        raise ConfigError(f"f must be a finite number or a cos:/csv: spec, "
+                          f"got {cfg['f']!r}")
     grids = cfg["grids"]
     if (type(grids) is not list or len(grids) < 2
             or any(type(x) is not int or x < MIN_S_NODES for x in grids)):
@@ -178,35 +187,25 @@ def parse_metric(spec, chart: Chart):
 
 def parse_f(spec, chart: Chart) -> BoundaryField:
     """Boundary datum: constant, "cos:c0,c1,..." (sum of c_k cos^k theta),
-    or "csv:path" with one value per boundary node."""
-    if isinstance(spec, (int, float)):
-        return BoundaryField.constant(chart, float(spec))
+    or "csv:path" with one value per boundary node.  A datum that cannot be
+    read, or that has a value that is not finite, is a ``ConfigError``."""
     text = str(spec).strip()
-    if text.startswith("cos:"):
-        if chart.theta is None:
-            raise ConfigError("cos-series f requires an axisymmetric grid")
-        try:
-            coeffs = [float(t) for t in text[4:].split(",")]
-        except ValueError as exc:
-            raise ConfigError(f"bad f spec {spec!r}") from exc
-        mu = np.cos(chart.theta)
-        vals = sum(c * mu ** k for k, c in enumerate(coeffs))
-        return BoundaryField(chart, vals)
-    if text.startswith("csv:"):
-        path = text[4:]
-        try:
-            with open(path, newline="") as fh:
-                vals = [float(row[0]) for row in csv.reader(fh) if row]
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read f from {path}: {exc}") from exc
-        try:
-            return BoundaryField(chart, np.asarray(vals))
-        except ScalarFlatError as exc:
-            raise ConfigError(str(exc)) from exc
+    if text.startswith("cos:") and chart.theta is None:
+        raise ConfigError("cos-series f requires an axisymmetric grid")
     try:
-        return BoundaryField.constant(chart, float(text))
-    except ValueError as exc:
-        raise ConfigError(f"bad f spec {spec!r}") from exc
+        if text.startswith("cos:"):
+            mu = np.cos(chart.theta)
+            with np.errstate(all="ignore"):  # BoundaryField rejects inf, nan
+                vals = sum(float(c) * mu ** k
+                           for k, c in enumerate(text[4:].split(",")))
+        elif text.startswith("csv:"):
+            with open(text[4:], newline="") as fh:
+                vals = [float(row[0]) for row in csv.reader(fh) if row]
+        else:
+            vals = np.full(chart.boundary_shape, float(spec))
+        return BoundaryField(chart, np.asarray(vals))
+    except (OSError, ValueError, ScalarFlatError) as exc:
+        raise ConfigError(f"bad f spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +250,12 @@ def _run_quotient(cfg, chart, g):
 def _run_oracle(cfg, chart, g):
     if chart.mode != RADIAL:
         raise ConfigError("oracle mode is radial")
+    if (cfg["f"] is None) != (cfg["beta"] is None):
+        raise ConfigError("oracle mode needs both --f and --beta, or neither")
     report = SolveReport(mode="oracle")
     fields = {}
-    if cfg["f"] is not None and cfg["beta"] is not None:
-        try:
-            fval = float(cfg["f"])
-        except ValueError:
-            raise ConfigError("oracle mode needs a constant --f, got "
-                              f"{cfg['f']!r}") from None
+    if cfg["f"] is not None:
+        fval = float(parse_f(cfg["f"], chart).values[0])
         res = radial_mean_curvature(fval, float(cfg["beta"]), chart.n)
         if res is None:
             report.checks = {"root_exists": False}

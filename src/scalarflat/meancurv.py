@@ -31,16 +31,16 @@ from .weighted import decay_report
 MAX_MONOTONE_STEPS = 50
 
 #: weight c0 of the Robin system du/deta + c0 u = datum whose one LU on the
-#: minimal background serves the barrier, the boundary map for every weight
-#: c >= c0 and the final solve: the floor of ``stabilization_weight``
+#: minimal background serves the barrier, Newton's boundary map and the
+#: final solve: the floor of ``stabilization_weight``
 BASE_WEIGHT = 1.0
 
-#: |F| counts as rounding, and Newton stops, when it is at most this many
+#: |G| counts as rounding, and Newton stops, when it is at most this many
 #: units in the last place of the largest term of u_b - x0_b - X_b h(u_b);
 #: Newton's answers reach 0-2 units, and the nt-term sums of X_b h need
-#: room.  For f = 0, u_- = 1 is the answer, and F(1) is the rounding of
-#: x0_b = 1 - c X_b 1 (constants solve the c-Robin problem with datum c
-#: and limit 1): 0 and 0.5 units on radial 101 and 41x9.  The final
+#: room.  For f = 0, u_- = 1 is the answer, and G(1) is the rounding of
+#: x0_b = 1 - c0 X_b 1 (constants solve the c0-Robin problem with datum
+#: c0 and limit 1): 0 and 0.5 units on radial 101 and 41x9.  The final
 #: solve's r = 1 values match u_b within the same bound
 ROUNDING_ULPS = 64
 
@@ -254,7 +254,7 @@ def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
 
 
 def stabilization_weight(pair: SubSuperPair) -> float:
-    """Weight c >= 1 of the stabilized Robin operator du/deta + c u.
+    """Weight c >= c0 of the certificate's Robin operator du/deta + c u.
 
     It dominates beta |f| u^(beta-1), the slope of f u^beta, over the
     barrier range [min u_-, max u_+]: u^(beta-1) is monotone in u, so its
@@ -268,92 +268,81 @@ def stabilization_weight(pair: SubSuperPair) -> float:
     return max(1.0, float(np.max(slope)))
 
 
-def robin_responses(g: MetricField, c: float, slack: float):
-    """x0_b (nt,) and X_b (nt, nt): the r = 1 values of the answers to the
-    Robin problem du/deta + c u = h, limit 1, on g for h = 0 and for unit
-    data on each boundary node, c >= BASE_WEIGHT, with no sparse solve:
-    X_b(c) = K^-1 X_b(c0) with K = I + (c - c0) X_b(c0), and
-    x0_b = 1 - c X_b 1, as constants solve the problem with datum c.
-
-    X_b >= -slack is checked on the nt x nt block, and that is X >= 0 on
-    the grid: a response is 0 at s = 0 and a weighted mean of its
-    neighbours on interior rows (positive off-diagonals, L 1 = 0; see
-    ``dirichlet``), so by the discrete maximum principle it is nowhere
-    below its r = 1 values.  With h increasing, that makes u_- <= u <= u_+
-    a certificate.
-    """
-    X0 = robin_factors(g)[1]
-    X = np.linalg.solve(np.eye(X0.shape[0]) + (c - BASE_WEIGHT) * X0, X0)
-    if np.min(X) < -slack:
-        raise SolveError(
-            f"monotonicity violated: Robin response {np.min(X):.3g} < 0; "
-            "discretization or stabilization-weight error")
-    return 1.0 - c * X.sum(axis=1), X
-
-
 def monotone_iterate(pair: SubSuperPair, g: MetricField,
                      tol: float = 1e-10) -> MeanCurvatureSolution:
     """Solution between the barriers, by Newton on the boundary map.
 
-    The problem is Delta_g u = 0, u -> 1 at infinity, with the stabilized
-    Robin condition du/deta + c u = h(u), h(u) = f u^beta + c u, on r = 1
-    (``stabilization_weight`` gives c).  Only the boundary datum is
-    nonlinear, and it enters linearly: the answer to datum h is x0 + X h,
-    where x0 solves the system with h = 0 and the columns of the N x nt
-    block X are the responses to unit Robin data.  ``robin_responses``
-    gives their boundary rows from the LU of ``harmonic_unit`` on g, so
-    this stage factors nothing after it.  The boundary values u_b solve
+    The problem is Delta_g u = 0, u -> 1 at infinity, with the Robin
+    condition du/deta + c0 u = h(u), h(u) = f u^beta + c0 u, on r = 1
+    (c0 = ``BASE_WEIGHT``).  Only the datum is nonlinear, and it enters
+    linearly: the answer to datum h is x0 + X h, where x0 solves the
+    system with h = 0 and the columns of the N x nt block X are the
+    responses to unit Robin data.  Their r = 1 rows are X_b of
+    ``robin_factors`` and x0_b = 1 - c0 X_b 1 (constants solve the problem
+    with datum c0), so this stage factors nothing.  The boundary values
+    u_b solve
 
-        F(u_b) = u_b - x0_b - X_b h(u_b) = 0,
+        G(u_b) = u_b - x0_b - X_b h(u_b) = 0,
 
     and Newton runs on it from u_- with the dense Jacobian
-    I - X_b diag h'(u_b), one nt x nt solve a step, until max |F| is
+    I - X_b diag h'(u_b), one nt x nt solve a step, until max |G| is
     rounding: at most ``ROUNDING_ULPS`` units in the last place of the
-    largest term of F.  It takes no step when F(u_-) is already rounding,
-    and raises ``NonConvergenceError`` when F is not after
+    largest term of G.  It takes no step when G(u_-) is already rounding,
+    and raises ``NonConvergenceError`` when G is not after
     ``MAX_MONOTONE_STEPS`` steps.  One more sparse solve with the last
-    datum gives the full u.  That solve is refined and X_b is not: when
-    its r = 1 values miss u_b by more than rounding, they give an accurate
-    F(u_b) for one more Newton step and solve (``iterations.corrections``).
-    ``tol`` bounds the backward error of every sparse solve.
+    datum, on the same LU, gives the full u.  It is refined and X_b is not:
+    when its r = 1 values w_b miss u_b by more than rounding,
+    G(u_b) = u_b - w_b gives one more Newton step and solve
+    (``iterations.corrections``).  ``tol`` bounds every sparse solve's
+    backward error.
 
     Existence is the paper's sub/supersolution argument, checked on the
-    discrete problem: X >= 0 (up to the slack) and h increasing on the
-    barrier range make the map u -> x0 + X h(u) order preserving, so it has
-    a fixed point between u_- and u_+.  Newton is a faster way to find it,
-    so every step's boundary values must stay in that sandwich, and the
-    answer is accepted only in the sandwich on the whole grid and positive.
-    The margins skip s = 0, where u, u_- and u_+ are all 1.
-    Each failure raises, so the report has no checks: ``barrier`` carries
-    the sandwich margins, and ``decay`` the far-field fit of u - 1.
-    For f >= 0 and beta > 1, h is convex, so F is concave and Newton from
+    discrete problem; it is the one use of the weight c of
+    ``stabilization_weight``, which makes h_c(u) = f u^beta + c u
+    increasing on the barrier range.  The responses of the c-Robin problem
+    are X_b(c) = K^-1 X_b, K = I + (c - c0) X_b, and X_b(c) >= 0 (up to
+    the slack) is X(c) >= 0 on the grid: a response is 0 at s = 0 and a
+    weighted mean of its neighbours on interior rows (positive
+    off-diagonals, L 1 = 0; see ``dirichlet``), so by the discrete maximum
+    principle it is nowhere below its r = 1 values.  So the map
+    u -> x0(c) + X(c) h_c(u) preserves order and has a fixed point between
+    u_- and u_+, a zero of its residual F_c = K^-1 G.  Newton is a faster
+    way to it: every step's boundary values must stay in that sandwich,
+    and the answer is accepted only in the sandwich on the whole grid
+    (off s = 0, where u, u_- and u_+ are all 1) and positive.  Each
+    failure raises, so the report has no checks: ``barrier`` carries the
+    sandwich margins, and ``decay`` the far-field fit of u - 1.
+    For f >= 0 and beta > 1, h is convex, so G is concave and Newton from
     the subsolution increases monotonically toward the minimal solution
     while (I - X_b diag h')^{-1} >= 0 (Ortega & Rheinboldt 1970, 13.3); for
     mixed-sign f the steps need not be monotone.  ``barrier.fold_margin``,
-    the smallest singular value of the Jacobian at the answer, goes to 0
-    at the discrete existence threshold.
+    the smallest singular value of G' at the answer, goes to 0 at the
+    discrete existence threshold, where G' and F_c' = K^-1 G' are singular
+    together.
     """
     t0 = time.perf_counter()
     beta = pair.beta
     fv = pair.f.values
     nt = fv.size
-    c_weight = stabilization_weight(pair)
-    ends = np.array([[np.min(pair.u_minus.values)],
-                     [np.max(pair.u_plus.values)]])
-    if np.min(beta * fv * ends ** (beta - 1.0) + c_weight) < 0.0:
-        raise SolveError("h(u) = f u^beta + c u decreases on the barrier "
-                         "range; stabilization-weight error")
-
-    lu = robin_factors(g)[0]
-    x0, X = robin_responses(g, c_weight, SANDWICH_SLACK)
+    lu, X = robin_factors(g)
+    c = stabilization_weight(pair)
+    X_c = np.linalg.solve(np.eye(nt) + (c - BASE_WEIGHT) * X, X)
+    if np.min(X_c) < -SANDWICH_SLACK:
+        raise SolveError(
+            f"monotonicity violated: Robin response {np.min(X_c):.3g} < 0; "
+            "discretization or stabilization-weight error")
+    x0 = 1.0 - BASE_WEIGHT * X.sum(axis=1)
     abs_X = np.abs(X)
 
-    def jacobian(u):
-        return np.eye(nt) - X * (beta * fv * u ** (beta - 1.0) + c_weight)
+    def datum(u):
+        return fv * u ** beta + BASE_WEIGHT * u
 
-    def newton_step(u, minus_F, when):
+    def jacobian(u):
+        return np.eye(nt) - X * (beta * fv * u ** (beta - 1.0) + BASE_WEIGHT)
+
+    def newton_step(u, minus_G, when):
         try:
-            return np.linalg.solve(jacobian(u), minus_F)
+            return np.linalg.solve(jacobian(u), minus_G)
         except np.linalg.LinAlgError as exc:
             raise SolveError(f"singular Newton Jacobian {when}") from exc
 
@@ -363,9 +352,9 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     history = []
     min_increment = math.inf
     for it in range(MAX_MONOTONE_STEPS + 1):
-        h = fv * u ** beta + c_weight * u
-        minus_F = x0 + X @ h - u
-        boundary_map = float(np.max(np.abs(minus_F)))
+        h = datum(u)
+        minus_G = x0 + X @ h - u
+        boundary_map = float(np.max(np.abs(minus_G)))
         terms = np.abs(u) + np.abs(x0) + abs_X @ np.abs(h)
         stop = ROUNDING_ULPS * np.finfo(float).eps * float(np.max(terms))
         if boundary_map <= stop:
@@ -373,9 +362,9 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
         if it == MAX_MONOTONE_STEPS:
             raise NonConvergenceError(
                 "Newton on the boundary map did not converge in "
-                f"{MAX_MONOTONE_STEPS} steps (|F| = {boundary_map:.3g})",
+                f"{MAX_MONOTONE_STEPS} steps (|G| = {boundary_map:.3g})",
                 history=history)
-        delta = newton_step(u, minus_F, f"at step {it + 1}")
+        delta = newton_step(u, minus_G, f"at step {it + 1}")
         u = u + delta
         history.append(float(np.max(np.abs(delta))))
         min_increment = min(min_increment, float(np.min(delta)))
@@ -384,9 +373,9 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
             raise SolveError(
                 f"barrier sandwich violated at Newton step {it + 1}")
 
-    def final_solve(u):  # the datum of u_b on the c0 system, limit 1
+    def final_solve(u):  # the datum of u_b, limit 1
         rhs = np.zeros(lu.scale.size)
-        rhs[:nt], rhs[-nt:] = 1.0, fv * u ** beta + BASE_WEIGHT * u
+        rhs[:nt], rhs[-nt:] = 1.0, datum(u)
         return lu.solve(rhs, tol=tol)
 
     fold_margin = float(np.linalg.svd(jacobian(u), compute_uv=False)[-1])
@@ -394,9 +383,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     linear, corrections = final.iterations, 0
     gap = final.solution.boundary_values() - u
     if np.max(np.abs(gap)) > stop:
-        # F(u_b) = K^-1 (u_b - w_b), K^-1 = I - (c - c0) X_b(c)
-        u = u + newton_step(u, gap - (c_weight - BASE_WEIGHT) * X @ gap,
-                            "at the final correction")
+        u = u + newton_step(u, gap, "at the final correction")
         final = final_solve(u)
         linear, corrections = linear + final.iterations, 1
     u = final.solution
@@ -443,14 +430,23 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     return MeanCurvatureSolution(u=u, metric=g_new, report=report, pair=pair)
 
 
+def _stage(name, fn, *args):
+    """fn(*args), with a failure raised as ``StageError`` tagged ``name``."""
+    try:
+        return fn(*args)
+    except ScalarFlatError as exc:
+        raise StageError(name, exc) from exc
+
+
 def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,
                           tol: float = 1e-10) -> MeanCurvatureSolution:
     """Barriers plus Newton between them for du/deta = f u^beta on a
     scalar-flat background (the post-reduction subproblem); ``tol`` bounds
-    the backward error of every linear solve."""
-    v, dv = harmonic_unit(g, tol=tol)
-    pair = build_sub_super(v, dv, f, beta)
-    return monotone_iterate(pair, g, tol=tol)
+    the backward error of every linear solve, and each stage's failure is
+    tagged with its name."""
+    v, dv = _stage("harmonic_unit", harmonic_unit, g, tol)
+    pair = _stage("build_sub_super", build_sub_super, v, dv, f, beta)
+    return _stage("monotone_iterate", monotone_iterate, pair, g, tol)
 
 
 def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
@@ -475,20 +471,9 @@ def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
     n = g.chart.n
     beta = n / (n - 2.0)
 
-    try:
-        ghat, phi_red, red_report = reduce_to_minimal(g, tol=tol)
-    except ScalarFlatError as exc:
-        raise StageError("reduce_to_minimal", exc) from exc
-    try:
-        f = BoundaryField(g.chart,
-                          f_target.values / conformal_law_coefficient(n))
-        sol = solve_nonlinear_robin(ghat, f, beta, tol=tol)
-    except ScalarFlatError as exc:
-        if isinstance(exc, StageError):
-            raise
-        stage = ("build_sub_super" if isinstance(exc, BarrierError)
-                 else "monotone_iterate")
-        raise StageError(stage, exc) from exc
+    ghat, _, red_report = _stage("reduce_to_minimal", reduce_to_minimal, g, tol)
+    f = BoundaryField(g.chart, f_target.values / conformal_law_coefficient(n))
+    sol = solve_nonlinear_robin(ghat, f, beta, tol=tol)
 
     H_final = boundary_mean_curvature(sol.metric)
     err = float(np.max(np.abs(H_final.values - f_target.values)))

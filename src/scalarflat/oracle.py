@@ -54,8 +54,8 @@ def radial_mean_curvature(f: float, beta: float, n: int):
     bisection to adjacent doubles.  Returns (a, profile callable) or None
     when no root exists on that branch.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not (beta > 0 and math.isfinite(f)):
+        raise ValueError(f"need beta > 0 and a finite f, got {beta}, {f}")
     m = float(n - 2)
 
     def g(a):

@@ -343,6 +343,22 @@ def _quotient_family(family):
     _quotient_family({"cutoff_width": -1}),
     _quotient_family({"widths": [0]}),
     _quotient_family({"widths": [-1]}),
+    # a boundary datum that is not finite or not a number (these exited 0,
+    # 3 or 4), and the oracle with only one of --f and --beta (exited 0)
+    lambda d: ["--mode", "oracle", "--f", "nan", "--beta", "3"],
+    lambda d: ["--mode", "oracle", "--f", "inf", "--beta", "3"],
+    lambda d: ["--config", _json_file(d, {"mode": "oracle", "f": True,
+                                          "beta": 3})],
+    lambda d: ["--mode", "meancurv", "--grid", "41x9", "--f", "nan",
+               "--beta", "3"],
+    lambda d: ["--mode", "meancurv", "--grid", "41x9", "--f", "inf",
+               "--beta", "3"],
+    lambda d: ["--mode", "meancurv", "--grid", "41x9", "--f", "cos:nan",
+               "--beta", "3"],
+    lambda d: ["--mode", "meancurv", "--grid", "41x9", "--f",
+               "cos:1e308,1e308", "--beta", "3"],
+    lambda d: ["--mode", "oracle", "--grid", "101", "--f", "0.1"],
+    lambda d: ["--mode", "oracle", "--grid", "101", "--beta", "3"],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -356,7 +372,10 @@ def _quotient_family(family):
         "grids-string", "grids-number", "grids-too-coarse", "family-number",
         "family-budget-string", "family-r_in-0.5", "family-r_out-1.2",
         "family-cutoff-0", "family-cutoff-negative", "family-width-0",
-        "family-width-negative"])
+        "family-width-negative", "oracle-f-nan", "oracle-f-inf",
+        "config-oracle-f-true", "meancurv-f-nan", "meancurv-f-inf",
+        "meancurv-f-cos-nan", "meancurv-f-cos-overflow", "oracle-f-only",
+        "oracle-beta-only"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -453,6 +472,7 @@ BAD_FLAG = st.one_of(
     _flag("tol", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
     _flag("beta", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
     _flag("target", st.one_of(NON_FINITE, JUNK)),
+    _flag("f", NON_FINITE),
     # the removed Newton step cap, with any value
     _flag("max-iter", st.one_of(st.integers().map(str), JUNK)),
     _flag("n-dim", st.one_of(st.integers(max_value=2).map(str), JUNK)),
@@ -520,6 +540,8 @@ BAD_ENTRY = st.one_of(
     st.tuples(st.just("beta"), _not_number(0.0)),
     st.tuples(st.just("target"), st.sampled_from(
         [math.nan, math.inf, -math.inf, "0.03", True, [0.03]])),
+    st.tuples(st.just("f"), st.sampled_from(
+        [math.nan, math.inf, -math.inf, True, [0.1]])),
     st.tuples(st.just("max_iter"), JSON_ANY),  # the removed step cap
     st.tuples(st.just("n"), _not_int(3)),
     st.tuples(st.just("grid"), BAD_GRID | SHORT | st.none() | st.booleans()

@@ -12,7 +12,7 @@ from scalarflat import (AXISYM, RADIAL, BarrierError, BoundaryField, Chart,
 import scalarflat.meancurv as meancurv
 from scalarflat.cli import parse_f
 from scalarflat.elliptic import Factorization
-from scalarflat.errors import SolveError
+from scalarflat.errors import SolveError, StageError
 from scalarflat.meancurv import boundary_defect
 from scalarflat.metrics import conformal_law_coefficient
 from monotone_reference import full_grid_monotone_loop
@@ -398,15 +398,32 @@ def test_newton_converges_next_to_the_fold():
     assert margins[0] > margins[1] > margins[2] > 0.0
 
 
-def test_stabilization_weight_covers_negative_f(monkeypatch):
+def test_stabilization_weight_covers_negative_f():
     # where f < 0, f u^beta decreases at rate beta |f| u^(beta-1); the
     # weight must dominate it at max u_+ too, or h is not increasing
     pair, g = _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6")
     hi = float(np.max(pair.u_plus.values))
     assert meancurv.stabilization_weight(pair) >= 3.0 * 0.5 * hi ** 2.0
-    monkeypatch.setattr(meancurv, "stabilization_weight", lambda pair: 1.0)
-    with pytest.raises(SolveError, match="decreases on the barrier range"):
-        monotone_iterate(pair, g)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _pair(Chart.radial(3, 201), f=0.1),
+    lambda: _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6"),
+], ids=["radial-201-f0.1", "axisym-81x17-mixed-sign"])
+def test_weight_only_certifies(monkeypatch, make):
+    # Newton, the final solve and its correction run on the c0 map, so a
+    # larger weight changes only the certificate, which it passes too
+    pair, g = make()
+    sol = monotone_iterate(pair, g)
+    weight = meancurv.stabilization_weight
+    monkeypatch.setattr(meancurv, "stabilization_weight",
+                        lambda pair: 2.0 * weight(pair))
+    doubled = monotone_iterate(pair, g)
+    assert np.array_equal(doubled.u.values, sol.u.values)
+    reports = [r.to_dict() for r in (sol.report, doubled.report)]
+    for r in reports:
+        r.pop("timing")
+    assert reports[0] == reports[1]
 
 
 def test_blocked_responses_match_one_block(monkeypatch):
@@ -470,6 +487,19 @@ def test_negative_robin_response_raises():
         monotone_iterate(pair, g)
 
 
+def test_stage_tags_name_the_failing_stage(monkeypatch):
+    # an inaccurate X_b fails the barrier, not Newton
+    inverse = Factorization.boundary_inverse
+    monkeypatch.setattr(Factorization, "boundary_inverse",
+                        lambda self: inverse(self) * (1.0 + 1e-6))
+    c = Chart.axisymmetric(41, 9)
+    with pytest.raises(StageError) as exc:
+        prescribe_mean_curvature(flat_metric(c),
+                                 BoundaryField.constant(c, -1.0))
+    assert exc.value.stage == "harmonic_unit"
+    assert "boundary block X_b" in str(exc.value)
+
+
 def test_inaccurate_boundary_block_raises(monkeypatch):
     # X_b comes from no gated solve: the barrier's r = 1 values catch it
     inverse = Factorization.boundary_inverse
@@ -489,18 +519,23 @@ def test_inaccurate_boundary_block_raises(monkeypatch):
 ], ids=["radial-201", "radial-1601", "axisym-41x9", "axisym-201x33",
         "axisym-81x17"])
 def test_barrier_and_responses_match_references(make):
-    # v and dv/deta of the Dirichlet system, and x0_b and X_b of nt + 1
-    # refined solves, for the pair's weight and one above it; the
-    # reference's full N x nt responses pass X >= -slack too
+    # v and dv/deta of the Dirichlet system; x0_b and X_b(c0) of the LU,
+    # and the certificate's X_b(c) = K^-1 X_b(c0) for the pair's weight and
+    # one above it, against nt + 1 refined solves each; the reference's
+    # full N x nt responses pass X >= -slack too
     pair, g = make()
     v_ref, dv_ref = dirichlet_harmonic_unit(g)
     assert np.max(np.abs(pair.v.values - v_ref.values)) <= 1e-11
     assert (np.max(np.abs(pair.dv_deta.values - dv_ref.values))
             <= 1e-11 * np.max(np.abs(dv_ref.values)))
+    c0 = meancurv.BASE_WEIGHT
+    X_b = meancurv.robin_factors(g)[1]
+    x0_ref, X_ref = reference_responses(g, c0, slack=1e-9)
+    assert np.max(np.abs(1.0 - c0 * X_b.sum(axis=1) - x0_ref)) <= 1e-11
+    assert np.max(np.abs(X_b - X_ref)) <= 1e-11 * np.max(np.abs(X_ref))
     for c in (meancurv.stabilization_weight(pair), 2.5):
-        x0, X = meancurv.robin_responses(g, c, 1e-9)
-        x0_ref, X_ref = reference_responses(g, c, slack=1e-9)
-        assert np.max(np.abs(x0 - x0_ref)) <= 1e-11
+        X = np.linalg.solve(np.eye(X_b.shape[0]) + (c - c0) * X_b, X_b)
+        X_ref = reference_responses(g, c, slack=1e-9)[1]
         assert np.max(np.abs(X - X_ref)) <= 1e-11 * np.max(np.abs(X_ref))
 
 

@@ -72,6 +72,13 @@ def test_mean_curvature_beta_guard():
         radial_mean_curvature(0.1, -1.0, 3)
 
 
+@pytest.mark.parametrize("f", [math.nan, math.inf, -math.inf])
+def test_mean_curvature_rejects_non_finite_f(f):
+    # a NaN f used to bisect to the root a = 0
+    with pytest.raises(ValueError):
+        radial_mean_curvature(f, 3.0, 3)
+
+
 def test_mean_curvature_sublinear_beta():
     # beta <= 1 with positive f always has a root
     a, _ = radial_mean_curvature(0.5, 1.0, 3)
