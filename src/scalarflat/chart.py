@@ -10,7 +10,7 @@ axisymmetric 2D in (s, theta) for n = 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,16 +62,6 @@ def _dissection(rows: int, cols: int, stride: int) -> np.ndarray:
     return order(rows, cols, stride, 1)
 
 
-def _uniform_step(x: np.ndarray, name: str) -> float:
-    """The step of strictly increasing, uniformly spaced nodes."""
-    d = np.diff(x)
-    if not np.all(d > 0):
-        raise ChartError(f"{name} must be strictly increasing")
-    if not np.allclose(d, d[0], rtol=1e-12, atol=1e-15):
-        raise ChartError(f"{name} must be uniformly spaced")
-    return float(d[0])
-
-
 class Chart:
     """Tensor grid on the compactified exterior domain.
 
@@ -79,13 +69,14 @@ class Chart:
     ----------
     n : int
         Ambient dimension, n >= 3.
-    s_nodes : array_like
-        Uniformly spaced increasing nodes on [0, 1] with s_nodes[0] == 0 and
-        s_nodes[-1] == 1; their step is ``ds``.
-    theta_nodes : array_like, optional
-        Uniformly spaced polar-angle nodes on [0, pi], with step ``dtheta``.
-        Presence selects axisymmetric mode, which is only supported for
-        n == 3.
+    num_s : int
+        Number of nodes in s, at least 3: ``s = np.linspace(0, 1, num_s)``,
+        so s[0] = 0 and s[-1] = 1, with step ``ds = s[1]``.
+    num_theta : int, optional
+        Number of polar-angle nodes, at least 3:
+        ``theta = np.linspace(0, pi, num_theta)``, with step
+        ``dtheta = theta[1]``.  Presence selects axisymmetric mode, which is
+        only supported for n == 3.
 
     Radial mode is the grid with one theta column: ``nt`` (nodes per s
     level, and on the r=1 boundary) is 1, and ``s_col`` (s shaped to
@@ -93,20 +84,20 @@ class Chart:
     s[:, None].
     """
 
-    def __init__(self, n, s_nodes, theta_nodes=None):
+    def __init__(self, n, num_s, num_theta=None):
         if int(n) != n or n < 3:
             raise ChartError(f"dimension must be an integer >= 3, got {n}")
         self.n = int(n)
-        s = np.asarray(s_nodes, dtype=float)
-        if s.ndim != 1 or s.size < 3:
-            raise ChartError("s_nodes must be a 1D array with at least 3 nodes")
-        if s[0] != 0.0 or s[-1] != 1.0:
-            raise ChartError("s_nodes must start at 0 (infinity) and end at 1 (r=1)")
-        self.ds = _uniform_step(s, "s_nodes")
+        counts = (num_s,) if num_theta is None else (num_s, num_theta)
+        for name, k in zip(("num_s", "num_theta"), counts):
+            if not (isinstance(k, (int, np.integer)) and k >= 3):
+                raise ChartError(f"{name} must be an integer >= 3, got {k!r}")
+        s = np.linspace(0.0, 1.0, num_s)
+        self.ds = float(s[1])
         self.s = s
         self.s.flags.writeable = False
 
-        if theta_nodes is None:
+        if num_theta is None:
             self.mode, self.theta, self.dtheta = RADIAL, None, None
             self.nt, self.s_col = 1, self.s
             self.shape = (s.size,)
@@ -115,20 +106,15 @@ class Chart:
         else:
             if self.n != 3:
                 raise ChartError("axisymmetric mode is only supported for n=3")
-            th = np.asarray(theta_nodes, dtype=float)
-            if th.ndim != 1 or th.size < 3:
-                raise ChartError("theta_nodes must be a 1D array with at least 3 nodes")
-            if not (th[0] == 0.0 and abs(th[-1] - math.pi) < 1e-14):
-                raise ChartError("theta_nodes must span [0, pi]")
-            self.dtheta = _uniform_step(th, "theta_nodes")
+            th = np.linspace(0.0, math.pi, num_theta)
+            self.dtheta = float(th[1])
             self.mode, self.theta = AXISYM, th
             self.theta.flags.writeable = False
             self.nt, self.s_col = th.size, self.s[:, None]
             self.shape = (s.size, th.size)
             # theta node j stands for the ring of area 2 pi sin(theta_j) dtheta
             self._sphere = (2.0 * math.pi, _trapezoid_weights(th) * np.sin(th))
-        self._key = (self.n, self.s.tobytes(),
-                     None if self.theta is None else self.theta.tobytes())
+        self._key = (self.n, s.size, self.nt)
 
         with np.errstate(divide="ignore"):
             r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
@@ -143,13 +129,12 @@ class Chart:
     @classmethod
     def radial(cls, n: int, num_s: int) -> "Chart":
         """Uniform radial chart with ``num_s`` nodes in s."""
-        return cls(n, np.linspace(0.0, 1.0, num_s))
+        return cls(n, num_s)
 
     @classmethod
     def axisymmetric(cls, num_s: int, num_theta: int) -> "Chart":
         """Uniform axisymmetric chart (n=3 only)."""
-        return cls(3, np.linspace(0.0, 1.0, num_s),
-                   np.linspace(0.0, math.pi, num_theta))
+        return cls(3, num_s, num_theta)
 
     @property
     def num_nodes(self) -> int:

@@ -44,7 +44,7 @@ DEFAULTS = {
 }
 
 #: keys of the quotient mode's "family" config object (see parse_family)
-FAMILY_KEYS = ("centers", "widths", "r_in", "r_out", "cutoff_width", "budget")
+FAMILY_KEYS = ("centers", "widths", "r_in", "r_out", "cutoff_width")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +111,13 @@ def merge_config(args: argparse.Namespace) -> dict:
     if f is not None and not _finite(f):
         raise ConfigError(f"f must be a finite number or a cos:/csv: spec, "
                           f"got {cfg['f']!r}")
+    # a mode reads one of these sets of the boundary data, or none
+    reads = {"meancurv": (["target"], ["beta", "f"]),
+             "oracle": (["beta", "f"],)}.get(cfg["mode"], ())
+    given = [k for k in ("beta", "f", "target") if cfg[k] is not None]
+    if given and given not in reads:
+        raise ConfigError(f"{cfg['mode']} mode does not read {given}; it "
+                          f"reads {' or '.join(map(str, reads)) or 'none'}")
     grids = cfg["grids"]
     if (type(grids) is not list or len(grids) < 2
             or any(type(x) is not int or x < MIN_S_NODES for x in grids)):
@@ -125,11 +132,11 @@ def _finite(x) -> bool:
 
 
 def parse_family(family):
-    """(TrialFamily, budget) from a ``family`` config value: None for the
-    defaults, or an object of ``FAMILY_KEYS`` whose centers and widths are
-    lists of finite numbers, whose budget is an integer >= 1 and whose
-    other values are finite numbers.  The defaults and ranges are
-    ``TrialFamily``'s; every violation is a ``ConfigError``."""
+    """TrialFamily from a ``family`` config value: None for the defaults,
+    or an object of ``FAMILY_KEYS`` whose centers and widths are lists of
+    finite numbers and whose other values are finite numbers.  The
+    defaults and ranges are ``TrialFamily``'s; every violation is a
+    ``ConfigError``."""
     if family is None:
         family = {}
     if type(family) is not dict:
@@ -141,16 +148,13 @@ def parse_family(family):
     for key, val in family.items():
         if key in ("centers", "widths"):
             ok = type(val) is list and all(map(_finite, val))
-        elif key == "budget":
-            ok = type(val) is int and val >= 1
         else:
             ok = _finite(val)
         if not ok:
             raise ConfigError(f"bad family {key}: {val!r}")
         fields[key] = tuple(val) if type(val) is list else val
-    budget = fields.pop("budget", 100)
     try:
-        return TrialFamily(**fields), budget
+        return TrialFamily(**fields)
     except ScalarFlatError as exc:
         raise ConfigError(f"bad family: {exc}") from exc
 
@@ -231,13 +235,13 @@ def _run_meancurv(cfg, chart, g):
 
 
 def _run_quotient(cfg, chart, g):
-    family, budget = parse_family(cfg["family"])
+    family = parse_family(cfg["family"])
     resolved = family.resolved(chart)
     if not resolved:
         raise ConfigError(f"no trial of the family spans {MIN_TRIAL_CELLS} "
                           f"cells in s on a grid of {chart.s.size} nodes")
     skipped = len(family.parameters()) - len(resolved)
-    q, params, positive = estimate_sobolev_quotient(g, family, budget=budget)
+    q, params, positive = estimate_sobolev_quotient(g, family)
     report = SolveReport(mode="quotient")
     report.residuals = {"quotient_upper_bound": q}
     report.iterations = {"trials_skipped": skipped}
@@ -250,8 +254,6 @@ def _run_quotient(cfg, chart, g):
 def _run_oracle(cfg, chart, g):
     if chart.mode != RADIAL:
         raise ConfigError("oracle mode is radial")
-    if (cfg["f"] is None) != (cfg["beta"] is None):
-        raise ConfigError("oracle mode needs both --f and --beta, or neither")
     report = SolveReport(mode="oracle")
     fields = {}
     if cfg["f"] is not None:

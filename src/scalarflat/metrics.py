@@ -211,7 +211,7 @@ def _check_decay(g: MetricField, need: float):
     dev = np.max(np.abs(g.comps - 1.0).reshape(c.s.size, -1), axis=1)
     if np.max(dev) < 1e-14:
         return None
-    fit = decay_fit(ScalarField(Chart(c.n, c.s), dev))
+    fit = decay_fit(ScalarField(Chart(c.n, c.s.size), dev))
     if fit.status == "no-decay" or (fit.status == "ok"
                                     and fit.q < need - DECAY_RATE_SLACK):
         raise DecayError(
@@ -373,11 +373,12 @@ def _scalar_curvature_frame(g: MetricField) -> np.ndarray:
     with j, k in the last term the two indices other than i.  Here
     f_r = q_r, f_theta = ln r + q_theta and f_phi = ln r + ln sin + q_phi,
     q_i = (1/2) ln a_i.  The flat parts are differentiated by hand, so the
-    1/sin^2 terms cancel and only the smooth q_i meet a stencil: centred
-    differences in s (d/dr = -s^2 d/ds), one-sided second order on the first
-    and last rows; centred differences in theta on q extended by one even
-    ghost column across each pole, where cot(theta) dw/dtheta takes its limit
-    d^2w/dtheta^2.  R is 0 on the s = 0 row.
+    1/sin^2 terms cancel and only the smooth q_i meet a stencil: first
+    differences from ``Chart.d_ds`` (d/dr = -s^2 d/ds) and ``Chart.d_dtheta``
+    (0 at the poles, as for even q); second differences centred, one-sided
+    second order on the first and last rows in s, and on q extended by one
+    even ghost column across each pole in theta, where cot(theta) dw/dtheta
+    takes its limit d^2w/dtheta^2.  R is 0 on the s = 0 row.
     """
     c = g.chart
     if c.s.size < 4:
@@ -385,7 +386,7 @@ def _scalar_curvature_frame(g: MetricField) -> np.ndarray:
     h, ht, s = c.ds, c.dtheta, c.s_col
     q = 0.5 * np.log(g.comps)                  # last axis: r, theta, phi
     # d/dr = -s^2 d/ds and d^2/dr^2 = s^4 d^2/ds^2 + 2 s^3 d/ds
-    q_s = np.gradient(q, h, axis=0, edge_order=2)
+    q_s = c.d_ds(q)
     d2 = np.empty_like(q)                      # h^2 d^2q/ds^2
     d2[1:-1] = q[2:] - 2 * q[1:-1] + q[:-2]
     d2[0] = 2 * q[0] - 5 * q[1] + 4 * q[2] - q[3]
@@ -393,8 +394,8 @@ def _scalar_curvature_frame(g: MetricField) -> np.ndarray:
     sk = s[..., None]                          # s against the last axis
     dr = -sk ** 2 * q_s
     drr = sk ** 4 * d2 / h ** 2 + 2 * sk ** 3 * q_s
+    dt = c.d_dtheta(q)
     ext = np.concatenate([q[:, 1:2], q, q[:, -2:-1]], axis=1)
-    dt = (ext[:, 2:] - ext[:, :-2]) / (2 * ht)
     dtt = (ext[:, 2:] - 2 * q + ext[:, :-2]) / ht ** 2
 
     # i = r, j over (theta, phi); 1/r = s
@@ -423,8 +424,8 @@ def boundary_mean_curvature(g: MetricField) -> BoundaryField:
     infinity.
 
     H = -(1/sqrt(g_rr)) d/dr ln sqrt(det h) with h the induced metric; in s
-    coordinates d/dr = -d/ds at s=1, so the sign flips to a one-sided
-    s-derivative.
+    coordinates d/dr = -d/ds at s=1, so H is ``normal_derivative`` of
+    ln sqrt(det h).
     """
     c = g.chart
     n = c.n
@@ -433,8 +434,7 @@ def boundary_mean_curvature(g: MetricField) -> BoundaryField:
     tan = g.comps[..., 1:]
     f = ((n - 1) / (2.0 * tan.shape[-1]) * np.sum(np.log(tan), axis=-1)
          + (n - 1) * np.log(c.s_pow(-1.0, 1.0)))
-    dfs = (3 * f[-1] - 4 * f[-2] + f[-3]) / (2 * c.ds)
-    return BoundaryField(c, dfs / np.sqrt(g.boundary_a_rr()))
+    return normal_derivative(g, ScalarField(c, f))
 
 
 def normal_derivative(g: MetricField, u: ScalarField) -> BoundaryField:

@@ -123,10 +123,8 @@ def rayleigh_quotient(g: MetricField, f: ScalarField) -> float:
     return num / den ** (2.0 / p_crit)
 
 
-def estimate_sobolev_quotient(g: MetricField, family: TrialFamily,
-                              budget: int = 100):
-    """Minimum quotient over the family's resolved trials within an
-    evaluation budget.
+def estimate_sobolev_quotient(g: MetricField, family: TrialFamily):
+    """Minimum quotient over the family's resolved trials.
 
     A trial under ``MIN_TRIAL_CELLS`` cells in s is skipped, not evaluated:
     its quotient is a discretization artifact, not an upper bound.
@@ -134,9 +132,7 @@ def estimate_sobolev_quotient(g: MetricField, family: TrialFamily,
     the lowest index.  Returns (Q_upper, (center, width), positivity
     evidence flag).
     """
-    if budget <= 0:
-        raise ScalarFlatError("budget must be positive")
-    trials = family.resolved(g.chart)[:budget]
+    trials = family.resolved(g.chart)
     if not trials:
         raise ScalarFlatError(f"no trial spans {MIN_TRIAL_CELLS} cells in s "
                               "on this grid")

@@ -30,18 +30,27 @@ def test_axisym_chart_basic():
 
 def test_chart_validation():
     with pytest.raises(ChartError):
-        Chart(2, np.linspace(0, 1, 5))
+        Chart(2, 5)
+    for num_s in (2, 0, -4, 10.5, 41.0, "41", None):
+        with pytest.raises(ChartError):
+            Chart(3, num_s)
     with pytest.raises(ChartError):
-        Chart(3, np.linspace(0.1, 1, 5))
-    with pytest.raises(ChartError):
-        Chart(3, [0.0, 0.5, 0.4, 1.0])
-    with pytest.raises(ChartError):
-        Chart(3, [0.0, 0.25, 0.75, 1.0])  # increasing but not uniform
-    with pytest.raises(ChartError):
-        Chart(3, np.linspace(0, 1, 5), [0.0, 0.5, 2.0, math.pi])
+        Chart(3, 5, 2)
     with pytest.raises(ChartError):
         # axisymmetric mode is n=3 only
-        Chart(4, np.linspace(0, 1, 5), np.linspace(0, math.pi, 5))
+        Chart(4, 5, 5)
+
+
+@pytest.mark.parametrize("counts", [(3, 11), (5, 1601), (3, 201, 65)],
+                         ids=["radial-11", "radial-1601", "axisym-201x65"])
+def test_nodes_are_linspace(counts):
+    # the steps are the nodes' first entries, which are their exact spacing
+    c = Chart(*counts)
+    assert np.array_equal(c.s, np.linspace(0.0, 1.0, counts[1]))
+    assert c.ds == c.s[1]
+    if len(counts) == 3:
+        assert np.array_equal(c.theta, np.linspace(0.0, math.pi, counts[2]))
+        assert c.dtheta == c.theta[1]
 
 
 def test_chart_equality_and_hash():

@@ -359,6 +359,11 @@ def _quotient_family(family):
                "cos:1e308,1e308", "--beta", "3"],
     lambda d: ["--mode", "oracle", "--grid", "101", "--f", "0.1"],
     lambda d: ["--mode", "oracle", "--grid", "101", "--beta", "3"],
+    # boundary data that the mode does not read (these exited 0)
+    lambda d: ["--mode", "meancurv", "--grid", "101", "--target", "0.03",
+               "--f", "0.5", "--beta", "3"],
+    lambda d: ["--mode", "dirichlet", "--grid", "41", "--f", "abc"],
+    lambda d: ["--mode", "quotient", "--grid", "81", "--target", "1"],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -375,7 +380,8 @@ def _quotient_family(family):
         "family-width-negative", "oracle-f-nan", "oracle-f-inf",
         "config-oracle-f-true", "meancurv-f-nan", "meancurv-f-inf",
         "meancurv-f-cos-nan", "meancurv-f-cos-overflow", "oracle-f-only",
-        "oracle-beta-only"])
+        "oracle-beta-only", "meancurv-target-and-f-beta", "dirichlet-f",
+        "quotient-target"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err

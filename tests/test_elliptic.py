@@ -12,7 +12,7 @@ from scalarflat import (BoundaryField, Chart, ChartError, DirichletBC,
                         solve_linear)
 from scalarflat.dirichlet import _yamabe_linear_problem
 from scalarflat.elliptic import Factorization, LinearSystem, solve_system
-from scalarflat.metrics import build_laplace_matrix
+from scalarflat.metrics import build_laplace_matrix, normal_derivative
 
 
 def flat_problem(chart, bc, limit=0.0, c=None, src=None):
@@ -309,6 +309,32 @@ def test_assemble_matches_row_by_row_reference(chart):
         A, rhs = reference_assembly(p)
         assert np.array_equal(system.matrix.toarray(), A)
         assert np.array_equal(system.rhs, rhs)
+
+
+@pytest.mark.parametrize("chart,spec", [
+    (Chart.radial(3, 201), "conformal:1,0.4,0.7"),
+    (Chart.axisymmetric(41, 9), "table")], ids=["radial-201", "axisym-41x9"])
+def test_robin_rows_are_normal_derivative(chart, spec):
+    # harmonic_unit reads dv/deta off the Robin rows: on r = 1 the assembled
+    # rows applied to u, less gamma u_b, are normal_derivative(g, u)
+    if spec == "table":  # a_rr varies along r = 1
+        a = (1.0 + 0.9 * chart.s_col ** 2
+             * (1.0 + np.cos(chart.theta) ** 2)) ** 4
+        spec = {"kind": "axisym", "a_rr": a, "a_theta": a, "a_phi": a,
+                "decay": 2.0}
+    g = metric_from_spec(spec, chart)
+    rng = np.random.default_rng(7)
+    u = ScalarField(chart, rng.standard_normal(chart.shape))
+    gamma = BoundaryField(chart, rng.standard_normal(chart.boundary_shape))
+    M = assemble(LinearProblem(
+        metric=g, a=1.0, c=constant_field(chart, 0.0),
+        src=constant_field(chart, 0.0), limit=0.0,
+        bc=RobinBC(gamma=gamma, h=BoundaryField.constant(chart, 0.0))
+    )).matrix[-chart.nt:]
+    rows = M @ u.values.ravel() - gamma.values * u.boundary_values()
+    scale = abs(M) @ np.abs(u.values.ravel())
+    ref = normal_derivative(g, u).values
+    assert np.all(np.abs(rows - ref) <= 1e-14 * scale)
 
 
 def test_factorization_fill_below_colamd():

@@ -84,17 +84,6 @@ def test_estimate_deterministic():
     assert params in FAMILY.parameters()
 
 
-def test_estimate_budget():
-    c = fine_chart()
-    g = flat_metric(c)
-    q_all, p_all, _ = estimate_sobolev_quotient(g, FAMILY)
-    q_one, p_one, _ = estimate_sobolev_quotient(g, FAMILY, budget=1)
-    assert p_one == FAMILY.parameters()[0]
-    assert q_all <= q_one + 1e-12
-    with pytest.raises(ScalarFlatError):
-        estimate_sobolev_quotient(g, FAMILY, budget=0)
-
-
 def test_positive_on_benchmark_metric():
     c = fine_chart()
     g = metric_from_spec({"kind": "conformal", "coeffs": [1.0, 0.0, 1.0]}, c)
