@@ -9,6 +9,7 @@ axisymmetric 2D in (s, theta) for n = 3.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -82,16 +83,26 @@ class Chart:
     level, and on the r=1 boundary) is 1, and ``s_col`` (s shaped to
     broadcast against ``shape``) is s itself; in axisymmetric mode it is
     s[:, None].
+
+    Charts are interned: a call returns the chart of the same counts while
+    it is among the ``CHART_CACHE_SIZE`` most recently used, so what is
+    built on a chart once (weights, flat Laplacian, LU order) is built once
+    per grid.  Charts of the same counts compare equal.
     """
 
-    def __init__(self, n, num_s, num_theta=None):
-        if int(n) != n or n < 3:
-            raise ChartError(f"dimension must be an integer >= 3, got {n}")
-        self.n = int(n)
-        counts = (num_s,) if num_theta is None else (num_s, num_theta)
-        for name, k in zip(("num_s", "num_theta"), counts):
+    def __new__(cls, n, num_s, num_theta=None):
+        # checked before the lookup, where 41.0 would find the 41-node chart
+        key = (n, num_s) if num_theta is None else (n, num_s, num_theta)
+        for name, k in zip(("n", "num_s", "num_theta"), key):
             if not (isinstance(k, (int, np.integer)) and k >= 3):
                 raise ChartError(f"{name} must be an integer >= 3, got {k!r}")
+        if num_theta is not None and n != 3:
+            raise ChartError("axisymmetric mode is only supported for n=3")
+        return _interned(cls, *map(int, key))
+
+    def _build(self, n, num_s, num_theta):
+        self.n = n
+        self._key = (n, num_s, num_theta)
         s = np.linspace(0.0, 1.0, num_s)
         self.ds = float(s[1])
         self.s = s
@@ -104,8 +115,6 @@ class Chart:
             # the one boundary node stands for the whole unit sphere
             self._sphere = (sphere_area(self.n), np.ones(1))
         else:
-            if self.n != 3:
-                raise ChartError("axisymmetric mode is only supported for n=3")
             th = np.linspace(0.0, math.pi, num_theta)
             self.dtheta = float(th[1])
             self.mode, self.theta = AXISYM, th
@@ -114,7 +123,7 @@ class Chart:
             self.shape = (s.size, th.size)
             # theta node j stands for the ring of area 2 pi sin(theta_j) dtheta
             self._sphere = (2.0 * math.pi, _trapezoid_weights(th) * np.sin(th))
-        self._key = (self.n, s.size, self.nt)
+        self._sphere[1].flags.writeable = False
 
         with np.errstate(divide="ignore"):
             r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
@@ -150,6 +159,9 @@ class Chart:
 
     def __hash__(self):
         return hash(self._key)
+
+    def __reduce__(self):  # copies and pickles rebuild from the counts
+        return type(self), self._key
 
     def s_pow(self, p: float, at_infinity: float) -> np.ndarray:
         """s^p = r^{-p} shaped like ``s_col``, with ``at_infinity`` at the
@@ -204,10 +216,13 @@ class Chart:
 
     def flat_laplacian(self):
         """Sparse Laplacian of the Euclidean metric on this chart, built
-        once.  Shared between callers, which must not modify it."""
+        once and shared between callers: its arrays are read-only."""
         if self._flat_laplacian is None:
             from .metrics import flat_metric  # metrics imports this module
-            self._flat_laplacian = flat_metric(self).laplacian()
+            lap = flat_metric(self).laplacian()
+            for a in (lap.data, lap.indices, lap.indptr):
+                a.flags.writeable = False
+            self._flat_laplacian = lap
         return self._flat_laplacian
 
     def d_ds(self, values) -> np.ndarray:
@@ -227,6 +242,19 @@ class Chart:
     def d_dr(self, values) -> np.ndarray:
         """Radial derivative d/dr = -s^2 d/ds; zero at the s=0 node."""
         return -(self.s_col ** 2) * self.d_ds(values)
+
+
+#: charts that ``Chart`` keeps, least recently used out first; a process
+#: that moves between more grids than this rebuilds the data of the others
+CHART_CACHE_SIZE = 8
+
+
+@functools.lru_cache(maxsize=CHART_CACHE_SIZE)
+def _interned(cls, n, num_s, num_theta=None):
+    """The one chart of these validated counts, built on first use."""
+    chart = object.__new__(cls)
+    chart._build(n, num_s, num_theta)
+    return chart
 
 
 @dataclass

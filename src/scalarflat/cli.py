@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -47,7 +48,10 @@ DEFAULTS = {
 FAMILY_KEYS = ("centers", "widths", "r_in", "r_out", "cutoff_width")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argv parser, built once per process; parsing does not change
+    it."""
     p = argparse.ArgumentParser(
         prog="scalarflat",
         description="Scalar-flat conformal factors on exterior domains")

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import os
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
+from .chart import CHART_CACHE_SIZE
 from .errors import ScalarFlatError
 
 SCHEMA_VERSION = 2
@@ -95,6 +97,19 @@ def _reprs(a) -> list:
     return repr(np.asarray(a).ravel().tolist())[1:-1].split(", ")
 
 
+@functools.lru_cache(maxsize=CHART_CACHE_SIZE)
+def _coordinate_text(chart) -> tuple:
+    """The coordinate text of ``emit_fields`` rows, formatted once per
+    chart: ``"\\r\\ns,r,"`` per s level (the line break ends the line before)
+    and ``"theta,"`` per theta column, or one empty string on radial
+    charts."""
+    levels = tuple("\r\n%s,%s," % sr for sr in zip(_reprs(chart.s),
+                                                       _reprs(chart.r)))
+    if chart.theta is None:
+        return levels, ("",)
+    return levels, tuple(t + "," for t in _reprs(chart.theta))
+
+
 def emit_fields(path, **fields) -> None:
     """Write named fields to one CSV: one row per node in (s, theta) order,
     the coordinates s, r (and theta on axisymmetric grids), then one value
@@ -108,22 +123,26 @@ def emit_fields(path, **fields) -> None:
         raise ScalarFlatError("fields must share one chart")
     names = sorted(fields)
     chart = fields[names[0]].chart
-    header = ["s", "r"]
-    thetas = [""]
-    if chart.theta is not None:
-        header.append("theta")
-        thetas = [t + "," for t in _reprs(chart.theta)]
+    header = ["s", "r"] if chart.theta is None else ["s", "r", "theta"]
+    levels, thetas = _coordinate_text(chart)
+    nt = len(thetas)
     values = [fields[n].values.reshape(chart.s.size, -1) for n in names]
-    step = max(1, _CHUNK_NODES // len(thetas))
+    step = max(1, _CHUNK_NODES // nt)
     with _create(path) as fh:
-        fh.write(",".join(header + names) + "\r\n")
+        fh.write(",".join(header + names))
         for i in range(0, chart.s.size, step):
-            rows = slice(i, i + step)
-            levels = [f"{s},{r}," for s, r in zip(_reprs(chart.s[rows]),
-                                                  _reprs(chart.r[rows]))]
-            coords = (level + t for level in levels for t in thetas)
-            cols = map(",".join, zip(*(_reprs(v[rows]) for v in values)))
-            fh.writelines(c + v + "\r\n" for c, v in zip(coords, cols))
+            lv = levels[i:i + step]
+            cols = [_reprs(v[i:i + step]) for v in values]
+            # each row is its level's text, its theta's text and its values
+            rows = [None] * (3 * len(lv) * nt)
+            rows[0::3] = [level for level in lv for _ in thetas]
+            rows[1::3] = thetas * len(lv)
+            rows[2::3] = cols[0] if len(cols) == 1 else map(",".join,
+                                                            zip(*cols))
+            fh.write("".join(rows))
+        # a row's text starts with the line break that ends the line before
+        # it, so the last row is ended here
+        fh.write("\r\n")
 
 
 def read_fields(path):

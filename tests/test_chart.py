@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from scalarflat import BoundaryField, Chart, ChartError, ScalarField
+import scalarflat.chart as chart_mod
 from scalarflat.chart import BAND_NT, sphere_area
 
 
@@ -29,13 +32,19 @@ def test_axisym_chart_basic():
 
 
 def test_chart_validation():
-    with pytest.raises(ChartError):
-        Chart(2, 5)
-    for num_s in (2, 0, -4, 10.5, 41.0, "41", None):
+    # the counts are checked before the intern table is looked up: 41.0
+    # hashes like the cached 41-node chart, and a list cannot be hashed
+    Chart(3, 41)
+    Chart(3, 41, 9)
+    for n in (2, 3.0, "x", None, [3]):
+        with pytest.raises(ChartError):
+            Chart(n, 41)
+    for num_s in (2, 0, -4, 10.5, 41.0, "41", None, [41]):
         with pytest.raises(ChartError):
             Chart(3, num_s)
-    with pytest.raises(ChartError):
-        Chart(3, 5, 2)
+    for num_theta in (2, 9.0, "9", [9]):
+        with pytest.raises(ChartError):
+            Chart(3, 41, num_theta)
     with pytest.raises(ChartError):
         # axisymmetric mode is n=3 only
         Chart(4, 5, 5)
@@ -59,6 +68,43 @@ def test_chart_equality_and_hash():
     c = Chart.radial(3, 22)
     assert a == b and hash(a) == hash(b)
     assert a != c
+
+
+def test_charts_are_interned():
+    a = Chart.radial(3, 21)
+    assert Chart(3, np.int64(21)) is a and Chart(3, 21) is a
+    assert Chart.axisymmetric(21, 5) is Chart(3, 21, 5)
+    assert Chart.radial(4, 21) is not a
+    for c in (a, Chart.axisymmetric(21, 5)):
+        assert pickle.loads(pickle.dumps(c)) is c
+        assert copy.copy(c) is c and copy.deepcopy(c) is c
+    # a chart pushed out of the table is rebuilt as a new instance, equal
+    # to the one a caller still holds
+    for num_s in range(22, 22 + chart_mod.CHART_CACHE_SIZE):
+        Chart.radial(3, num_s)
+    b = Chart.radial(3, 21)
+    assert b is not a and b == a and hash(b) == hash(a)
+    assert Chart.radial(3, 21) is b
+
+
+@pytest.mark.parametrize("chart", [Chart.radial(3, 21),
+                                   Chart.axisymmetric(21, 17)],
+                         ids=["radial", "axisym"])
+def test_shared_chart_data_is_read_only(chart):
+    # every job on a grid reads these arrays, so an in-place edit raises
+    # instead of reaching the next job
+    lap = chart.flat_laplacian()
+    arrays = [chart.s, chart.r, chart.s_col, chart.weights,
+              chart.boundary_last_order, lap.data, lap.indices, lap.indptr]
+    if chart.theta is not None:
+        arrays.append(chart.theta)
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a[-1] = 0
+    k = chart.num_nodes // 2  # an interior node, which has a diagonal
+    with pytest.raises(ValueError):
+        lap[k, k] = 5.0
+    assert chart.flat_laplacian() is lap
 
 
 def test_weights_shell_volume():

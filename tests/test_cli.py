@@ -11,8 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalarflat.chart as chart_mod
 import scalarflat.dirichlet as dirichlet
 import scalarflat.elliptic as elliptic
+import scalarflat.report as report_mod
 from scalarflat.cli import (DEFAULTS, FAMILY_KEYS, MODES, main,
                             merge_config, parse_f, parse_grid, run_job)
 from scalarflat.chart import Chart
@@ -433,6 +435,38 @@ def test_report_determinism_modulo_timing(tmp_path):
     r1.pop("timing")
     r2.pop("timing")
     assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
+
+
+@pytest.mark.parametrize("argv, metric_b", [
+    (("--mode", "dirichlet", "--grid", "201",
+      "--metric", "conformal:1,0.3,0.6"), "conformal:1,0.9,1.8"),
+    (("--mode", "dirichlet", "--grid", "41x9",
+      "--metric", "conformal:1,0.2,0.4"), "conformal:1,0.5,0.5"),
+    (("--mode", "meancurv", "--grid", "201", "--target", "0.035",
+      "--metric", "conformal:1,0.5,0.5"), "conformal:1,0.2,1.0"),
+], ids=["dirichlet-radial", "dirichlet-axisym", "meancurv-radial"])
+def test_jobs_on_one_grid_match_a_fresh_grid(tmp_path, argv, metric_b):
+    # metric A, then B, then A again on one grid: the grid is built by the
+    # first job only, and the third job writes what a job on a newly
+    # built grid writes
+    chart_mod._interned.cache_clear()
+    report_mod._coordinate_text.cache_clear()
+    assert run(tmp_path / "a1", *argv)[0] == 0
+    built = chart_mod._interned.cache_info().misses
+    assert run(tmp_path / "b", *argv[:-1], metric_b)[0] == 0
+    assert run(tmp_path / "a2", *argv)[0] == 0
+    assert chart_mod._interned.cache_info().misses == built
+    chart_mod._interned.cache_clear()
+    report_mod._coordinate_text.cache_clear()
+    assert run(tmp_path / "fresh", *argv)[0] == 0
+    reports = []
+    for name in ("a2", "fresh"):
+        report = load_report(tmp_path / name / "out" / "report.json")
+        report.pop("timing")
+        reports.append(json.dumps(report, sort_keys=True))
+    assert reports[0] == reports[1]
+    assert ((tmp_path / "a2" / "out" / "fields.csv").read_bytes()
+            == (tmp_path / "fresh" / "out" / "fields.csv").read_bytes())
 
 
 def test_run_job_requires_meancurv_data():

@@ -9,6 +9,7 @@ from scalarflat import (Chart, ChartError, DecayError, MetricError,
                         conformal_transform, flat_metric, laplace_beltrami,
                         metric_from_spec, normal_derivative, scalar_curvature)
 from scalarflat.weighted import WeightedNormSpec, weighted_norm
+from scalarflat import chart as chart_mod
 from scalarflat import metrics
 from scalarflat.metrics import (build_laplace_matrix, conformal_law_coefficient,
                                 conformal_metric)
@@ -136,6 +137,7 @@ def test_flat_laplacian_built_once_per_chart(monkeypatch):
         return original(g)
 
     monkeypatch.setattr(metrics, "build_laplace_matrix", counting)
+    chart_mod._interned.cache_clear()  # a new chart, not one built before
     c = Chart.radial(3, 51)
     for coeffs in ([1.0, 0.3], [1.0, 0.0, 0.5]):
         conf(c, coeffs).scalar_curvature()

@@ -132,6 +132,25 @@ def test_emit_fields_matches_csv_writer(tmp_path, monkeypatch, chunk_nodes,
         assert np.array_equal(vals[name], f.values.ravel(), equal_nan=True)
 
 
+@pytest.mark.parametrize("chart", [Chart.radial(3, 41),
+                                   Chart.axisymmetric(11, 5)],
+                         ids=["radial", "axisym"])
+def test_emit_fields_repeat_exports_match_csv_writer(tmp_path, chart):
+    # the coordinate text is formatted on the first export of a chart and
+    # reused by the next ones, with any number of fields
+    report._coordinate_text.cache_clear()
+    u = ScalarField(chart, np.broadcast_to(1.0 / (1.0 + chart.s_col),
+                                           chart.shape))
+    v = _edge_field(chart)
+    for k, fields in enumerate(({"u": u}, {"u": u, "v": v}, {"v": v},
+                                {"u": u})):
+        emit_fields(tmp_path / f"new{k}.csv", **fields)
+        csv_writer_emit_fields(tmp_path / f"ref{k}.csv", **fields)
+        assert ((tmp_path / f"new{k}.csv").read_bytes()
+                == (tmp_path / f"ref{k}.csv").read_bytes())
+    assert report._coordinate_text.cache_info().misses == 1
+
+
 def test_emit_fields_validations(tmp_path):
     c1, c2 = Chart.radial(3, 11), Chart.radial(3, 13)
     with pytest.raises(ScalarFlatError):
