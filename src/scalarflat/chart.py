@@ -23,7 +23,7 @@ AXISYM = "axisymmetric-2D"
 #: charts at most this many nodes across keep the natural order of their
 #: interior in ``boundary_last_order``: its band fills less than dissection
 #: up to 11 nodes, and more from 13 on (LU fill against minimum degree's:
-#: 1.38x against 1.58x at 41x9, 3.32x against 1.34x at 201x65)
+#: 1.38x against 1.58x at 41x9, 3.32x against 1.37x at 201x65)
 BAND_NT = 12
 
 
@@ -171,16 +171,17 @@ class Chart:
 
     @property
     def boundary_last_order(self) -> np.ndarray:
-        """Node order, by flat index, of an LU that eliminates the r = 1
-        level last: the s = 0 level, the interior by ``_dissection`` (in
-        natural order up to ``BAND_NT`` nodes across, so the identity on
-        radial charts), then r = 1.  Built once per chart, read-only."""
+        """Node order, by flat index, of an LU that eliminates the last three
+        s levels last: the s = 0 level, the rest of the interior by
+        ``_dissection`` (in natural order up to ``BAND_NT`` nodes across, so
+        the identity on radial charts), then those levels, r = 1 last.
+        Built once per chart, read-only."""
         if self._order is None:
             nt, N = self.nt, self.num_nodes
             self._order = np.arange(N)
             if nt > BAND_NT:
-                self._order[nt:N - nt] = nt + _dissection(self.s.size - 2,
-                                                          nt, nt)
+                self._order[nt:N - 3 * nt] = nt + _dissection(self.s.size - 4,
+                                                              nt, nt)
             self._order.flags.writeable = False
         return self._order
 

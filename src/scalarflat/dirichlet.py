@@ -15,7 +15,11 @@ every phi_lambda > 0.  This is exact for the discrete family up to the
 backward error of the solve; ``lambda_sweep`` samples it as a cross-check.
 
 ``solve_conformal_factor`` is the conformal change both problems make:
-this one, and the mean-curvature reduction to a minimal boundary.
+this one, and the mean-curvature reduction to a minimal boundary.  The same
+M-matrix fact backs both: the reduction's interior rows are those of M(1),
+and its min phi > 0 makes their -M_int a nonsingular M-matrix, the maximum
+principle behind the barrier and the sub/supersolution certificate that
+``meancurv`` reads off the reduction's LU.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chart import BoundaryField, ScalarField
-from .elliptic import DirichletBC, LinearProblem, solve_linear
+from .elliptic import DirichletBC, Factorization, LinearProblem, solve_linear
 from .errors import PositivityError, ScalarFlatError
 from .metrics import (MetricField, check_asymptotic_flatness,
                       conformal_transform)
@@ -54,19 +58,22 @@ def _yamabe_linear_problem(g: MetricField, lam: float) -> LinearProblem:
 
 
 def solve_conformal_factor(problem: LinearProblem, offset: float, tol: float,
-                           mode: str):
+                           mode: str, lu: Factorization | None = None):
     """The conformal change shared by both problems.
 
     Checks that the problem's metric g is asymptotically flat, solves the
-    problem and sets phi = offset + solution (offset 1 for the v-form of
-    the Dirichlet problem, 0 for a problem posed for phi itself).  Fails
-    loudly unless min phi > 0, which is numerical evidence against
-    positivity of the Sobolev quotient.  Returns phi, phi^{4/(n-2)} g and a
-    report of its interior R, the phi extrema and the solve.
+    problem (on ``lu``, a factorization of its assembled system, when one is
+    given, else by ``solve_linear``) and sets phi = offset + solution
+    (offset 1 for the v-form of the Dirichlet problem, 0 for a problem
+    posed for phi itself).  Fails loudly unless min phi > 0, which is
+    numerical evidence against positivity of the Sobolev quotient.  Returns
+    phi, phi^{4/(n-2)} g and a report of its interior R, the phi extrema and
+    the solve.
     """
     g = problem.metric
     check_asymptotic_flatness(g)
-    result = solve_linear(problem, tol=tol)
+    result = (solve_linear(problem, tol=tol) if lu is None
+              else lu.solve(lu.system.rhs, tol=tol))
     phi = ScalarField(g.chart, offset + result.solution.values)
     min_phi = float(np.min(phi.values))
     if min_phi <= 0.0:

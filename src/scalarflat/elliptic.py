@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -171,13 +172,14 @@ class Factorization:
     kept by SuperLU (``NATURAL``) with diagonal pivots
     (``diag_pivot_thresh=0``); an LU that pivots anyway raises.  The
     trailing blocks of L and U then factor the Schur complement onto the
-    r = 1 unknowns (``boundary_inverse``).  The fill is 1.34x minimum
-    degree's at 201x65 and 1.25x at 401x129, the factor time within 10%.
+    last three s levels (``boundary_inverse``).  The fill is 1.37x minimum
+    degree's at 201x65 and 1.28x at 401x129, the factor time within 10%.
+    The factored ``system`` is kept for its right-hand side and rows.
     """
 
     def __init__(self, system: LinearSystem, boundary_last: bool = False):
         A = system.matrix
-        self.chart = system.chart
+        self.system, self.chart = system, system.chart
         counts = np.diff(A.indptr)
         # checked first: reduceat gives an empty row the next row's value
         if np.any(counts == 0):
@@ -211,19 +213,25 @@ class Factorization:
                                            "the boundary-last LU pivoted")
 
     def boundary_inverse(self) -> np.ndarray:
-        """X_b, the nt x nt block of A^-1 on the r = 1 unknowns, of a
-        ``boundary_last`` LU: (L22 U22)^-1 D_b^-1, with L22 and U22 the
-        trailing blocks of the factors, read from their CSC arrays, and D_b
-        the r = 1 row scales.  Unrefined: up to ~1e-12 relative error."""
+        """The 3nt x nt block of A^-1 of a ``boundary_last`` LU with rows on
+        the last three s levels (r = 1 last) and columns on the r = 1 rows;
+        its r = 1 rows are X_b.  It is (L33 U33)^-1 [0; 0; D_b^-1], with L33
+        and U33 the trailing blocks of the factors, read from their CSC
+        arrays, and D_b the r = 1 row scales.  Unrefined: up to ~3e-11
+        relative error (the reduction's system on radial 1601)."""
         nt = self.chart.nt
-        k = self.scale.size - nt
-        L22, U22 = np.zeros((2, nt, nt))
-        for T, B in ((self.lu.L, L22), (self.lu.U, U22)):
+        m = 3 * nt
+        k = self.scale.size - m
+        L33, U33 = np.zeros((2, m, m))
+        for T, B in ((self.lu.L, L33), (self.lu.U, U33)):
             rows = T.indices[T.indptr[k]:] - k
-            cols = np.repeat(np.arange(nt), np.diff(T.indptr[k:]))
+            cols = np.repeat(np.arange(m), np.diff(T.indptr[k:]))
             keep = rows >= 0  # U's columns hold rows above the block too
             B[rows[keep], cols[keep]] = T.data[T.indptr[k]:][keep]
-        return np.linalg.inv(L22 @ U22) / self.scale[k:]
+        data = np.zeros((m, nt))
+        data[-nt:] = np.diag(1.0 / self.scale[-nt:])
+        return sla.solve_triangular(U33, sla.solve_triangular(L33, data,
+                                                              lower=True))
 
     def solve(self, rhs: np.ndarray, tol: float = 1e-10) -> LinearSolveResult:
         """One LU solve plus one refinement step, which takes the forward

@@ -4,6 +4,15 @@ Pipeline: conformally deform to a scalar-flat metric with minimal-surface
 boundary, build the harmonic barrier v, construct explicit sub- and
 supersolutions u_{+/-} = 1 - v + alpha v, then solve the nonlinear Robin
 condition du/deta = f u^beta between them by Newton on the boundary values.
+
+The reduction's LU serves the whole job.  The conformal Laplacian is
+covariant, L_ghat u = phi^{-(n+2)/(n-2)} L_g(phi u) for ghat =
+phi^{4/(n-2)} g (J. F. Escobar, Ann. of Math. 136 (1992) 1-50), so a
+harmonic u on the minimal background is w / phi, w solving the reduction's
+interior rows.  Its normal derivative is ghat's own one-sided difference of
+u: the covariant Robin rows phi^{-n/(n-2)} B_g(phi u) are a discrete
+quotient rule, which on a table metric (101x17, target -1) took the
+mean-curvature residual from 0.82 h^2 to 1.23 h^2.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ from .errors import (BarrierError, NoSupersolutionError, NonConvergenceError,
                      PositivityError, ScalarFlatError, SolveError, StageError)
 from .metrics import (MetricField, boundary_mean_curvature,
                       conformal_law_coefficient, conformal_transform,
-                      laplace_beltrami, normal_derivative)
+                      normal_derivative)
 from .report import SolveReport
 from .weighted import decay_report
 
@@ -30,21 +39,13 @@ from .weighted import decay_report
 #: feasible mean curvature take about 10 steps
 MAX_MONOTONE_STEPS = 50
 
-#: weight c0 of the Robin system du/deta + c0 u = datum whose one LU on the
-#: minimal background serves the barrier, Newton's boundary map and the
-#: final solve: the floor of ``stabilization_weight``
-BASE_WEIGHT = 1.0
-
 #: |G| counts as rounding, and Newton stops, when it is at most this many
-#: units in the last place of the largest term of u_b - x0_b - X_b h(u_b);
-#: Newton's answers reach 0-2 units, and the nt-term sums of X_b h need
-#: room.  For f = 0, u_- = 1 is the answer, and G(1) is the rounding of
-#: x0_b = 1 - c0 X_b 1 (constants solve the c0-Robin problem with datum
-#: c0 and limit 1): 0 and 0.5 units on radial 101 and 41x9.  The final
-#: solve's r = 1 values match u_b within the same bound
+#: units in the last place of the largest term of u_b - 1 - M f u_b^beta;
+#: Newton's answers reach 0-2 units, and the nt-term sums of M f u_b^beta
+#: need room.  For f = 0, u_- = 1 is the answer and G(1) = 0 exactly
 ROUNDING_ULPS = 64
 
-#: slack of the certificate u_- <= u <= u_+, X_b(c) >= 0
+#: slack of the certificate u_- <= u <= u_+, (D + c I)^-1 >= 0
 SANDWICH_SLACK = 1e-9
 
 #: slack of the barrier bounds v <= 1 and v = 1 on r = 1
@@ -88,6 +89,46 @@ def boundary_defect(alpha, dv_deta, f, beta):
 # pipeline stages
 # ---------------------------------------------------------------------------
 
+def _boundary_problem(g: MetricField, curvature: bool) -> LinearProblem:
+    """The reduction's system (4(n-1)/(n-2)) Delta_g w - R w = 0, w -> 1 at
+    infinity, with the Robin rows dw/deta + (H / (2(n-1)/(n-2))) w = 0 of
+    B_g w = 0.  Without ``curvature``, R and H are taken as 0."""
+    chart = g.chart
+    n = chart.n
+    c, gamma = constant_field(chart, 0.0), BoundaryField.constant(chart, 0.0)
+    if curvature:
+        c = ScalarField(chart, -g.scalar_curvature().values)
+        gamma = BoundaryField(chart, boundary_mean_curvature(g).values
+                              / conformal_law_coefficient(n))
+    return LinearProblem(metric=g, a=4.0 * (n - 1.0) / (n - 2.0), c=c,
+                         src=constant_field(chart, 0.0),
+                         bc=RobinBC(gamma=gamma,
+                                    h=BoundaryField.constant(chart, 0.0)),
+                         limit=1.0)
+
+
+def _boundary_slot(ghat: MetricField, lu: Factorization, phi: ScalarField):
+    """(lu, phi, D, data): the ``robin_factors`` slot of ghat =
+    phi^{4/(n-2)} g, lu the boundary-last LU of g's ``_boundary_problem``.
+
+    A harmonic u on ghat with limit 0 is w / phi, w the answer on lu to
+    data on its r = 1 rows.  Z = ``lu.boundary_inverse()`` holds those
+    answers on the last three s levels and X = Z's r = 1 rows, so r = 1
+    values u_b take the data ``data`` u_b = X^-1 diag(phi_b) u_b, and
+    ghat's Dirichlet-to-Neumann map D is the stencil of
+    ``normal_derivative`` on ghat applied to those three levels of u."""
+    nt = ghat.chart.nt
+    Z = lu.boundary_inverse()
+    phi3 = phi.values.reshape(-1)[-3 * nt:]
+    data = np.linalg.solve(Z[-nt:], np.diag(phi3[-nt:]))
+    u3 = (Z @ data / phi3[:, None]).reshape(3, nt, nt)
+    D = ((3.0 * u3[2] - 4.0 * u3[1] + u3[0])
+         / (2.0 * ghat.chart.ds * np.sqrt(ghat.boundary_a_rr())[:, None]))
+    for a in (D, data):
+        a.flags.writeable = False
+    return lu, phi, D, data
+
+
 def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
     """Conformal factor making the metric scalar-flat with H = 0 boundary.
 
@@ -96,72 +137,76 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
 
         (2(n-1)/(n-2)) dphi/deta + H phi = 0,
 
-    and phi -> 1 at infinity.  Returns (reduced metric, phi, report).
+    and phi -> 1 at infinity, on its boundary-last LU, which then fills
+    the ``robin_factors`` slot of the reduced metric: the later stages
+    factor nothing.  Returns (reduced metric, phi, report).
     """
-    chart = g.chart
-    n = chart.n
-    gamma = boundary_mean_curvature(g).values / conformal_law_coefficient(n)
-    problem = LinearProblem(
-        metric=g, a=4.0 * (n - 1.0) / (n - 2.0),
-        c=ScalarField(chart, -g.scalar_curvature().values),
-        src=constant_field(chart, 0.0),
-        bc=RobinBC(gamma=BoundaryField(chart, gamma),
-                   h=BoundaryField.constant(chart, 0.0)),
-        limit=1.0)
+    problem = _boundary_problem(g, curvature=True)
+    lu = Factorization(assemble(problem), boundary_last=True)
     phi, ghat, report = solve_conformal_factor(problem, offset=0.0, tol=tol,
-                                               mode="reduce")
+                                               mode="reduce", lu=lu)
     report.residuals["boundary_H_Linf"] = float(
         np.max(np.abs(boundary_mean_curvature(ghat).values)))
+    ghat.robin_factors = _boundary_slot(ghat, lu, phi)
     return ghat, phi, report
 
 
 def robin_factors(g: MetricField):
-    """The boundary-last LU of the harmonic Robin system du/deta + c0 u =
-    datum on g and its ``boundary_inverse`` X_b, built once per metric."""
+    """(lu, phi, D, data) of g's ``robin_factors`` slot (``_boundary_slot``).
+    ``reduce_to_minimal`` fills it on the metric it returns; on any other
+    (scalar-flat) g it is built here, once per metric, from g's own
+    ``_boundary_problem`` with R and H taken as 0 and phi = 1."""
     if g.robin_factors is None:
-        chart = g.chart
-        lu = Factorization(assemble(LinearProblem(
-            metric=g, a=1.0, c=constant_field(chart, 0.0),
-            src=constant_field(chart, 0.0),
-            bc=RobinBC(gamma=BoundaryField.constant(chart, BASE_WEIGHT),
-                       h=BoundaryField.constant(chart, 0.0)),
-            limit=1.0)), boundary_last=True)
-        X_b = lu.boundary_inverse()
-        X_b.flags.writeable = False
-        g.robin_factors = (lu, X_b)
+        lu = Factorization(assemble(_boundary_problem(g, curvature=False)),
+                           boundary_last=True)
+        g.robin_factors = _boundary_slot(g, lu, constant_field(g.chart, 1.0))
     return g.robin_factors
+
+
+def _harmonic(lu: Factorization, phi: ScalarField, data: np.ndarray,
+              u_b: np.ndarray, tol: float):
+    """The harmonic field w / phi with limit 0 and r = 1 values u_b, by two
+    solves on lu: (w, LU solves, miss).  X is not refined, so the first
+    solve, on ``data`` u_b, misses u_b on r = 1 (by up to ~3e-11 relative);
+    the second subtracts the answer to that miss.  ``miss`` is the first
+    solve's largest, the gate on X."""
+    rhs = np.zeros(lu.scale.size)
+    rhs[-u_b.size:] = data @ u_b
+    first = lu.solve(rhs, tol=tol)
+    w = first.solution.values
+    miss = np.atleast_1d(w[-1] / phi.values[-1]) - u_b
+    rhs[-u_b.size:] = data @ miss
+    second = lu.solve(rhs, tol=tol)
+    return (w - second.solution.values, first.iterations + second.iterations,
+            float(np.max(np.abs(miss))))
 
 
 def harmonic_unit(g: MetricField, tol: float = 1e-10):
     """Harmonic barrier: Delta_g v = 0, v = 1 at r=1, v -> 0 at infinity.
 
-    One solve on the LU of ``robin_factors``: Robin datum h = X_b^-1 1 and
-    limit 0 give r = 1 values 1, so the answer is v, and its Robin row,
-    ``normal_derivative`` plus c0 v, gives dv/deta = h - c0 v.  X_b comes
-    from no gated solve, so v must be 1 on r = 1 within ``BARRIER_SLACK``,
-    the slack of the bound v <= 1 (its error is up to ~1e-12; ``tol``
-    bounds backward errors only).  v = 0 at s = 0 exactly: those identity
-    rows are eliminated first, with diagonal pivots.
+    ``_harmonic`` on the LU of ``robin_factors`` with r = 1 values 1, whose
+    first solve must give 1 on r = 1 within ``BARRIER_SLACK``, the slack of
+    the bound v <= 1: its data come from no gated solve (``tol`` bounds
+    backward errors only).  dv/deta is ``normal_derivative`` of v, D 1 up
+    to the rounding that D's stencil amplifies.  v = 0 at s = 0 exactly:
+    those identity rows are eliminated first, with diagonal pivots.
 
     Requires the metric to be (numerically) scalar-flat.  Enforces the
     maximum-principle bounds 0 < v <= 1 and dv/deta > 0; violations signal
     discretization error.
     """
-    lu, X_b = robin_factors(g)
-    h = np.linalg.solve(X_b, np.ones(X_b.shape[0]))
-    rhs = np.zeros(lu.scale.size)
-    rhs[-h.size:] = h
-    v = lu.solve(rhs, tol=tol).solution
-    miss = float(np.max(np.abs(v.boundary_values() - 1.0)))
+    lu, phi, D, data = robin_factors(g)
+    w, _, miss = _harmonic(lu, phi, data, np.ones(D.shape[0]), tol)
     if not miss <= BARRIER_SLACK:
         raise SolveError(f"harmonic barrier misses 1 on r = 1 by {miss:.3g}: "
                          "inaccurate boundary block X_b of the Robin LU")
+    v = ScalarField(g.chart, w / phi.values)
     vals = v.values
     if np.min(vals[1:]) <= 0.0 or np.max(vals) > 1.0 + BARRIER_SLACK:
         raise SolveError(
             "harmonic barrier violates the maximum principle "
             f"(range [{vals.min():.3g}, {vals.max():.3g}]); refine the grid")
-    dv = BoundaryField(g.chart, h - BASE_WEIGHT * v.boundary_values())
+    dv = normal_derivative(g, v)
     if np.min(dv.values) <= 0.0:
         raise SolveError("dv/deta not positive; refine the grid")
     return v, dv
@@ -254,7 +299,7 @@ def build_sub_super(v: ScalarField, dv_deta: BoundaryField, f: BoundaryField,
 
 
 def stabilization_weight(pair: SubSuperPair) -> float:
-    """Weight c >= c0 of the certificate's Robin operator du/deta + c u.
+    """Weight c >= 1 of the certificate's Robin operator du/deta + c u.
 
     It dominates beta |f| u^(beta-1), the slope of f u^beta, over the
     barrier range [min u_-, max u_+]: u^(beta-1) is monotone in u, so its
@@ -273,78 +318,57 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     """Solution between the barriers, by Newton on the boundary map.
 
     The problem is Delta_g u = 0, u -> 1 at infinity, with the Robin
-    condition du/deta + c0 u = h(u), h(u) = f u^beta + c0 u, on r = 1
-    (c0 = ``BASE_WEIGHT``).  Only the datum is nonlinear, and it enters
-    linearly: the answer to datum h is x0 + X h, where x0 solves the
-    system with h = 0 and the columns of the N x nt block X are the
-    responses to unit Robin data.  Their r = 1 rows are X_b of
-    ``robin_factors`` and x0_b = 1 - c0 X_b 1 (constants solve the problem
-    with datum c0), so this stage factors nothing.  The boundary values
-    u_b solve
-
-        G(u_b) = u_b - x0_b - X_b h(u_b) = 0,
-
-    and Newton runs on it from u_- with the dense Jacobian
-    I - X_b diag h'(u_b), one nt x nt solve a step, until max |G| is
-    rounding: at most ``ROUNDING_ULPS`` units in the last place of the
-    largest term of G.  It takes no step when G(u_-) is already rounding,
-    and raises ``NonConvergenceError`` when G is not after
-    ``MAX_MONOTONE_STEPS`` steps.  One more sparse solve with the last
-    datum, on the same LU, gives the full u.  It is refined and X_b is not:
-    when its r = 1 values w_b miss u_b by more than rounding,
-    G(u_b) = u_b - w_b gives one more Newton step and solve
-    (``iterations.corrections``).  ``tol`` bounds every sparse solve's
-    backward error.
+    condition du/deta = f u^beta on r = 1.  Constants are harmonic with
+    du/deta = 0, so with D, the Dirichlet-to-Neumann map of
+    ``robin_factors``, and M = D^-1 the boundary values u_b solve
+    D (u_b - 1) = f u_b^beta, or G(u_b) = u_b - 1 - M f u_b^beta = 0.
+    Newton runs on G from u_- with the dense Jacobian
+    I - M diag(beta f u_b^(beta-1)) (its iterates are those on the D form)
+    until max |G| is rounding: at most ``ROUNDING_ULPS`` units in the last
+    place of the largest term of G.  It takes no step when G(u_-) is
+    already rounding, and raises ``NonConvergenceError`` when G is not
+    after ``MAX_MONOTONE_STEPS`` steps.  The full u is 1 plus ``_harmonic``
+    of u_b - 1 on the same LU, so this stage factors nothing; ``tol``
+    bounds its solves' backward errors.
 
     Existence is the paper's sub/supersolution argument, checked on the
     discrete problem; it is the one use of the weight c of
     ``stabilization_weight``, which makes h_c(u) = f u^beta + c u
     increasing on the barrier range.  The responses of the c-Robin problem
-    are X_b(c) = K^-1 X_b, K = I + (c - c0) X_b, and X_b(c) >= 0 (up to
-    the slack) is X(c) >= 0 on the grid: a response is 0 at s = 0 and a
-    weighted mean of its neighbours on interior rows (positive
-    off-diagonals, L 1 = 0; see ``dirichlet``), so by the discrete maximum
-    principle it is nowhere below its r = 1 values.  So the map
-    u -> x0(c) + X(c) h_c(u) preserves order and has a fixed point between
-    u_- and u_+, a zero of its residual F_c = K^-1 G.  Newton is a faster
-    way to it: every step's boundary values must stay in that sandwich,
-    and the answer is accepted only in the sandwich on the whole grid
-    (off s = 0, where u, u_- and u_+ are all 1) and positive.  Each
+    du/deta + c u = h on r = 1 are X(c) = (D + c I)^-1, and X(c) >= 0 (up
+    to the slack) is X(c) >= 0 on the grid: a response is w / phi, with
+    phi > 0 and w >= 0 wherever its r = 1 values are, as -M_int of the
+    reduction's interior rows is a nonsingular M-matrix (``dirichlet``).
+    So the map u -> x0(c) + X(c) h_c(u) preserves order and has a fixed
+    point between u_- and u_+, a zero of its residual X(c) D G.  Newton is
+    a faster way to it: every step's boundary values must stay in that
+    sandwich, and the answer is accepted only in the sandwich on the whole
+    grid (off s = 0, where u, u_- and u_+ are all 1) and positive.  Each
     failure raises, so the report has no checks: ``barrier`` carries the
     sandwich margins, and ``decay`` the far-field fit of u - 1.
     For f >= 0 and beta > 1, h is convex, so G is concave and Newton from
     the subsolution increases monotonically toward the minimal solution
-    while (I - X_b diag h')^{-1} >= 0 (Ortega & Rheinboldt 1970, 13.3); for
+    while (I - M diag h')^-1 >= 0 (Ortega & Rheinboldt 1970, 13.3); for
     mixed-sign f the steps need not be monotone.  ``barrier.fold_margin``,
-    the smallest singular value of G' at the answer, goes to 0 at the
-    discrete existence threshold, where G' and F_c' = K^-1 G' are singular
-    together.
+    the smallest singular value of D - diag h' at the answer, goes to 0 at
+    the discrete existence threshold.  The harmonicity residual is the
+    solved interior rows L_g(w) scaled to Delta_g u.
     """
     t0 = time.perf_counter()
     beta = pair.beta
     fv = pair.f.values
     nt = fv.size
-    lu, X = robin_factors(g)
+    lu, phi, D, data = robin_factors(g)
     c = stabilization_weight(pair)
-    X_c = np.linalg.solve(np.eye(nt) + (c - BASE_WEIGHT) * X, X)
+    X_c = np.linalg.inv(D + c * np.eye(nt))
     if np.min(X_c) < -SANDWICH_SLACK:
         raise SolveError(
             f"monotonicity violated: Robin response {np.min(X_c):.3g} < 0; "
             "discretization or stabilization-weight error")
-    x0 = 1.0 - BASE_WEIGHT * X.sum(axis=1)
-    abs_X = np.abs(X)
+    M = np.linalg.inv(D)
 
-    def datum(u):
-        return fv * u ** beta + BASE_WEIGHT * u
-
-    def jacobian(u):
-        return np.eye(nt) - X * (beta * fv * u ** (beta - 1.0) + BASE_WEIGHT)
-
-    def newton_step(u, minus_G, when):
-        try:
-            return np.linalg.solve(jacobian(u), minus_G)
-        except np.linalg.LinAlgError as exc:
-            raise SolveError(f"singular Newton Jacobian {when}") from exc
+    def slope(u):
+        return beta * fv * u ** (beta - 1.0)
 
     lower = pair.u_minus.boundary_values()
     upper = pair.u_plus.boundary_values()
@@ -352,19 +376,23 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     history = []
     min_increment = math.inf
     for it in range(MAX_MONOTONE_STEPS + 1):
-        h = datum(u)
-        minus_G = x0 + X @ h - u
+        h = fv * u ** beta
+        minus_G = 1.0 + M @ h - u
         boundary_map = float(np.max(np.abs(minus_G)))
-        terms = np.abs(u) + np.abs(x0) + abs_X @ np.abs(h)
-        stop = ROUNDING_ULPS * np.finfo(float).eps * float(np.max(terms))
-        if boundary_map <= stop:
+        terms = np.abs(u) + 1.0 + np.abs(M) @ np.abs(h)
+        if boundary_map <= (ROUNDING_ULPS * np.finfo(float).eps
+                            * float(np.max(terms))):
             break
         if it == MAX_MONOTONE_STEPS:
             raise NonConvergenceError(
                 "Newton on the boundary map did not converge in "
                 f"{MAX_MONOTONE_STEPS} steps (|G| = {boundary_map:.3g})",
                 history=history)
-        delta = newton_step(u, minus_G, f"at step {it + 1}")
+        try:
+            delta = np.linalg.solve(np.eye(nt) - M * slope(u), minus_G)
+        except np.linalg.LinAlgError as exc:
+            raise SolveError(
+                f"singular Newton Jacobian at step {it + 1}") from exc
         u = u + delta
         history.append(float(np.max(np.abs(delta))))
         min_increment = min(min_increment, float(np.min(delta)))
@@ -373,20 +401,10 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
             raise SolveError(
                 f"barrier sandwich violated at Newton step {it + 1}")
 
-    def final_solve(u):  # the datum of u_b, limit 1
-        rhs = np.zeros(lu.scale.size)
-        rhs[:nt], rhs[-nt:] = 1.0, datum(u)
-        return lu.solve(rhs, tol=tol)
-
-    fold_margin = float(np.linalg.svd(jacobian(u), compute_uv=False)[-1])
-    final = final_solve(u)
-    linear, corrections = final.iterations, 0
-    gap = final.solution.boundary_values() - u
-    if np.max(np.abs(gap)) > stop:
-        u = u + newton_step(u, gap, "at the final correction")
-        final = final_solve(u)
-        linear, corrections = linear + final.iterations, 1
-    u = final.solution
+    fold_margin = float(np.linalg.svd(D - np.diag(slope(u)),
+                                      compute_uv=False)[-1])
+    w, linear, _ = _harmonic(lu, phi, data, u - 1.0, tol)
+    u = ScalarField(g.chart, 1.0 + w / phi.values)
     low = float(np.min(u.values[1:] - pair.u_minus.values[1:]))
     high = float(np.max(u.values[1:] - pair.u_plus.values[1:]))
     if low < -SANDWICH_SLACK or high > SANDWICH_SLACK:
@@ -395,8 +413,11 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     if np.any(u.values <= 0.0):
         raise PositivityError("iterate lost positivity")
     g_new = conformal_transform(g, u)
-    # interior sup of Delta_g u: only boundary rows are nonlinear
-    lap = float(np.max(np.abs(laplace_beltrami(g, u).values[1:-1])))
+    # interior sup of Delta_g u = phi^{-(n+2)/(n-2)} L_g(w) / a_n
+    n = g.chart.n
+    rows = (lu.system.matrix @ w.ravel()).reshape(w.shape) * phi.values ** (
+        -(n + 2.0) / (n - 2.0)) / (4.0 * (n - 1.0) / (n - 2.0))
+    lap = float(np.max(np.abs(rows[1:-1])))
     robin_resid = float(np.max(np.abs(
         normal_derivative(g, u).values - fv * u.boundary_values() ** beta)))
 
@@ -409,7 +430,6 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     report.iterations = {
         "monotone": len(history),
         "linear": linear,
-        "corrections": corrections,
         "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),

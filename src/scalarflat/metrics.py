@@ -83,7 +83,9 @@ class MetricField:
         # computed on first use; the metric is immutable
         self._laplacian = None
         self._curvature = None
-        self.robin_factors = None  # kept by meancurv.robin_factors
+        # (LU, phi, D, data) of the metric's harmonic problem, kept by
+        # meancurv.robin_factors and filled by meancurv.reduce_to_minimal
+        self.robin_factors = None
 
     def laplacian(self):
         """Sparse Delta_g from ``build_laplace_matrix``, built once per

@@ -1,9 +1,8 @@
-"""Discrete weighted Lebesgue/Sobolev norms and asymptotic-decay estimation.
+"""Discrete weighted Lebesgue norms and asymptotic-decay estimation.
 
-Norms use the flat background measure and flat derivatives throughout.  The
-essential supremum is a nodal max; the s=0 node (r = infinity) is excluded
-from both sup and integral evaluations, where it carries zero quadrature
-weight anyway.
+Norms use the flat background measure throughout.  The essential supremum
+is a nodal max; the s=0 node (r = infinity) is excluded from both sup and
+integral evaluations, where it carries zero quadrature weight anyway.
 """
 
 from __future__ import annotations
@@ -13,73 +12,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chart import RADIAL, Chart, ScalarField
+from .chart import ScalarField
 from .errors import ChartError, InvalidNormSpec
 
 
 @dataclass(frozen=True)
 class WeightedNormSpec:
-    """Weighted norm parameters: L^p with decay weight delta, k derivatives."""
+    """Weighted norm parameters: L^p with decay weight delta."""
 
     p: float
     delta: float
-    k: int = 0
 
     def __post_init__(self):
         if self.p < 1:
             raise InvalidNormSpec(f"p must be >= 1, got {self.p}")
-        if int(self.k) != self.k or self.k < 0:
-            raise InvalidNormSpec(f"k must be an integer >= 0, got {self.k}")
 
     def __str__(self):
-        if self.k == 0:
-            return f"L({self.p:g},{self.delta:g})"
-        return f"W({self.k},{self.p:g},{self.delta:g})"
-
-
-def _derivative_magnitudes(u: ScalarField, k: int):
-    """Flat-frame magnitudes |grad^j u| for j = 0..k (k <= 2)."""
-    c = u.chart
-    out = [np.abs(u.values)]
-    if k == 0:
-        return out
-    ur = c.d_dr(u.values)
-    if c.mode == RADIAL:
-        grad = np.abs(ur)
-    else:
-        # |grad u|^2 = u_r^2 + (u_theta / r)^2, and 1/r = s
-        grad = np.sqrt(ur ** 2 + (c.s_col * c.d_dtheta(u.values)) ** 2)
-    out.append(grad)
-    if k == 1:
-        return out
-    if k > 2 or c.mode != RADIAL:
-        raise InvalidNormSpec(
-            "derivative order limited to k<=2 (radial) and k<=1 (axisym)")
-    # radial Hessian magnitude: sqrt(u_rr^2 + (n-1)(u_r/r)^2)
-    urr = c.d_dr(ur)
-    out.append(np.sqrt(urr ** 2 + (c.n - 1) * (c.s * ur) ** 2))
-    return out
-
-
-def _lp_weighted(chart: Chart, mag: np.ndarray, p: float, delta: float):
-    if math.isinf(p):
-        # r^{-delta} |u|, sup over all nodes but the s=0 level
-        return float(np.max((chart.s_pow(delta, 0.0) * mag)[1:]))
-    integrand = mag ** p * chart.s_pow(delta * p + chart.n, 0.0)
-    return float(np.sum(chart.weights * integrand) ** (1.0 / p))
+        return f"L({self.p:g},{self.delta:g})"
 
 
 def weighted_norm(u: ScalarField, spec: WeightedNormSpec) -> float:
-    """Discrete weighted Sobolev norm of u against the flat measure.
-
-    k = 0 gives the weighted L^p norm; k > 0 sums the shifted-weight norms
-    of the flat derivative magnitudes.
-    """
-    mags = _derivative_magnitudes(u, spec.k)
-    total = 0.0
-    for j, mag in enumerate(mags):
-        total += _lp_weighted(u.chart, mag, spec.p, spec.delta - j)
-    return total
+    """Discrete weighted L^p norm of u against the flat measure."""
+    chart, mag, p = u.chart, np.abs(u.values), spec.p
+    if math.isinf(p):
+        # r^{-delta} |u|, sup over all nodes but the s=0 level
+        return float(np.max((chart.s_pow(spec.delta, 0.0) * mag)[1:]))
+    integrand = mag ** p * chart.s_pow(spec.delta * p + chart.n, 0.0)
+    return float(np.sum(chart.weights * integrand) ** (1.0 / p))
 
 
 @dataclass

@@ -1,20 +1,30 @@
 """References for the barrier and the boundary map of ``meancurv``.
 
-``dirichlet_harmonic_unit`` solves the harmonic barrier as its own
-Dirichlet system, and ``boundary_responses`` gets x0_b and X_b of the
-c-Robin system from nt + 1 refined solves on a minimum-degree LU, checking
-X >= -slack on every node.  Both are what the one boundary-last LU of
-``meancurv.robin_factors`` replaced; tests compare it against them.
+Each takes the metric g and, for a reduced background, the reduction's
+factor phi; phi None means g's own system, as for ``--f/--beta`` runs.
+
+* ``reference_harmonic_unit`` solves the harmonic barrier as its own
+  Dirichlet system: Delta_g v = 0 on g, or for a reduced background
+  v = w / phi with (4(n-1)/(n-2)) Delta_g w - R w = 0, w = phi_b on r = 1.
+* ``reference_system`` assembles the harmonic c-Robin system
+  du/deta + c u = datum, u -> 1, on g itself, or on w = phi u for
+  ghat = phi^{4/(n-2)} g: the reduction's interior rows and, on r = 1,
+  ghat's one-sided normal derivative of w / phi plus c w / phi.
+* ``boundary_responses`` gets x0_b and X_b of such a system from nt + 1
+  refined solves on a minimum-degree LU, checking X >= -slack on every node.
+
+They are what the one boundary-last LU of ``meancurv.robin_factors``
+replaced; tests compare it against them.
 """
 
 import numpy as np
 
-from scalarflat.chart import BoundaryField
+from scalarflat.chart import BoundaryField, ScalarField
 from scalarflat.elliptic import (DirichletBC, Factorization, LinearProblem,
-                                 RobinBC, assemble, constant_field,
-                                 solve_linear)
+                                 LinearSystem, RobinBC, assemble,
+                                 constant_field, solve_linear)
 from scalarflat.errors import SolveError
-from scalarflat.metrics import normal_derivative
+from scalarflat.metrics import conformal_transform, normal_derivative
 
 #: values (rows x columns) per block of the unit-data solve, 8 MB a copy:
 #: radial grids and axisymmetric grids up to 201x65 take one block, 401x129
@@ -22,32 +32,61 @@ from scalarflat.metrics import normal_derivative
 BLOCK_VALUES = 1 << 20
 
 
-def dirichlet_harmonic_unit(g, tol=1e-10):
-    """v with Delta_g v = 0, v = 1 at r = 1 and v -> 0 at infinity, from
-    the Dirichlet system, and dv/deta by ``normal_derivative``."""
+def _interior_problem(g, phi, bc, limit):
+    """Delta_g on g itself (phi None), else the reduction's
+    (4(n-1)/(n-2)) Delta_g - R, with the r = 1 condition ``bc``."""
     chart = g.chart
-    v = solve_linear(LinearProblem(
-        metric=g, a=1.0, c=constant_field(chart, 0.0),
-        src=constant_field(chart, 0.0),
-        bc=DirichletBC(BoundaryField.constant(chart, 1.0)),
-        limit=0.0), tol=tol).solution
-    return v, normal_derivative(g, v)
+    n = chart.n
+    a, c = 1.0, constant_field(chart, 0.0)
+    if phi is not None:
+        a = 4.0 * (n - 1.0) / (n - 2.0)
+        c = ScalarField(chart, -g.scalar_curvature().values)
+    return LinearProblem(metric=g, a=a, c=c, src=constant_field(chart, 0.0),
+                         bc=bc, limit=limit)
 
 
-def robin_system(g, c):
-    """The assembled harmonic Robin system du/deta + c u = 0, limit 1."""
+def reference_harmonic_unit(g, phi=None, tol=1e-10):
+    """v with Delta v = 0, v = 1 at r = 1 and v -> 0 at infinity, on g or on
+    ghat = phi^{4/(n-2)} g, from a Dirichlet system, and dv/deta by
+    ``normal_derivative`` on that metric."""
     chart = g.chart
-    return assemble(LinearProblem(
-        metric=g, a=1.0, c=constant_field(chart, 0.0),
-        src=constant_field(chart, 0.0),
-        bc=RobinBC(gamma=BoundaryField.constant(chart, c),
-                   h=BoundaryField.constant(chart, 0.0)),
-        limit=1.0))
+    one = np.ones(chart.nt) if phi is None else phi.boundary_values()
+    w = solve_linear(_interior_problem(g, phi, DirichletBC(
+        BoundaryField(chart, one)), 0.0), tol=tol).solution
+    if phi is None:
+        return w, normal_derivative(g, w)
+    v = ScalarField(chart, w.values / phi.values)
+    return v, normal_derivative(conformal_transform(g, phi), v)
 
 
-def boundary_responses(lu, rhs, nt, tol, slack):
+def reference_system(g, c, phi=None):
+    """The assembled harmonic Robin system du/deta + c u = 0, limit 1, on g
+    or, for w = phi u, on ghat = phi^{4/(n-2)} g."""
+    chart = g.chart
+    if phi is None:
+        return assemble(_interior_problem(g, None, RobinBC(
+            gamma=BoundaryField.constant(chart, c),
+            h=BoundaryField.constant(chart, 0.0)), 1.0))
+    nt, N, n = chart.nt, chart.num_nodes, chart.n
+    system = assemble(_interior_problem(g, phi, DirichletBC(
+        BoundaryField.constant(chart, 0.0)), 1.0))
+    A = system.matrix.tolil()
+    p = phi.values.reshape(-1)
+    inv = 1.0 / (2.0 * chart.ds * np.sqrt(
+        g.boundary_a_rr() * phi.boundary_values() ** (4.0 / (n - 2.0))))
+    for j in range(nt):
+        row = N - nt + j
+        cols = [row - 2 * nt, row - nt, row]
+        vals = [inv[j] / p[cols[0]], -4.0 * inv[j] / p[cols[1]],
+                (3.0 * inv[j] + c) / p[row]]
+        A.rows[row], A.data[row] = cols, vals
+    return LinearSystem(matrix=A.tocsr(), rhs=system.rhs, chart=chart)
+
+
+def boundary_responses(lu, rhs, nt, tol, slack, phi=None):
     """Boundary rows of the answers to the zero-datum system and to unit
-    Robin data on each boundary node: x0_b (nt,) and X_b (nt, nt).
+    Robin data on each boundary node: x0_b (nt,) and X_b (nt, nt), divided
+    by the N values ``phi`` when given (the answers are then w = phi u).
 
     The nt + 1 right-hand sides are solved in blocks of at most
     ``BLOCK_VALUES`` values, and only each block's last nt rows are kept,
@@ -55,6 +94,7 @@ def boundary_responses(lu, rhs, nt, tol, slack):
     every node.  Returns (x0_b, X_b, LU solves).
     """
     N = rhs.size
+    scale = np.ones(N) if phi is None else phi
     width = max(1, BLOCK_VALUES // N)
     kept = np.empty((nt, nt + 1))
     solves = 0
@@ -66,7 +106,7 @@ def boundary_responses(lu, rhs, nt, tol, slack):
         if start == 0:
             block[:, 0] = rhs
         result = lu.solve(block, tol=tol)
-        x = result.solution
+        x = result.solution / scale[:, None]
         if units.size and np.min(x[:, units - start]) < -slack:
             raise SolveError(
                 f"monotonicity violated: Robin response "
@@ -77,9 +117,11 @@ def boundary_responses(lu, rhs, nt, tol, slack):
     return kept[:, 0], kept[:, 1:], solves
 
 
-def reference_responses(g, c, tol=1e-11, slack=1e-9):
-    """x0_b and X_b of the c-Robin system on g by ``boundary_responses``."""
-    system = robin_system(g, c)
-    x0, X, _ = boundary_responses(Factorization(system), system.rhs,
-                                  g.chart.nt, tol, slack)
+def reference_responses(g, c, phi=None, tol=1e-11, slack=1e-9):
+    """x0_b and X_b of the c-Robin system on g, or on ghat for phi, by
+    ``boundary_responses``."""
+    system = reference_system(g, c, phi)
+    x0, X, _ = boundary_responses(
+        Factorization(system), system.rhs, g.chart.nt, tol, slack,
+        None if phi is None else phi.values.reshape(-1))
     return x0, X

@@ -191,19 +191,20 @@ def test_boundary_field_constant():
                          ids=["radial", "axisym-41x9", "axisym-41x13",
                               "axisym-201x65"])
 def test_boundary_last_order(chart):
-    # a permutation with the s = 0 level first and the r = 1 level last;
-    # natural up to BAND_NT nodes across, else the middle interior level is
-    # the last separator of the dissection
+    # a permutation with the s = 0 level first and the last three levels
+    # last, in natural order; natural up to BAND_NT nodes across, else the
+    # middle level of the rest of the interior is the last separator of the
+    # dissection
     order = chart.boundary_last_order
     N, nt = chart.num_nodes, chart.nt
     assert np.array_equal(np.sort(order), np.arange(N))
     assert np.array_equal(order[:nt], np.arange(nt))
-    assert np.array_equal(order[-nt:], np.arange(N - nt, N))
+    assert np.array_equal(order[-3 * nt:], np.arange(N - 3 * nt, N))
     if nt <= BAND_NT:
         assert np.array_equal(order, np.arange(N))
     else:
-        middle = 1 + (chart.s.size - 2) // 2
-        assert np.array_equal(order[-2 * nt:-nt],
+        middle = 1 + (chart.s.size - 4) // 2
+        assert np.array_equal(order[-4 * nt:-3 * nt],
                               np.arange(middle * nt, (middle + 1) * nt))
     assert chart.boundary_last_order is order
     assert not order.flags.writeable

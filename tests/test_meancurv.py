@@ -10,6 +10,7 @@ from scalarflat import (AXISYM, RADIAL, BarrierError, BoundaryField, Chart,
                         prescribe_mean_curvature, radial_mean_curvature,
                         reduce_to_minimal, rho_threshold, solve_nonlinear_robin)
 import scalarflat.meancurv as meancurv
+import scalarflat.metrics as metrics
 from scalarflat.cli import parse_f
 from scalarflat.elliptic import Factorization
 from scalarflat.errors import SolveError, StageError
@@ -17,8 +18,8 @@ from scalarflat.meancurv import boundary_defect
 from scalarflat.metrics import conformal_law_coefficient
 from monotone_reference import full_grid_monotone_loop
 import robin_reference
-from robin_reference import (dirichlet_harmonic_unit, reference_responses,
-                             robin_system)
+from robin_reference import (reference_harmonic_unit, reference_responses,
+                             reference_system)
 
 
 #: Picard stopping tolerance of the radial 1601 references: there the full
@@ -257,8 +258,8 @@ def test_pipeline_default_step_cap_reaches_bench_target():
     sol = prescribe_mean_curvature(g, BoundaryField.constant(c, 0.049))
     assert sol.report.iterations["monotone"] <= 10
     assert sol.report.checks["target_H"]
-    pair, ghat = _pair(c, "conformal:1,0.8,0.8", target=0.049)
-    u_ref = full_grid_monotone_loop(pair, ghat, tol=REF_TOL_1601)[0]
+    pair, _, (g, phi) = _pair(c, "conformal:1,0.8,0.8", target=0.049)
+    u_ref = full_grid_monotone_loop(pair, g, tol=REF_TOL_1601, phi=phi)[0]
     assert np.max(np.abs(sol.u.values - u_ref.values)) <= 1e-10
 
 
@@ -287,7 +288,7 @@ def test_monotone_iterate_validates_pair():
 
 
 def test_one_factorization_per_background(monkeypatch):
-    # the barrier factors the c0-Robin system on g once; the boundary map
+    # the barrier factors the harmonic system on g once; the boundary map
     # and the final solve reuse that LU, whatever the weight c
     c = Chart.radial(3, 201)
     calls = {"assemble": 0, "Factorization": 0}
@@ -318,22 +319,56 @@ def test_one_factorization_per_background(monkeypatch):
         sol.report.iterations["increments"])
     assert "monotone" not in barrier
     assert_boundary_map_at_rounding(sol.report)
-    # a pair whose weight is above c0 reuses the LU too
+    # a pair whose weight is above 1 reuses the LU too
     neg = build_sub_super(v, dv, BoundaryField.constant(c, -1.0), 3.0)
-    assert meancurv.stabilization_weight(neg) > meancurv.BASE_WEIGHT
+    assert meancurv.stabilization_weight(neg) > 1.0
     monotone_iterate(neg, g)
     assert calls == {"assemble": 2, "Factorization": 2}
 
 
+@pytest.mark.parametrize("chart", [Chart.radial(3, 201),
+                                   Chart.axisymmetric(101, 33)],
+                         ids=["radial-201", "axisym-101x33"])
+def test_one_factorization_per_target_job(monkeypatch, chart):
+    # a target job factors the reduction's system and reads every later
+    # stage off that LU: g's Laplacian is built for it, the minimal
+    # background's never; the chart's flat Laplacian is per-grid data,
+    # built before counting
+    chart.flat_laplacian()
+    calls = {"Factorization": 0, "build_laplace_matrix": 0}
+    init = Factorization.__init__
+    build = metrics.build_laplace_matrix
+
+    def counting_init(self, *args, **kwargs):
+        calls["Factorization"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_build(g):
+        calls["build_laplace_matrix"] += 1
+        return build(g)
+
+    monkeypatch.setattr(Factorization, "__init__", counting_init)
+    monkeypatch.setattr(metrics, "build_laplace_matrix", counting_build)
+    g = metric_from_spec("conformal:1,0.8,0.8", chart)
+    sol = prescribe_mean_curvature(g, BoundaryField.constant(chart, 0.035))
+    assert all(sol.report.checks.values())
+    assert calls["Factorization"] == 1
+    assert calls["build_laplace_matrix"] <= 1
+
+
 def _pair(chart, spec="flat", f=None, target=None):
     """Barrier pair (beta = 3) and background of the monotone stage: on the
-    reduced metric for a target mean curvature, else on the metric itself."""
+    reduced metric for a target mean curvature, else on the metric itself;
+    and the (metric, phi) the references pose it on: the metric and the
+    reduction's phi, or the metric itself and None."""
     g = metric_from_spec(spec, chart)
+    background, base = g, (g, None)
     if target is not None:
-        g = reduce_to_minimal(g)[0]
+        background, phi, _ = reduce_to_minimal(g)
+        base = (g, phi)
         f = target / conformal_law_coefficient(3)
-    v, dv = harmonic_unit(g)
-    return build_sub_super(v, dv, parse_f(f, chart), 3.0), g
+    v, dv = harmonic_unit(background)
+    return build_sub_super(v, dv, parse_f(f, chart), 3.0), background, base
 
 
 @pytest.mark.parametrize("make,ref_tol", [
@@ -350,9 +385,9 @@ def _pair(chart, spec="flat", f=None, target=None):
 def test_boundary_iteration_matches_full_grid_loop(make, ref_tol):
     # Picard stops ~20 tol short of its fixed point, so the reference runs
     # at a tolerance far below the 1e-10 bound
-    pair, g = make()
+    pair, g, (metric, phi) = make()
     sol = monotone_iterate(pair, g)
-    u_ref = full_grid_monotone_loop(pair, g, tol=ref_tol)[0]
+    u_ref = full_grid_monotone_loop(pair, metric, tol=ref_tol, phi=phi)[0]
     report = sol.report
     assert report.iterations["monotone"] <= 10
     assert len(report.iterations["increments"]) == \
@@ -401,7 +436,7 @@ def test_newton_converges_next_to_the_fold():
 def test_stabilization_weight_covers_negative_f():
     # where f < 0, f u^beta decreases at rate beta |f| u^(beta-1); the
     # weight must dominate it at max u_+ too, or h is not increasing
-    pair, g = _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6")
+    pair, _, _ = _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6")
     hi = float(np.max(pair.u_plus.values))
     assert meancurv.stabilization_weight(pair) >= 3.0 * 0.5 * hi ** 2.0
 
@@ -411,9 +446,9 @@ def test_stabilization_weight_covers_negative_f():
     lambda: _pair(Chart.axisymmetric(81, 17), f="cos:-0.5,0.6"),
 ], ids=["radial-201-f0.1", "axisym-81x17-mixed-sign"])
 def test_weight_only_certifies(monkeypatch, make):
-    # Newton, the final solve and its correction run on the c0 map, so a
+    # Newton and the final solve run on the boundary map D alone, so a
     # larger weight changes only the certificate, which it passes too
-    pair, g = make()
+    pair, g, _ = make()
     sol = monotone_iterate(pair, g)
     weight = meancurv.stabilization_weight
     monkeypatch.setattr(meancurv, "stabilization_weight",
@@ -431,7 +466,7 @@ def test_blocked_responses_match_one_block(monkeypatch):
     # their boundary rows, give the x0_b and X_b of the one-block solve
     chart = Chart.axisymmetric(41, 9)
     N, nt = chart.num_nodes, chart.nt
-    system = robin_system(flat_metric(chart), 2.0)
+    system = reference_system(flat_metric(chart), 2.0)
     lu = Factorization(system)
     x0, X, solves = robin_reference.boundary_responses(lu, system.rhs, nt,
                                                        1e-11, 1e-9)
@@ -453,16 +488,15 @@ def test_blocked_responses_match_one_block(monkeypatch):
     assert np.min(X) > 0.0
 
 
-@pytest.mark.parametrize("chart,f,corrections", [
-    (Chart.radial(3, 41), -1.0, 0), (Chart.radial(3, 201), -1.0, 1),
-    (Chart.radial(3, 201), 0.1, 1),
-    (Chart.axisymmetric(201, 33), "cos:0.05,0.02", 1)],
+@pytest.mark.parametrize("chart,f", [
+    (Chart.radial(3, 41), -1.0), (Chart.radial(3, 201), -1.0),
+    (Chart.radial(3, 201), 0.1),
+    (Chart.axisymmetric(201, 33), "cos:0.05,0.02")],
     ids=["radial-41", "radial-201-1-step", "radial-201-4-steps", "axisym"])
-def test_monotone_iterate_linear_count(monkeypatch, chart, f, corrections):
-    # one full solve for the final u, whatever the step count, and one
-    # more where its r = 1 values miss u_b by more than rounding: 14x
-    # below that bound on radial 41, 6.6-17x above it on the others
-    pair, g = _pair(chart, f=f)
+def test_monotone_iterate_linear_count(monkeypatch, chart, f):
+    # two full solves for the final u, whatever the step count: the second
+    # takes its r = 1 values to u_b
+    pair, g, _ = _pair(chart, f=f)
     calls = []
     solve = Factorization.solve
 
@@ -472,17 +506,18 @@ def test_monotone_iterate_linear_count(monkeypatch, chart, f, corrections):
 
     monkeypatch.setattr(Factorization, "solve", counting)
     sol = monotone_iterate(pair, g)
-    assert calls == [(chart.num_nodes,)] * (1 + corrections)
-    assert sol.report.iterations["corrections"] == corrections
-    assert sol.report.iterations["linear"] == 2 * (1 + corrections)
+    assert calls == [(chart.num_nodes,)] * 2
+    assert "corrections" not in sol.report.iterations
+    assert sol.report.iterations["linear"] == 4
 
 
 def test_negative_robin_response_raises():
-    pair, g = _pair(Chart.axisymmetric(41, 9), f=0.1)
-    lu, X_b = meancurv.robin_factors(g)
-    bad = X_b.copy()
+    pair, g, _ = _pair(Chart.axisymmetric(41, 9), f=0.1)
+    lu, phi, D, data = meancurv.robin_factors(g)
+    shift = meancurv.stabilization_weight(pair) * np.eye(D.shape[0])
+    bad = np.linalg.inv(D + shift)
     bad[3, 5] = -1e-6  # a response the barrier gate did not see
-    g.robin_factors = (lu, bad)
+    g.robin_factors = (lu, phi, np.linalg.inv(bad) - shift, data)
     with pytest.raises(SolveError, match="Robin response"):
         monotone_iterate(pair, g)
 
@@ -519,23 +554,21 @@ def test_inaccurate_boundary_block_raises(monkeypatch):
 ], ids=["radial-201", "radial-1601", "axisym-41x9", "axisym-201x33",
         "axisym-81x17"])
 def test_barrier_and_responses_match_references(make):
-    # v and dv/deta of the Dirichlet system; x0_b and X_b(c0) of the LU,
-    # and the certificate's X_b(c) = K^-1 X_b(c0) for the pair's weight and
-    # one above it, against nt + 1 refined solves each; the reference's
-    # full N x nt responses pass X >= -slack too
-    pair, g = make()
-    v_ref, dv_ref = dirichlet_harmonic_unit(g)
+    # v and dv/deta of the Dirichlet system; the certificate's
+    # X_b(c) = (D + c I)^-1 and x0_b(c) = 1 - c X_b(c) 1 (constants solve
+    # the problem with datum c) for the pair's weight and one above it,
+    # against nt + 1 refined solves each; the reference's full N x nt
+    # responses pass X >= -slack too
+    pair, g, (metric, phi) = make()
+    v_ref, dv_ref = reference_harmonic_unit(metric, phi)
     assert np.max(np.abs(pair.v.values - v_ref.values)) <= 1e-11
     assert (np.max(np.abs(pair.dv_deta.values - dv_ref.values))
             <= 1e-11 * np.max(np.abs(dv_ref.values)))
-    c0 = meancurv.BASE_WEIGHT
-    X_b = meancurv.robin_factors(g)[1]
-    x0_ref, X_ref = reference_responses(g, c0, slack=1e-9)
-    assert np.max(np.abs(1.0 - c0 * X_b.sum(axis=1) - x0_ref)) <= 1e-11
-    assert np.max(np.abs(X_b - X_ref)) <= 1e-11 * np.max(np.abs(X_ref))
+    D = meancurv.robin_factors(g)[2]
     for c in (meancurv.stabilization_weight(pair), 2.5):
-        X = np.linalg.solve(np.eye(X_b.shape[0]) + (c - c0) * X_b, X_b)
-        X_ref = reference_responses(g, c, slack=1e-9)[1]
+        X = np.linalg.inv(D + c * np.eye(D.shape[0]))
+        x0_ref, X_ref = reference_responses(metric, c, phi, slack=1e-9)
+        assert np.max(np.abs(1.0 - c * X.sum(axis=1) - x0_ref)) <= 1e-11
         assert np.max(np.abs(X - X_ref)) <= 1e-11 * np.max(np.abs(X_ref))
 
 
@@ -547,7 +580,7 @@ def test_barrier_and_responses_match_references(make):
 def test_sandwich_margins_are_informative(make):
     # over s > 0 the answer sits strictly between the barriers; the s = 0
     # row, where all three are 1, would pin both margins at 0.0
-    pair, g = make()
+    pair, g, _ = make()
     barrier = monotone_iterate(pair, g).report.barrier
     assert barrier["sandwich_margin_low"] > 0.0 > barrier[
         "sandwich_margin_high"]

@@ -22,15 +22,12 @@ def field(values):
 def test_spec_str():
     # str names the report's residual keys, e.g. scalar_curvature_L(2,-2.5)
     assert str(WeightedNormSpec(2, -2.5)) == "L(2,-2.5)"
-    assert str(WeightedNormSpec(2, -0.5, k=1)) == "W(1,2,-0.5)"
     assert str(WeightedNormSpec(math.inf, 0)) == "L(inf,0)"
 
 
 def test_spec_validation():
     with pytest.raises(InvalidNormSpec):
         WeightedNormSpec(p=0.5, delta=0.0)
-    with pytest.raises(InvalidNormSpec):
-        WeightedNormSpec(p=2, delta=0.0, k=-1)
 
 
 # -- analytic examples ------------------------------------------------------
@@ -54,7 +51,7 @@ def test_l2_norm_sqrt_2pi():
 def test_zero_field():
     z = field(np.zeros(CHART.shape))
     for spec in (WeightedNormSpec(1, 0.0), WeightedNormSpec(2, -1.0),
-                 WeightedNormSpec(math.inf, 2.0, 1)):
+                 WeightedNormSpec(math.inf, 2.0)):
         assert weighted_norm(z, spec) == 0.0
 
 
@@ -69,20 +66,6 @@ def test_quadrature_convergence():
                         - exact))
     assert errs[0] / errs[1] > 3.0
     assert errs[1] / errs[2] > 3.0
-
-
-def test_sobolev_norm_includes_derivatives():
-    u = field(CHART.s.copy())
-    l2 = weighted_norm(u, WeightedNormSpec(2, -0.5))
-    w12 = weighted_norm(u, WeightedNormSpec(2, -0.5, k=1))
-    w22 = weighted_norm(u, WeightedNormSpec(2, -0.5, k=2))
-    assert w22 > w12 > l2 > 0
-
-
-def test_derivative_order_limit():
-    u = field(CHART.s.copy())
-    with pytest.raises(InvalidNormSpec):
-        weighted_norm(u, WeightedNormSpec(2, 0.0, k=3))
 
 
 # -- property tests ---------------------------------------------------------
