@@ -69,7 +69,8 @@ class Chart:
     Parameters
     ----------
     n : int
-        Ambient dimension, n >= 3.
+        Ambient dimension, n >= 3, small enough that the sphere area and
+        the powers of r = 1/s that the chart evaluates are finite doubles.
     num_s : int
         Number of nodes in s, at least 3: ``s = np.linspace(0, 1, num_s)``,
         so s[0] = 0 and s[-1] = 1, with step ``ds = s[1]``.
@@ -108,12 +109,23 @@ class Chart:
         self.s = s
         self.s.flags.writeable = False
 
+        try:
+            area = sphere_area(n)
+            # the largest powers of 1/s evaluated on the chart: r^(n+1) of
+            # the weights at s = ds, s^(1-n) of the Laplacian at ds/2
+            math.pow(self.ds, -(n + 1.0))
+            math.pow(0.5 * self.ds, 1.0 - n)
+        except OverflowError:
+            raise ChartError(f"n = {n} overflows the sphere area or the "
+                             f"powers of r = 1/s on a chart of num_s = "
+                             f"{num_s} nodes") from None
+
         if num_theta is None:
             self.mode, self.theta, self.dtheta = RADIAL, None, None
             self.nt, self.s_col = 1, self.s
             self.shape = (s.size,)
             # the one boundary node stands for the whole unit sphere
-            self._sphere = (sphere_area(self.n), np.ones(1))
+            self._sphere = (area, np.ones(1))
         else:
             th = np.linspace(0.0, math.pi, num_theta)
             self.dtheta = float(th[1])

@@ -124,9 +124,11 @@ def merge_config(args: argparse.Namespace) -> dict:
                           f"reads {' or '.join(map(str, reads)) or 'none'}")
     grids = cfg["grids"]
     if (type(grids) is not list or len(grids) < 2
-            or any(type(x) is not int or x < MIN_S_NODES for x in grids)):
-        raise ConfigError(f"grids must be a list of at least two integers "
-                          f">= {MIN_S_NODES}, got {grids!r}")
+            or any(type(x) is not int or x < MIN_S_NODES for x in grids)
+            or any(a >= b for a, b in zip(grids, grids[1:]))):
+        raise ConfigError(f"grids must be a strictly increasing list of at "
+                          f"least two integers >= {MIN_S_NODES}, got "
+                          f"{grids!r}")
     parse_family(cfg["family"])
     return cfg
 

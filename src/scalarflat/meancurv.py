@@ -215,16 +215,18 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10):
 def rho_threshold(dv_deta: BoundaryField, beta: float):
     """Sufficient threshold rho for the boundary datum.
 
-    For beta > 1: rho = dv/deta * (1/(beta-1))^{1-beta} * beta^{-beta}; this
-    equals dv/deta * max_{alpha>0} (alpha-1) alpha^{-beta}.  For beta <= 1
-    the barrier family covers any f <= 0 instead and None is returned as the
-    negative-f-regime marker.
+    For beta > 1: rho = dv/deta * (beta-1)^{beta-1} / beta^beta; this
+    equals dv/deta * max_{alpha>0} (alpha-1) alpha^{-beta}.  The factor is
+    taken as exp((beta-1) ln(1 - 1/beta) - ln beta), whose terms stay finite
+    for every finite beta.  For beta <= 1 the barrier family covers any
+    f <= 0 instead and None is returned as the negative-f-regime marker.
     """
     if not np.all(dv_deta.values > 0.0):
         raise BarrierError("dv/deta must be positive")
     if beta <= 1.0:
         return None
-    factor = (1.0 / (beta - 1.0)) ** (1.0 - beta) * beta ** (-beta)
+    factor = math.exp((beta - 1.0) * math.log1p(-1.0 / beta)
+                      - math.log(beta))
     return BoundaryField(dv_deta.chart, dv_deta.values * factor)
 
 

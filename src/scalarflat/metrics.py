@@ -21,6 +21,8 @@ Conventions
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .chart import AXISYM, RADIAL, BoundaryField, Chart, ScalarField
@@ -102,6 +104,16 @@ class MetricField:
             self._curvature = R
         return self._curvature
 
+    @functools.cached_property
+    def far_field_fit(self):
+        """``decay_fit`` of max |g - flat| over each s level, computed once
+        per metric; None for the exact flat metric."""
+        c = self.chart
+        dev = np.max(np.abs(self.comps - 1.0).reshape(c.s.size, -1), axis=1)
+        if np.max(dev) < 1e-14:
+            return None
+        return decay_fit(ScalarField(Chart(c.n, c.s.size), dev))
+
     def boundary_a_rr(self) -> np.ndarray:
         return np.atleast_1d(self.comps[-1, ..., 0])
 
@@ -166,7 +178,7 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
     if kind == "flat":
         return flat_metric(chart)
     if kind == "conformal":
-        coeffs = _spec_floats(spec, "coeffs")
+        coeffs = _spec_numbers(spec, "coeffs")
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise MetricError("conformal metric spec: 'coeffs' must be a "
                               "nonempty list of numbers")
@@ -182,7 +194,7 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
         if any(t.shape != chart.shape for t in tables):
             raise MetricError("axisym metric spec: component tables must have "
                               f"the grid shape {chart.shape}")
-        declared = (_spec_floats(spec, "decay") if "decay" in spec
+        declared = (_spec_numbers(spec, "decay") if "decay" in spec
                     else np.float64(chart.n - 2.5))
         if declared.ndim != 0:
             raise MetricError("axisym metric spec: 'decay' must be a number")
@@ -206,14 +218,23 @@ def _spec_floats(spec: dict, key: str) -> np.ndarray:
     raise MetricError(f"{spec['kind']} metric spec: {key!r} is not finite")
 
 
+def _spec_numbers(spec: dict, key: str) -> np.ndarray:
+    """``_spec_floats`` of a short entry (a list of coefficients or a rate),
+    in which a boolean is not a number."""
+    val = spec.get(key)
+    if isinstance(val, bool) or (isinstance(val, list)
+                                 and any(isinstance(v, bool) for v in val)):
+        raise MetricError(f"{spec['kind']} metric spec: {key!r} holds a "
+                          "boolean, not a number")
+    return _spec_floats(spec, key)
+
+
 def _check_decay(g: MetricField, need: float):
-    """Decay fit of max |g - flat| over each s level (None for exact flat);
-    DecayError when q < need - DECAY_RATE_SLACK or there is no decay."""
-    c = g.chart
-    dev = np.max(np.abs(g.comps - 1.0).reshape(c.s.size, -1), axis=1)
-    if np.max(dev) < 1e-14:
+    """``g.far_field_fit``; DecayError when q < need - DECAY_RATE_SLACK or
+    there is no decay."""
+    fit = g.far_field_fit
+    if fit is None:
         return None
-    fit = decay_fit(ScalarField(Chart(c.n, c.s.size), dev))
     if fit.status == "no-decay" or (fit.status == "ok"
                                     and fit.q < need - DECAY_RATE_SLACK):
         raise DecayError(

@@ -100,11 +100,10 @@ def _reprs(a) -> list:
 @functools.lru_cache(maxsize=CHART_CACHE_SIZE)
 def _coordinate_text(chart) -> tuple:
     """The coordinate text of ``emit_fields`` rows, formatted once per
-    chart: ``"\\r\\ns,r,"`` per s level (the line break ends the line before)
+    chart: ``"\\r\\ns,"`` per s level (the line break ends the line before)
     and ``"theta,"`` per theta column, or one empty string on radial
     charts."""
-    levels = tuple("\r\n%s,%s," % sr for sr in zip(_reprs(chart.s),
-                                                       _reprs(chart.r)))
+    levels = tuple("\r\n" + s + "," for s in _reprs(chart.s))
     if chart.theta is None:
         return levels, ("",)
     return levels, tuple(t + "," for t in _reprs(chart.theta))
@@ -112,7 +111,7 @@ def _coordinate_text(chart) -> tuple:
 
 def emit_fields(path, **fields) -> None:
     """Write named fields to one CSV: one row per node in (s, theta) order,
-    the coordinates s, r (and theta on axisymmetric grids), then one value
+    the coordinates s (and theta on axisymmetric grids), then one value
     column per field, every number as its Python ``repr`` and every line
     ended by ``\\r\\n``.  All fields must share a chart.
     """
@@ -123,7 +122,7 @@ def emit_fields(path, **fields) -> None:
         raise ScalarFlatError("fields must share one chart")
     names = sorted(fields)
     chart = fields[names[0]].chart
-    header = ["s", "r"] if chart.theta is None else ["s", "r", "theta"]
+    header = ["s"] if chart.theta is None else ["s", "theta"]
     levels, thetas = _coordinate_text(chart)
     nt = len(thetas)
     values = [fields[n].values.reshape(chart.s.size, -1) for n in names]
@@ -153,7 +152,7 @@ def read_fields(path):
     with open(path) as fh:
         header = fh.readline().rstrip("\n").split(",")
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    coord_names = {"s", "r", "theta"}
+    coord_names = {"s", "theta"}
     coords = {h: body[:, k] for k, h in enumerate(header) if h in coord_names}
     vals = {h: body[:, k] for k, h in enumerate(header)
             if h not in coord_names}

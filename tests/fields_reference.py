@@ -21,8 +21,8 @@ def csv_writer_emit_fields(path, **fields) -> None:
         raise ScalarFlatError("fields must share one chart")
     names = sorted(fields)
     chart = fields[names[0]].chart
-    header = ["s", "r"]
-    coords = [chart.s_col, chart.r.reshape(chart.s_col.shape)]
+    header = ["s"]
+    coords = [chart.s_col]
     if chart.theta is not None:
         header.append("theta")
         coords.append(chart.theta)

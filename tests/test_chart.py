@@ -50,6 +50,20 @@ def test_chart_validation():
         Chart(4, 5, 5)
 
 
+def test_chart_rejects_dimensions_that_overflow():
+    # gamma(n/2) of the sphere area overflows from n = 344; on 201 nodes
+    # the Laplacian's s^(1-n) at s = ds/2 overflows from n = 120
+    for n, num_s in ((400, 3), (400, 201), (120, 201)):
+        with pytest.raises(ChartError, match=f"n = {n} .* num_s = {num_s}"):
+            Chart(n, num_s)
+    # the largest n that builds on 201 nodes evaluates its weights and
+    # flat Laplacian without overflow
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        c = Chart(119, 201)
+        assert np.all(np.isfinite(c.weights))
+        assert np.all(np.isfinite(c.flat_laplacian().data))
+
+
 @pytest.mark.parametrize("counts", [(3, 11), (5, 1601), (3, 201, 65)],
                          ids=["radial-11", "radial-1601", "axisym-201x65"])
 def test_nodes_are_linspace(counts):

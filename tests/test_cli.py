@@ -366,6 +366,24 @@ def _quotient_family(family):
                "--f", "0.5", "--beta", "3"],
     lambda d: ["--mode", "dirichlet", "--grid", "41", "--f", "abc"],
     lambda d: ["--mode", "quotient", "--grid", "81", "--target", "1"],
+    # a dimension whose sphere area or powers of r overflow the chart
+    # (exited 1 with a traceback, and 3 after RuntimeWarnings)
+    lambda d: ["--n-dim", "400"],
+    lambda d: ["--grid", "201", "--n-dim", "120"],
+    # a boolean in a short metric entry (these exited 0)
+    lambda d: ["--metric", _json_file(d, {"kind": "conformal",
+                                          "coeffs": [True, 0.5]})],
+    lambda d: ["--grid", "41x5", "--metric",
+               _json_file(d, {"kind": "axisym", "a_rr": ONES,
+                              "a_theta": ONES, "a_phi": ONES,
+                              "decay": True})],
+    # convergence grids that do not increase (these exited 4)
+    lambda d: ["--config", _json_file(d, {
+        "mode": "convergence-study", "metric": "conformal:1,0,1",
+        "grids": [41, 41]})],
+    lambda d: ["--config", _json_file(d, {
+        "mode": "convergence-study", "metric": "conformal:1,0,1",
+        "grids": [400, 200, 100]})],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -383,7 +401,9 @@ def _quotient_family(family):
         "config-oracle-f-true", "meancurv-f-nan", "meancurv-f-inf",
         "meancurv-f-cos-nan", "meancurv-f-cos-overflow", "oracle-f-only",
         "oracle-beta-only", "meancurv-target-and-f-beta", "dirichlet-f",
-        "quotient-target"])
+        "quotient-target", "n-dim-400", "grid-201-n-dim-120",
+        "conformal-coeffs-bool", "axisym-decay-bool", "grids-repeated",
+        "grids-decreasing"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
     err = capsys.readouterr().err
@@ -406,6 +426,17 @@ def test_exit_code_solve_failure(tmp_path):
     code = main(["--mode", "meancurv", "--f", "0.2", "--beta", "3",
                  "--grid", "101", "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+@pytest.mark.parametrize("beta", ["150", "1e300"])
+def test_large_beta_has_no_supersolution(tmp_path, capsys, beta):
+    # rho = dv/deta (beta-1)^(beta-1) / beta^beta, about 1/(e beta) here, is
+    # below f = 0.1 (beta 150 exited 1: the power form of rho overflowed)
+    code = main(["--mode", "meancurv", "--f", "0.1", "--beta", beta,
+                 "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "no supersolution" in err and "Traceback" not in err
 
 
 def test_config_file_and_flag_override(tmp_path):

@@ -8,6 +8,8 @@ from scalarflat import (BoundaryField, Chart, PositivityError, ScalarField,
                         solve_scalar_flat_dirichlet, sweep_certificate)
 from scalarflat.dirichlet import _yamabe_linear_problem
 import scalarflat.metrics as metrics
+import scalarflat.weighted as weighted
+from scalarflat.weighted import decay_fit
 
 BENCH = {"kind": "conformal", "coeffs": [1.0, 0.0, 1.0]}  # u0 = 1 + r^-2
 
@@ -218,6 +220,26 @@ def test_axisymmetric_dirichlet():
     sol = solve_scalar_flat_dirichlet(g)
     assert sol.report.extrema["min_phi"] > 0.0
     assert sol.report.residuals["scalar_curvature_Linf_interior"] < 1e-8
+
+
+def test_one_far_field_fit_per_metric(monkeypatch):
+    # the table's decay fit serves both its declared rate and the
+    # n - 2.5 check; the second fit is the report's decay block of phi
+    c = Chart.axisymmetric(41, 9)
+    a = 1.0 + 0.05 * (c.s ** 2)[:, None] * (1.0 + 0.3 * np.cos(c.theta) ** 2)
+    fitted = []
+
+    def counting_fit(u):
+        fitted.append(u)
+        return decay_fit(u)
+
+    for module in (metrics, weighted):
+        monkeypatch.setattr(module, "decay_fit", counting_fit)
+    g = metric_from_spec({"kind": "axisym", "a_rr": a, "a_theta": a,
+                          "a_phi": a, "decay": 2.0}, c)
+    assert len(fitted) == 1
+    solve_scalar_flat_dirichlet(g)
+    assert len(fitted) == 2
 
 
 def test_dirichlet_and_sweep_build_operators_once(monkeypatch):

@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,6 +61,19 @@ def test_rho_threshold_formula():
     assert rho_threshold(BoundaryField.constant(c, 1.0), 1.0) is None
     with pytest.raises(BarrierError):
         rho_threshold(BoundaryField.constant(c, -1.0), 3.0)
+
+
+@pytest.mark.parametrize("beta", [150.0, 1000.0, 1e6, 1e300])
+def test_rho_threshold_large_beta(beta):
+    # (beta-1)^(beta-1) / beta^beta = (1 - 1/beta)^(beta-1) / beta, which
+    # tends to 1/(e beta); the power form overflowed from beta ~ 144
+    c = Chart.radial(3, 51)
+    rho = rho_threshold(BoundaryField.constant(c, 1.0), beta).values[0]
+    assert rho == pytest.approx(1.0 / (math.e * beta), rel=1.0 / beta)
+    if beta <= 1000.0:  # exact in rationals
+        b = int(beta)
+        assert rho == pytest.approx(float(Fraction((b - 1) ** (b - 1),
+                                                   b ** b)), rel=1e-14)
 
 
 def test_boundary_defect_signs():

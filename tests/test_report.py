@@ -59,13 +59,14 @@ def test_emit_fields_roundtrip(tmp_path):
     path = tmp_path / "fields.csv"
     emit_fields(path, u=u, v=v)
     coords, vals = read_fields(path)
+    assert list(coords) == ["s"]
     assert np.array_equal(coords["s"], c.s)
     assert np.array_equal(vals["u"], u.values)
     assert np.array_equal(vals["v"], v.values)
 
 
 def test_emit_fields_harmonic_row(tmp_path):
-    # v = 1/r: the r=2 row carries 0.5 exactly for this nodal sample
+    # v = 1/r = s: the s = 0.5 (r = 2) row carries 0.5 exactly
     import csv
     c = Chart.radial(3, 41)
     v = ScalarField(c, c.s.copy())
@@ -73,7 +74,8 @@ def test_emit_fields_harmonic_row(tmp_path):
     emit_fields(path, v=v)
     with open(path, newline="") as fh:
         rows = list(csv.DictReader(fh))
-    match = [row for row in rows if abs(float(row["r"]) - 2.0) < 1e-12]
+    assert list(rows[0]) == ["s", "v"]
+    match = [row for row in rows if abs(float(row["s"]) - 0.5) < 1e-12]
     assert match and float(match[0]["v"]) == pytest.approx(0.5, abs=1e-12)
 
 
@@ -83,6 +85,7 @@ def test_emit_fields_axisym(tmp_path):
     path = tmp_path / "fields.csv"
     emit_fields(path, u=u)
     coords, vals = read_fields(path)
+    assert list(coords) == ["s", "theta"]
     assert coords["s"].size == c.num_nodes
     assert np.array_equal(vals["u"], u.values.ravel())
 
@@ -119,8 +122,6 @@ def _edge_field(chart):
 def test_emit_fields_matches_csv_writer(tmp_path, monkeypatch, chunk_nodes,
                                         chart, make):
     monkeypatch.setattr(report, "_CHUNK_NODES", chunk_nodes)
-    # r is inf on the s = 0 level of both charts
-    assert np.isinf(chart.r[0])
     fields = make(chart)
     emit_fields(tmp_path / "new.csv", **fields)
     csv_writer_emit_fields(tmp_path / "ref.csv", **fields)
