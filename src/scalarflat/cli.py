@@ -35,7 +35,6 @@ DEFAULTS = {
     "n": 3,
     "grid": "201",
     "metric": "flat",
-    "tol": 1e-10,
     "f": None,
     "beta": None,
     "target": None,
@@ -57,7 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Scalar-flat conformal factors on exterior domains")
     p.add_argument("--mode", choices=MODES)
     p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--tol", type=float, help="linear backward-error bound")
     p.add_argument("--grid", help="Ns (radial) or NsxNtheta (axisymmetric)")
     p.add_argument("--n-dim", type=int, dest="n", help="ambient dimension")
     p.add_argument("--metric",
@@ -99,9 +97,9 @@ def merge_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown mode {cfg['mode']!r}")
     if type(cfg["n"]) is not int or cfg["n"] < 3:
         raise ConfigError(f"n must be an integer >= 3, got {cfg['n']!r}")
-    for key, low in (("tol", 0.0), ("beta", 0.0), ("target", -math.inf)):
+    for key, low in (("beta", 0.0), ("target", -math.inf)):
         val = cfg[key]
-        if val is None and key != "tol":
+        if val is None:
             continue  # beta and target are optional
         if type(val) not in (int, float) or not low < val < math.inf:
             raise ConfigError(f"{key} must be a number in ({low:g}, inf), "
@@ -223,20 +221,20 @@ def parse_f(spec, chart: Chart) -> BoundaryField:
 # ---------------------------------------------------------------------------
 
 def _run_dirichlet(cfg, chart, g):
-    sol = solve_scalar_flat_dirichlet(g, tol=cfg["tol"])
+    sol = solve_scalar_flat_dirichlet(g)
     return sol.report, {"phi": sol.phi}
 
 
 def _run_meancurv(cfg, chart, g):
     if cfg["target"] is not None:
         target = BoundaryField.constant(chart, float(cfg["target"]))
-        sol = prescribe_mean_curvature(g, target, tol=cfg["tol"])
+        sol = prescribe_mean_curvature(g, target)
     else:
         if cfg["f"] is None or cfg["beta"] is None:
             raise ConfigError("meancurv mode needs --target, or --f and "
                               "--beta for the Robin subproblem")
         f = parse_f(cfg["f"], chart)
-        sol = solve_nonlinear_robin(g, f, float(cfg["beta"]), tol=cfg["tol"])
+        sol = solve_nonlinear_robin(g, f, float(cfg["beta"]))
     return sol.report, {"u": sol.u}
 
 
@@ -298,7 +296,7 @@ def _run_convergence(cfg, chart, g):
         ci = Chart.radial(chart.n, num)
         gi = metric_from_spec({"kind": "conformal", "coeffs": list(coeffs)},
                               ci)
-        sol = solve_scalar_flat_dirichlet(gi, tol=cfg["tol"])
+        sol = solve_scalar_flat_dirichlet(gi)
         phi_ref = radial_dirichlet_yamabe(coeffs, chart.n, ci.s)
         errors.append(float(np.max(np.abs(sol.phi.values - phi_ref))))
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else float("inf")

@@ -57,8 +57,8 @@ def _yamabe_linear_problem(g: MetricField, lam: float) -> LinearProblem:
                          limit=0.0)
 
 
-def solve_conformal_factor(problem: LinearProblem, offset: float, tol: float,
-                           mode: str, lu: Factorization | None = None):
+def solve_conformal_factor(problem: LinearProblem, offset: float, mode: str,
+                           lu: Factorization | None = None):
     """The conformal change shared by both problems.
 
     Checks that the problem's metric g is asymptotically flat, solves the
@@ -72,8 +72,7 @@ def solve_conformal_factor(problem: LinearProblem, offset: float, tol: float,
     """
     g = problem.metric
     check_asymptotic_flatness(g)
-    result = (solve_linear(problem, tol=tol) if lu is None
-              else lu.solve(lu.system.rhs, tol=tol))
+    result = solve_linear(problem) if lu is None else lu.solve(lu.system.rhs)
     phi = ScalarField(g.chart, offset + result.solution.values)
     min_phi = float(np.min(phi.values))
     if min_phi <= 0.0:
@@ -94,8 +93,7 @@ def solve_conformal_factor(problem: LinearProblem, offset: float, tol: float,
     return phi, g_new, report
 
 
-def solve_scalar_flat_dirichlet(g: MetricField,
-                                tol: float = 1e-10) -> ConformalSolution:
+def solve_scalar_flat_dirichlet(g: MetricField) -> ConformalSolution:
     """Conformal factor phi with R(phi^{4/(n-2)} g) = 0, phi = 1 on r=1.
 
     min phi > 0 certifies the whole discrete lambda-family (module
@@ -103,7 +101,7 @@ def solve_scalar_flat_dirichlet(g: MetricField,
     """
     t0 = time.perf_counter()
     phi, g_new, report = solve_conformal_factor(
-        _yamabe_linear_problem(g, 1.0), offset=1.0, tol=tol, mode="dirichlet")
+        _yamabe_linear_problem(g, 1.0), offset=1.0, mode="dirichlet")
     n = g.chart.n
     delta = 2.5 - n
     spec = WeightedNormSpec(2, delta - 2)
@@ -117,7 +115,7 @@ def solve_scalar_flat_dirichlet(g: MetricField,
     return ConformalSolution(phi=phi, metric=g_new, report=report)
 
 
-def lambda_sweep(g: MetricField, steps: int = 11, tol: float = 1e-10):
+def lambda_sweep(g: MetricField, steps: int = 11):
     """min phi_lambda along the positivity continuation family.
 
     The sampled cross-check of the one-solve certificate: for each lambda
@@ -131,7 +129,7 @@ def lambda_sweep(g: MetricField, steps: int = 11, tol: float = 1e-10):
     out = []
     for lam in np.linspace(0.0, 1.0, steps):
         try:
-            res = solve_linear(_yamabe_linear_problem(g, float(lam)), tol=tol)
+            res = solve_linear(_yamabe_linear_problem(g, float(lam)))
             out.append((float(lam),
                         float(np.min(1.0 + res.solution.values)), None))
         except ScalarFlatError as exc:

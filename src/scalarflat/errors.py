@@ -37,9 +37,12 @@ class SolveError(ScalarFlatError):
 
 
 class NonConvergenceError(SolveError):
-    """Iteration cap reached before the tolerance was met.
+    """A solve that stopped short of its target: Newton's step cap was
+    reached with the boundary map above rounding, or a linear solve's final
+    backward error is above ``elliptic.BACKWARD_ERROR_TOL``.
 
-    ``history`` holds the residual (or increment) record up to the failure.
+    ``history`` holds the backward-error (or Newton increment) record up to
+    the failure.
     """
 
     def __init__(self, message, history=None):

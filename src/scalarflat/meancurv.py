@@ -129,7 +129,7 @@ def _boundary_slot(ghat: MetricField, lu: Factorization, phi: ScalarField):
     return lu, phi, D, data
 
 
-def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
+def reduce_to_minimal(g: MetricField):
     """Conformal factor making the metric scalar-flat with H = 0 boundary.
 
     Solves (4(n-1)/(n-2)) Delta_g phi - R phi = 0 with the Robin condition
@@ -143,7 +143,7 @@ def reduce_to_minimal(g: MetricField, tol: float = 1e-10):
     """
     problem = _boundary_problem(g, curvature=True)
     lu = Factorization(assemble(problem), boundary_last=True)
-    phi, ghat, report = solve_conformal_factor(problem, offset=0.0, tol=tol,
+    phi, ghat, report = solve_conformal_factor(problem, offset=0.0,
                                                mode="reduce", lu=lu)
     report.residuals["boundary_H_Linf"] = float(
         np.max(np.abs(boundary_mean_curvature(ghat).values)))
@@ -164,7 +164,7 @@ def robin_factors(g: MetricField):
 
 
 def _harmonic(lu: Factorization, phi: ScalarField, data: np.ndarray,
-              u_b: np.ndarray, tol: float):
+              u_b: np.ndarray):
     """The harmonic field w / phi with limit 0 and r = 1 values u_b, by two
     solves on lu: (w, LU solves, miss).  X is not refined, so the first
     solve, on ``data`` u_b, misses u_b on r = 1 (by up to ~3e-11 relative);
@@ -172,21 +172,21 @@ def _harmonic(lu: Factorization, phi: ScalarField, data: np.ndarray,
     solve's largest, the gate on X."""
     rhs = np.zeros(lu.scale.size)
     rhs[-u_b.size:] = data @ u_b
-    first = lu.solve(rhs, tol=tol)
+    first = lu.solve(rhs)
     w = first.solution.values
     miss = np.atleast_1d(w[-1] / phi.values[-1]) - u_b
     rhs[-u_b.size:] = data @ miss
-    second = lu.solve(rhs, tol=tol)
+    second = lu.solve(rhs)
     return (w - second.solution.values, first.iterations + second.iterations,
             float(np.max(np.abs(miss))))
 
 
-def harmonic_unit(g: MetricField, tol: float = 1e-10):
+def harmonic_unit(g: MetricField):
     """Harmonic barrier: Delta_g v = 0, v = 1 at r=1, v -> 0 at infinity.
 
     ``_harmonic`` on the LU of ``robin_factors`` with r = 1 values 1, whose
     first solve must give 1 on r = 1 within ``BARRIER_SLACK``, the slack of
-    the bound v <= 1: its data come from no gated solve (``tol`` bounds
+    the bound v <= 1: its data come from no gated solve (the gate bounds
     backward errors only).  dv/deta is ``normal_derivative`` of v, D 1 up
     to the rounding that D's stencil amplifies.  v = 0 at s = 0 exactly:
     those identity rows are eliminated first, with diagonal pivots.
@@ -196,7 +196,7 @@ def harmonic_unit(g: MetricField, tol: float = 1e-10):
     discretization error.
     """
     lu, phi, D, data = robin_factors(g)
-    w, _, miss = _harmonic(lu, phi, data, np.ones(D.shape[0]), tol)
+    w, _, miss = _harmonic(lu, phi, data, np.ones(D.shape[0]))
     if not miss <= BARRIER_SLACK:
         raise SolveError(f"harmonic barrier misses 1 on r = 1 by {miss:.3g}: "
                          "inaccurate boundary block X_b of the Robin LU")
@@ -306,17 +306,27 @@ def stabilization_weight(pair: SubSuperPair) -> float:
     It dominates beta |f| u^(beta-1), the slope of f u^beta, over the
     barrier range [min u_-, max u_+]: u^(beta-1) is monotone in u, so its
     largest value is at one end.  Then h(u) = f u^beta + c u is increasing
-    on that range whatever the sign of f.
+    on that range whatever the sign of f.  The bound is taken in logs, as
+    u^(beta-1) overflows for large beta; nodes with f = 0 add no slope, and
+    a weight that is not a finite double raises ``SolveError``.
     """
+    f_max = float(np.max(np.abs(pair.f.values)))
+    if f_max == 0.0:
+        return 1.0
     lo = max(float(np.min(pair.u_minus.values)), 1e-300)
     hi = float(np.max(pair.u_plus.values))
-    slope = pair.beta * np.abs(pair.f.values) * max(
-        lo ** (pair.beta - 1.0), hi ** (pair.beta - 1.0))
-    return max(1.0, float(np.max(slope)))
+    log_slope = math.log(pair.beta * f_max) + max(
+        (pair.beta - 1.0) * math.log(u) for u in (lo, hi))
+    if not log_slope < math.log(np.finfo(float).max):
+        raise SolveError(
+            f"stabilization weight beta |f| u^(beta-1) = exp({log_slope:.4g})"
+            f" overflows on the barrier range [{lo:.3g}, {hi:.3g}] at "
+            f"beta = {pair.beta:g}")
+    return max(1.0, math.exp(log_slope))
 
 
-def monotone_iterate(pair: SubSuperPair, g: MetricField,
-                     tol: float = 1e-10) -> MeanCurvatureSolution:
+def monotone_iterate(pair: SubSuperPair,
+                     g: MetricField) -> MeanCurvatureSolution:
     """Solution between the barriers, by Newton on the boundary map.
 
     The problem is Delta_g u = 0, u -> 1 at infinity, with the Robin
@@ -330,8 +340,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
     place of the largest term of G.  It takes no step when G(u_-) is
     already rounding, and raises ``NonConvergenceError`` when G is not
     after ``MAX_MONOTONE_STEPS`` steps.  The full u is 1 plus ``_harmonic``
-    of u_b - 1 on the same LU, so this stage factors nothing; ``tol``
-    bounds its solves' backward errors.
+    of u_b - 1 on the same LU, so this stage factors nothing.
 
     Existence is the paper's sub/supersolution argument, checked on the
     discrete problem; it is the one use of the weight c of
@@ -405,7 +414,7 @@ def monotone_iterate(pair: SubSuperPair, g: MetricField,
 
     fold_margin = float(np.linalg.svd(D - np.diag(slope(u)),
                                       compute_uv=False)[-1])
-    w, linear, _ = _harmonic(lu, phi, data, u - 1.0, tol)
+    w, linear, _ = _harmonic(lu, phi, data, u - 1.0)
     u = ScalarField(g.chart, 1.0 + w / phi.values)
     low = float(np.min(u.values[1:] - pair.u_minus.values[1:]))
     high = float(np.max(u.values[1:] - pair.u_plus.values[1:]))
@@ -460,19 +469,18 @@ def _stage(name, fn, *args):
         raise StageError(name, exc) from exc
 
 
-def solve_nonlinear_robin(g: MetricField, f: BoundaryField, beta: float,
-                          tol: float = 1e-10) -> MeanCurvatureSolution:
+def solve_nonlinear_robin(g: MetricField, f: BoundaryField,
+                          beta: float) -> MeanCurvatureSolution:
     """Barriers plus Newton between them for du/deta = f u^beta on a
-    scalar-flat background (the post-reduction subproblem); ``tol`` bounds
-    the backward error of every linear solve, and each stage's failure is
-    tagged with its name."""
-    v, dv = _stage("harmonic_unit", harmonic_unit, g, tol)
+    scalar-flat background (the post-reduction subproblem); each stage's
+    failure is tagged with its name."""
+    v, dv = _stage("harmonic_unit", harmonic_unit, g)
     pair = _stage("build_sub_super", build_sub_super, v, dv, f, beta)
-    return _stage("monotone_iterate", monotone_iterate, pair, g, tol)
+    return _stage("monotone_iterate", monotone_iterate, pair, g)
 
 
-def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
-                             tol: float = 1e-10) -> MeanCurvatureSolution:
+def prescribe_mean_curvature(g: MetricField,
+                             f_target: BoundaryField) -> MeanCurvatureSolution:
     """Scalar-flat metric conformal to g with prescribed boundary mean
     curvature.
 
@@ -481,7 +489,7 @@ def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
     beta = n/(n-2), the transformation law of H at H = 0;
     barrier construction; Newton on the boundary map; final
     finite-difference check of the transformed mean curvature against the
-    target.  ``tol`` bounds the backward error of every linear solve.
+    target.
 
     ``checks.target_H`` bounds max |H - target| by
     (n-1)^3 (1 + max |target|)^2 h^2.  The error is second order in h, and
@@ -493,9 +501,9 @@ def prescribe_mean_curvature(g: MetricField, f_target: BoundaryField,
     n = g.chart.n
     beta = n / (n - 2.0)
 
-    ghat, _, red_report = _stage("reduce_to_minimal", reduce_to_minimal, g, tol)
+    ghat, _, red_report = _stage("reduce_to_minimal", reduce_to_minimal, g)
     f = BoundaryField(g.chart, f_target.values / conformal_law_coefficient(n))
-    sol = solve_nonlinear_robin(ghat, f, beta, tol=tol)
+    sol = solve_nonlinear_robin(ghat, f, beta)
 
     H_final = boundary_mean_curvature(sol.metric)
     err = float(np.max(np.abs(H_final.values - f_target.values)))

@@ -38,7 +38,17 @@ def weighted_norm(u: ScalarField, spec: WeightedNormSpec) -> float:
         # r^{-delta} |u|, sup over all nodes but the s=0 level
         return float(np.max((chart.s_pow(spec.delta, 0.0) * mag)[1:]))
     integrand = mag ** p * chart.s_pow(spec.delta * p + chart.n, 0.0)
-    return float(np.sum(chart.weights * integrand) ** (1.0 / p))
+    # weights * integrand overflows for large n (r^{2n} at s = ds for the
+    # Dirichlet report's L(2, 0.5 - n)) where the norm does not: the terms
+    # are summed as mantissas times powers of two, scaled by 2^-k once one
+    # is above 2^1000, k a multiple of p for an integer p, which the root
+    # then takes back exactly as 2^(k/p)
+    mw, ew = np.frexp(chart.weights)
+    mi, ei = np.frexp(integrand)
+    e = ew + ei
+    k = math.ceil(math.ceil(max(0, int(np.max(e)) - 1000) / p) * p)
+    return float(np.sum(np.ldexp(mw * mi, e - k)) ** (1.0 / p)
+                 * 2.0 ** (k / p))
 
 
 @dataclass

@@ -45,14 +45,14 @@ def _interior_problem(g, phi, bc, limit):
                          bc=bc, limit=limit)
 
 
-def reference_harmonic_unit(g, phi=None, tol=1e-10):
+def reference_harmonic_unit(g, phi=None):
     """v with Delta v = 0, v = 1 at r = 1 and v -> 0 at infinity, on g or on
     ghat = phi^{4/(n-2)} g, from a Dirichlet system, and dv/deta by
     ``normal_derivative`` on that metric."""
     chart = g.chart
     one = np.ones(chart.nt) if phi is None else phi.boundary_values()
     w = solve_linear(_interior_problem(g, phi, DirichletBC(
-        BoundaryField(chart, one)), 0.0), tol=tol).solution
+        BoundaryField(chart, one)), 0.0)).solution
     if phi is None:
         return w, normal_derivative(g, w)
     v = ScalarField(chart, w.values / phi.values)

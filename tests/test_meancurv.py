@@ -242,9 +242,8 @@ def test_target_H_check_catches_a_wrong_datum(monkeypatch):
     assert sol.report.checks["target_H"]
     real = meancurv.solve_nonlinear_robin
     monkeypatch.setattr(meancurv, "solve_nonlinear_robin",
-                        lambda g, f, beta, tol: real(
-                            g, BoundaryField(c, 1.3 * f.values), beta,
-                            tol=tol))
+                        lambda g, f, beta: real(
+                            g, BoundaryField(c, 1.3 * f.values), beta))
     wrong = prescribe_mean_curvature(flat_metric(c), target)
     assert wrong.report.residuals["target_H_Linf"] > 5e-3
     assert wrong.report.checks["target_H"] is False

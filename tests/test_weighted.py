@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scalarflat import (Chart, ChartError, InvalidNormSpec, ScalarField,
-                        WeightedNormSpec, decay_fit, mass_coefficient,
+                        WeightedNormSpec, decay_fit, flat_metric,
+                        mass_coefficient, solve_scalar_flat_dirichlet,
                         weighted_norm)
 from scalarflat.weighted import MIN_S_NODES
 
@@ -115,6 +116,28 @@ def test_triangle_inequality(a1, a2, p, delta):
     spec = WeightedNormSpec(p=p, delta=delta)
     s = weighted_norm(field(u.values + v.values), spec)
     assert s <= weighted_norm(u, spec) + weighted_norm(v, spec) + 1e-10
+
+
+@pytest.mark.parametrize("n, num_s", [(3, 201), (100, 201), (119, 201),
+                                      (150, 41)])
+def test_dirichlet_norm_of_large_n(n, num_s):
+    # the Dirichlet report's L(2, 0.5 - n) norm of R: weights * integrand
+    # overflowed for n >= 81 on 201 nodes (the norm read "inf"), while a
+    # log-space sum of the same terms is finite
+    sol = solve_scalar_flat_dirichlet(flat_metric(Chart.radial(n, num_s)))
+    c, R = sol.phi.chart, np.abs(sol.metric.scalar_curvature().values)
+    spec = WeightedNormSpec(2, 0.5 - n)
+    got = weighted_norm(ScalarField(c, R), spec)
+    keep = (c.weights > 0) & (R > 0)
+    logs = (np.log(c.weights[keep]) + 2.0 * np.log(R[keep])
+            + (2.0 * spec.delta + n) * np.log(c.s[keep]))
+    top = np.max(logs)
+    reference = math.exp(0.5 * (top + math.log(np.sum(np.exp(logs - top)))))
+    assert got == pytest.approx(reference, rel=1e-12)
+    if n == 3:  # the direct sum is finite: at most 4 ulps from it
+        direct = float(np.sum(c.weights * R ** 2 * c.s_pow(1.0 - n, 0.0))
+                       ** 0.5)
+        assert abs(got - direct) <= 4 * math.ulp(direct)
 
 
 # -- decay fits -------------------------------------------------------------
