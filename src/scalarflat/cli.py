@@ -1,4 +1,4 @@
-"""Command-line entry point: configuration, orchestration, and export.
+"""Command-line entry point: the job's flags, orchestration, and export.
 
 Exit status: 0 on success with all report checks green, 2 on configuration
 errors, 3 on solver failures, 4 when the run completes but a report check
@@ -8,6 +8,7 @@ fails.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -23,28 +24,11 @@ from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
 from .meancurv import prescribe_mean_curvature, solve_nonlinear_robin
 from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
-from .quotient import (MIN_TRIAL_CELLS, TrialFamily,
-                       estimate_sobolev_quotient)
+from .quotient import TrialFamily, estimate_sobolev_quotient
 from .report import (SolveReport, default_output_dir, emit_fields, emit_report)
 from .weighted import MIN_S_NODES
 
 MODES = ("dirichlet", "meancurv", "quotient", "oracle", "convergence-study")
-
-DEFAULTS = {
-    "mode": "dirichlet",
-    "n": 3,
-    "grid": "201",
-    "metric": "flat",
-    "f": None,
-    "beta": None,
-    "target": None,
-    "out": None,
-    "family": None,
-    "grids": [100, 200, 400],
-}
-
-#: keys of the quotient mode's "family" config object (see parse_family)
-FAMILY_KEYS = ("centers", "widths", "r_in", "r_out", "cutoff_width")
 
 
 @functools.cache
@@ -54,11 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="scalarflat",
         description="Scalar-flat conformal factors on exterior domains")
-    p.add_argument("--mode", choices=MODES)
-    p.add_argument("--config", help="JSON config file; flags override it")
-    p.add_argument("--grid", help="Ns (radial) or NsxNtheta (axisymmetric)")
-    p.add_argument("--n-dim", type=int, dest="n", help="ambient dimension")
-    p.add_argument("--metric",
+    p.add_argument("--mode", choices=MODES, default="dirichlet")
+    p.add_argument("--grid", default="201",
+                   help="Ns (radial) or NsxNtheta (axisymmetric)")
+    p.add_argument("--n-dim", type=int, dest="n", default=3,
+                   help="ambient dimension")
+    p.add_argument("--metric", default="flat",
                    help='"flat", "conformal:c0,c1,...", or a JSON file path')
     p.add_argument("--f", dest="f",
                    help='boundary datum: number, "cos:c0,c1,...", '
@@ -71,96 +56,44 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def load_config(path) -> dict:
+def check_args(args: argparse.Namespace) -> dict:
+    """The job as a dict of its flags, once each value that argparse
+    accepts but the job cannot use is rejected with ``ConfigError``."""
+    job = vars(args)
+    for key, val in job.items():
+        if val == []:  # argparse's value for a flag given as "--flag=--"
+            raise ConfigError(f"{key} needs a value, got '--'")
+    if job["n"] < 3:
+        raise ConfigError(f"n must be an integer >= 3, got {job['n']!r}")
+    beta, target, f = job["beta"], job["target"], job["f"]
+    if beta is not None and not 0.0 < beta < math.inf:
+        raise ConfigError(f"beta must be a number in (0, inf), got {beta!r}")
+    if target is not None and not math.isfinite(target):
+        raise ConfigError(f"target must be finite, got {target!r}")
     try:
-        with open(path) as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    unknown = set(cfg) - set(DEFAULTS)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    return cfg
-
-
-def merge_config(args: argparse.Namespace) -> dict:
-    cfg = dict(DEFAULTS)
-    if args.config:
-        cfg.update(load_config(args.config))
-    for key in DEFAULTS:  # flags override the config file
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-    if cfg["mode"] not in MODES:
-        raise ConfigError(f"unknown mode {cfg['mode']!r}")
-    if type(cfg["n"]) is not int or cfg["n"] < 3:
-        raise ConfigError(f"n must be an integer >= 3, got {cfg['n']!r}")
-    for key, low in (("beta", 0.0), ("target", -math.inf)):
-        val = cfg[key]
-        if val is None:
-            continue  # beta and target are optional
-        if type(val) not in (int, float) or not low < val < math.inf:
-            raise ConfigError(f"{key} must be a number in ({low:g}, inf), "
-                              f"got {val!r}")
-    f = cfg["f"]
-    if type(f) is str:
-        try:
-            f = float(f)
-        except ValueError:
-            f = None  # a "cos:" or "csv:" spec: parse_f checks its values
-    if f is not None and not _finite(f):
+        finite = f is None or math.isfinite(float(f))
+    except ValueError:
+        finite = True  # a "cos:" or "csv:" spec: parse_f checks its values
+    if not finite:
         raise ConfigError(f"f must be a finite number or a cos:/csv: spec, "
-                          f"got {cfg['f']!r}")
+                          f"got {f!r}")
     # a mode reads one of these sets of the boundary data, or none
     reads = {"meancurv": (["target"], ["beta", "f"]),
-             "oracle": (["beta", "f"],)}.get(cfg["mode"], ())
-    given = [k for k in ("beta", "f", "target") if cfg[k] is not None]
+             "oracle": (["beta", "f"],)}.get(job["mode"], ())
+    given = [k for k in ("beta", "f", "target") if job[k] is not None]
     if given and given not in reads:
-        raise ConfigError(f"{cfg['mode']} mode does not read {given}; it "
+        raise ConfigError(f"{job['mode']} mode does not read {given}; it "
                           f"reads {' or '.join(map(str, reads)) or 'none'}")
-    grids = cfg["grids"]
-    if (type(grids) is not list or len(grids) < 2
-            or any(type(x) is not int or x < MIN_S_NODES for x in grids)
-            or any(a >= b for a, b in zip(grids, grids[1:]))):
-        raise ConfigError(f"grids must be a strictly increasing list of at "
-                          f"least two integers >= {MIN_S_NODES}, got "
-                          f"{grids!r}")
-    parse_family(cfg["family"])
-    return cfg
+    return job
 
 
-def _finite(x) -> bool:
-    return type(x) in (int, float) and math.isfinite(x)
-
-
-def parse_family(family):
-    """TrialFamily from a ``family`` config value: None for the defaults,
-    or an object of ``FAMILY_KEYS`` whose centers and widths are lists of
-    finite numbers and whose other values are finite numbers.  The
-    defaults and ranges are ``TrialFamily``'s; every violation is a
-    ``ConfigError``."""
-    if family is None:
-        family = {}
-    if type(family) is not dict:
-        raise ConfigError(f"family must be an object, got {family!r}")
-    unknown = set(family) - set(FAMILY_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown family keys: {sorted(unknown)}")
-    fields = {}
-    for key, val in family.items():
-        if key in ("centers", "widths"):
-            ok = type(val) is list and all(map(_finite, val))
-        else:
-            ok = _finite(val)
-        if not ok:
-            raise ConfigError(f"bad family {key}: {val!r}")
-        fields[key] = tuple(val) if type(val) is list else val
+@contextlib.contextmanager
+def _building():
+    """A grid or metric that cannot be built is a configuration error."""
     try:
-        return TrialFamily(**fields)
-    except ScalarFlatError as exc:
-        raise ConfigError(f"bad family: {exc}") from exc
+        yield
+    except (ChartError, MetricError) as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def parse_grid(text, n: int) -> Chart:
@@ -187,7 +120,8 @@ def parse_metric(spec, chart: Chart):
         try:
             with open(spec) as fh:
                 doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError, RecursionError) as exc:
+            # ValueError: not UTF-8 or not JSON; RecursionError: too deep
             raise ConfigError(f"cannot read metric file {spec}: {exc}") from exc
         return metric_from_spec(doc, chart)
     return metric_from_spec(spec, chart)
@@ -220,31 +154,28 @@ def parse_f(spec, chart: Chart) -> BoundaryField:
 # mode drivers; each returns (SolveReport, fields-to-export dict)
 # ---------------------------------------------------------------------------
 
-def _run_dirichlet(cfg, chart, g):
+def _run_dirichlet(job, chart, g):
     sol = solve_scalar_flat_dirichlet(g)
     return sol.report, {"phi": sol.phi}
 
 
-def _run_meancurv(cfg, chart, g):
-    if cfg["target"] is not None:
-        target = BoundaryField.constant(chart, float(cfg["target"]))
+def _run_meancurv(job, chart, g):
+    if job["target"] is not None:
+        target = BoundaryField.constant(chart, job["target"])
         sol = prescribe_mean_curvature(g, target)
     else:
-        if cfg["f"] is None or cfg["beta"] is None:
+        if job["f"] is None or job["beta"] is None:
             raise ConfigError("meancurv mode needs --target, or --f and "
                               "--beta for the Robin subproblem")
-        f = parse_f(cfg["f"], chart)
-        sol = solve_nonlinear_robin(g, f, float(cfg["beta"]))
+        f = parse_f(job["f"], chart)
+        sol = solve_nonlinear_robin(g, f, job["beta"])
     return sol.report, {"u": sol.u}
 
 
-def _run_quotient(cfg, chart, g):
-    family = parse_family(cfg["family"])
-    resolved = family.resolved(chart)
-    if not resolved:
-        raise ConfigError(f"no trial of the family spans {MIN_TRIAL_CELLS} "
-                          f"cells in s on a grid of {chart.s.size} nodes")
-    skipped = len(family.parameters()) - len(resolved)
+def _run_quotient(job, chart, g):
+    family = TrialFamily()
+    # the defaults resolve 7 of their 12 trials at MIN_S_NODES nodes
+    skipped = len(family.parameters()) - len(family.resolved(chart))
     q, params, positive = estimate_sobolev_quotient(g, family)
     report = SolveReport(mode="quotient")
     report.residuals = {"quotient_upper_bound": q}
@@ -255,14 +186,14 @@ def _run_quotient(cfg, chart, g):
     return report, {"best_trial": best}
 
 
-def _run_oracle(cfg, chart, g):
+def _run_oracle(job, chart, g):
     if chart.mode != RADIAL:
         raise ConfigError("oracle mode is radial")
     report = SolveReport(mode="oracle")
     fields = {}
-    if cfg["f"] is not None:
-        fval = float(parse_f(cfg["f"], chart).values[0])
-        res = radial_mean_curvature(fval, float(cfg["beta"]), chart.n)
+    if job["f"] is not None:
+        fval = float(parse_f(job["f"], chart).values[0])
+        res = radial_mean_curvature(fval, job["beta"], chart.n)
         if res is None:
             report.checks = {"root_exists": False}
         else:
@@ -283,21 +214,23 @@ def _run_oracle(cfg, chart, g):
     return report, fields
 
 
-def _run_convergence(cfg, chart, g):
+def _run_convergence(job, chart, g):
     if chart.mode != RADIAL:
         raise ConfigError("convergence-study mode is radial")
     if g.u0_coeffs is None:
         raise ConfigError("convergence-study needs a conformal coefficient "
                           "metric with a closed-form reference")
-    coeffs = g.u0_coeffs
-    grids = cfg["grids"]
+    # the job's grid of N nodes and its nested refinements, which halve h
+    num = chart.s.size
+    grids = [num, 2 * num - 1, 4 * num - 3]
+    spec = {"kind": "conformal", "coeffs": list(g.u0_coeffs)}
+    with _building():
+        metrics = [g] + [metric_from_spec(spec, Chart.radial(chart.n, k))
+                         for k in grids[1:]]
     errors = []
-    for num in grids:
-        ci = Chart.radial(chart.n, num)
-        gi = metric_from_spec({"kind": "conformal", "coeffs": list(coeffs)},
-                              ci)
+    for gi in metrics:
         sol = solve_scalar_flat_dirichlet(gi)
-        phi_ref = radial_dirichlet_yamabe(coeffs, chart.n, ci.s)
+        phi_ref = radial_dirichlet_yamabe(g.u0_coeffs, chart.n, gi.chart.s)
         errors.append(float(np.max(np.abs(sol.phi.values - phi_ref))))
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else float("inf")
               for i in range(len(errors) - 1)]
@@ -311,44 +244,47 @@ def _run_convergence(cfg, chart, g):
     return report, {}
 
 
-def run_job(cfg: dict):
-    """Execute one configured job; returns (SolveReport, fields dict).
-
-    A grid or metric that cannot be built is a configuration error.
-    """
-    try:
-        chart = parse_grid(cfg["grid"], cfg["n"])
-        g = parse_metric(cfg["metric"], chart)
-    except (ChartError, MetricError) as exc:
-        raise ConfigError(str(exc)) from exc
+def run_job(job: dict):
+    """Execute one job; returns (SolveReport, fields dict)."""
+    with _building():
+        chart = parse_grid(job["grid"], job["n"])
+        g = parse_metric(job["metric"], chart)
     driver = {
         "dirichlet": _run_dirichlet,
         "meancurv": _run_meancurv,
         "quotient": _run_quotient,
         "oracle": _run_oracle,
         "convergence-study": _run_convergence,
-    }[cfg["mode"]]
-    return driver(cfg, chart, g)
+    }[job["mode"]]
+    return driver(job, chart, g)
+
+
+def _write_outputs(outdir, report, fields) -> None:
+    """``report.json``, and ``fields.csv`` when there are fields, in
+    ``outdir``; a directory or file that cannot be written is a
+    ``ConfigError``."""
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        emit_report(report, os.path.join(outdir, "report.json"))
+        if fields:
+            emit_fields(os.path.join(outdir, "fields.csv"), **fields)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output to {outdir}: {exc}") from exc
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = merge_config(args)
-        report, fields = run_job(cfg)
+        job = check_args(args)
+        report, fields = run_job(job)
+        outdir = job["out"] or default_output_dir()
+        _write_outputs(outdir, report, fields)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ScalarFlatError as exc:
         print(f"solve failed: {exc}", file=sys.stderr)
         return 3
-
-    outdir = cfg["out"] or default_output_dir()
-    os.makedirs(outdir, exist_ok=True)
-    emit_report(report, os.path.join(outdir, "report.json"))
-    if fields:
-        emit_fields(os.path.join(outdir, "fields.csv"), **fields)
     print(f"mode={report.mode} passed={report.passed} out={outdir}")
     return 0 if report.passed else 4
 

@@ -128,8 +128,9 @@ def conformal_factor_from_coeffs(chart: Chart, coeffs) -> np.ndarray:
     coeffs = [float(c) for c in coeffs]
     s = chart.s_col
     u0 = np.zeros(chart.shape)
-    for k, c in enumerate(coeffs):
-        u0 = u0 + c * s ** k
+    with np.errstate(over="ignore"):  # MetricField rejects inf
+        for k, c in enumerate(coeffs):
+            u0 = u0 + c * s ** k
     return u0
 
 
@@ -141,7 +142,8 @@ def conformal_metric(chart: Chart, u0, u0_coeffs=None) -> MetricField:
             "conformal factor u0 must be positive everywhere "
             f"(min {u0.min():.3g})")
     n = chart.n
-    fac = u0 ** (4.0 / (n - 2.0))
+    with np.errstate(over="ignore"):  # MetricField rejects inf
+        fac = u0 ** (4.0 / (n - 2.0))
     comps = np.repeat(fac[..., None], _frame_size(chart), axis=-1)
     return MetricField(chart, comps, conformal_phi=u0, u0_coeffs=u0_coeffs)
 

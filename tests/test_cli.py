@@ -1,7 +1,6 @@
 import contextlib
 import io
 import json
-import math
 import os
 import sys
 import tempfile
@@ -15,8 +14,8 @@ import scalarflat.chart as chart_mod
 import scalarflat.dirichlet as dirichlet
 import scalarflat.elliptic as elliptic
 import scalarflat.report as report_mod
-from scalarflat.cli import (DEFAULTS, FAMILY_KEYS, MODES, main,
-                            merge_config, parse_f, parse_grid, run_job)
+from scalarflat.cli import (MODES, build_parser, check_args, main, parse_f,
+                            parse_grid, run_job)
 from scalarflat.chart import Chart
 from scalarflat.errors import ConfigError
 from scalarflat.report import load_report
@@ -117,21 +116,22 @@ def test_oracle_mode(tmp_path):
 
 
 def test_convergence_mode(tmp_path):
+    # the job's grid and its nested refinements, which halve h exactly
     code, report, _ = run(tmp_path, "--mode", "convergence-study",
                           "--metric", "conformal:1,0,1")
     assert code == 0
     assert report["checks"]["second_order"] is True
+    assert report["iterations"]["grids"] == [201, 401, 801]
+    assert all(3.9 <= r <= 4.1 for r in report["extrema"]["ratios"])
 
 
 def test_exit_code_config_error(tmp_path):
     assert main(["--mode", "dirichlet", "--grid", "oops"]) == 2
-    assert main(["--config", str(tmp_path / "missing.json")]) == 2
 
 
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["--max-iter", "5"],
-    lambda d: ["--config", _json_file(d, {"max_iter": 5})],
-], ids=["flag", "config-key"])
+], ids=["flag"])
 def test_max_iter_knob_is_gone(tmp_path, capsys, make_argv):
     # Newton's step cap is meancurv.MAX_MONOTONE_STEPS; no input sets it
     argv = ["--mode", "meancurv", "--f", "0.1", "--beta", "3",
@@ -151,8 +151,7 @@ def test_max_iter_knob_is_gone(tmp_path, capsys, make_argv):
     lambda d: ["--tol", "-1"],
     lambda d: ["--tol", "nan"],
     lambda d: ["--tol", "0"],
-    lambda d: ["--config", _json_file(d, {"tol": 1e-8})],
-], ids=["flag", "flag-negative", "flag-nan", "flag-zero", "config-key"])
+], ids=["flag", "flag-negative", "flag-nan", "flag-zero"])
 def test_tol_knob_is_gone(tmp_path, capsys, make_argv):
     # the linear backward-error bound is elliptic.BACKWARD_ERROR_TOL; no
     # input sets it
@@ -166,6 +165,22 @@ def test_tol_knob_is_gone(tmp_path, capsys, make_argv):
     assert code == 2
     assert "tol" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("text", [
+    None, '{"mode": "dirichlet", "grid": "41"}', "{'grid': 41",
+], ids=["missing", "valid", "junk"])
+def test_config_flag_is_gone(tmp_path, capsys, text):
+    # a job is its flags; no file restates them
+    path = tmp_path / "job.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(path), "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert "--config" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -270,18 +285,13 @@ def test_quotient_skips_unresolved_trials(tmp_path):
     assert code == 0 and report["iterations"]["trials_skipped"] == 0
 
 
-def test_quotient_with_every_trial_skipped_is_config_error(tmp_path):
-    path = tmp_path / "family.json"
-    path.write_text(json.dumps({"mode": "quotient", "grid": "41",
-                                "family": {"centers": [8.0],
-                                           "widths": [0.5, 1.0]}}))
-    code, report, _ = run(tmp_path, "--config", str(path))
-    assert code == 2 and report is None
-
-
 def _json_file(directory, doc):
+    return _metric_file(directory, json.dumps(doc).encode())
+
+
+def _metric_file(directory, data):
     path = directory / "metric.json"
-    path.write_text(json.dumps(doc))
+    path.write_bytes(data)
     return str(path)
 
 
@@ -293,6 +303,9 @@ def _quotient_family(family):
         "mode": "quotient", "grid": "81", "family": family})]
 
 
+# The --config cases are files whose values the removed config channel
+# rejected (its grids and family keys are gone with it); the flag is now an
+# argparse usage error, and each of them still exits 2.
 @pytest.mark.parametrize("make_argv", [
     lambda d: ["--metric", _json_file(d, {"kind": "conformal"})],
     lambda d: ["--metric", _json_file(d, [1.0, 0.5])],
@@ -320,7 +333,7 @@ def _quotient_family(family):
     lambda d: ["--grid", "21x9", "--metric", "conformal:1,0,1"],
     lambda d: ["--mode", "meancurv", "--grid", "36", "--target", "0.03"],
     # a dimension of the wrong type, and the removed convention key with
-    # a value that it accepted and one that it did not
+    # a value that it accepted and one that it did not (config files)
     lambda d: ["--config", _json_file(d, {"n": "3"})],
     lambda d: ["--config", _json_file(d, {"convention": "bogus",
                                           "mode": "meancurv",
@@ -334,7 +347,7 @@ def _quotient_family(family):
     lambda d: ["--mode", "oracle", "--grid", "41x9", "--f", "0.1",
                "--beta", "3"],
     # convergence-study grids and the quotient family of the wrong type
-    # (these exited 1 or 3)
+    # (config files; these exited 1 or 3)
     lambda d: ["--config", _json_file(d, {
         "mode": "convergence-study", "metric": "conformal:1,0,1",
         "grids": ["a", 101]})],
@@ -347,8 +360,8 @@ def _quotient_family(family):
     lambda d: ["--config", _json_file(d, {"mode": "quotient", "family": 5})],
     lambda d: ["--config", _json_file(d, {"mode": "quotient",
                                           "family": {"budget": "x"}})],
-    # quotient family values of the right type but out of range (these
-    # exited 3, and widths [-1] ran to exit 0)
+    # quotient family values of the right type but out of range (config
+    # files; these exited 3, and widths [-1] ran to exit 0)
     _quotient_family({"r_in": 0.5}),
     _quotient_family({"r_out": 1.2}),
     _quotient_family({"cutoff_width": 0}),
@@ -387,13 +400,23 @@ def _quotient_family(family):
                _json_file(d, {"kind": "axisym", "a_rr": ONES,
                               "a_theta": ONES, "a_phi": ONES,
                               "decay": True})],
-    # convergence grids that do not increase (these exited 4)
+    # convergence grids that do not increase (config files; these exited 4)
     lambda d: ["--config", _json_file(d, {
         "mode": "convergence-study", "metric": "conformal:1,0,1",
         "grids": [41, 41]})],
     lambda d: ["--config", _json_file(d, {
         "mode": "convergence-study", "metric": "conformal:1,0,1",
         "grids": [400, 200, 100]})],
+    # a metric file that is not UTF-8 or nests too deep (these exited 1),
+    # and a conformal factor whose power overflows (exit 2 after a
+    # RuntimeWarning)
+    lambda d: ["--metric", _metric_file(d, b"\xff\xfe{}")],
+    lambda d: ["--metric", _metric_file(d, b"[" * 100000 + b"]" * 100000)],
+    lambda d: ["--metric", "conformal:1,1e80"],
+    # a dimension that the job's grid holds but its refinement does not
+    # (exited 3)
+    lambda d: ["--mode", "convergence-study", "--grid", "201", "--n-dim",
+               "110"],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -413,12 +436,18 @@ def _quotient_family(family):
         "oracle-beta-only", "meancurv-target-and-f-beta", "dirichlet-f",
         "quotient-target", "n-dim-400", "grid-201-n-dim-120",
         "conformal-coeffs-bool", "axisym-decay-bool", "grids-repeated",
-        "grids-decreasing"])
+        "grids-decreasing", "metric-not-utf8", "metric-too-deep",
+        "conformal-overflow", "convergence-n-dim-110"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
-    code = main(make_argv(tmp_path) + ["--out", str(tmp_path / "o")])
+    argv = make_argv(tmp_path)
+    try:
+        code = main(argv + ["--out", str(tmp_path / "o")])
+    except SystemExit as exc:  # argparse rejects the removed --config flag
+        code = exc.code
     err = capsys.readouterr().err
-    assert code == 2
-    assert "config error" in err and "Traceback" not in err
+    assert code == 2 and "Traceback" not in err
+    assert ("unrecognized arguments: --config" if "--config" in argv
+            else "config error") in err
 
 
 @pytest.mark.parametrize("value", ["paper-eq7", "transformation-law"])
@@ -461,25 +490,6 @@ def test_large_beta_stabilization_weight(tmp_path, capsys, f, beta,
     err = capsys.readouterr().err
     assert code == expected and "Traceback" not in err
     assert ("stage 'monotone_iterate' failed" in err) == (expected == 3)
-
-
-def test_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"mode": "dirichlet", "grid": "101",
-                               "metric": "conformal:1,0,1"}))
-    code, report, _ = run(tmp_path, "--config", str(cfg))
-    assert code == 0
-    assert report["mass_coefficient"] == pytest.approx(2.0, rel=0.02)
-    # flag overrides config
-    code2, report2, _ = run(tmp_path, "--config", str(cfg),
-                            "--metric", "flat")
-    assert report2["extrema"]["max_phi"] == pytest.approx(1.0, abs=1e-10)
-
-
-def test_config_rejects_unknown_keys(tmp_path):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"mode": "dirichlet", "bogus": 1}))
-    assert main(["--config", str(cfg)]) == 2
 
 
 def test_report_determinism_modulo_timing(tmp_path):
@@ -525,12 +535,9 @@ def test_jobs_on_one_grid_match_a_fresh_grid(tmp_path, argv, metric_b):
 
 
 def test_run_job_requires_meancurv_data():
-    cfg = merge_config(type("NS", (), {k: None for k in (
-        "config", "mode", "grid", "n", "metric", "f",
-        "beta", "target", "out")})())
-    cfg["mode"] = "meancurv"
+    job = check_args(build_parser().parse_args(["--mode", "meancurv"]))
     with pytest.raises(ConfigError):
-        run_job(cfg)
+        run_job(job)
 
 
 def test_outdir_env(tmp_path, monkeypatch):
@@ -538,6 +545,26 @@ def test_outdir_env(tmp_path, monkeypatch):
     code = main(["--mode", "dirichlet", "--grid", "101"])
     assert code == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_unwritable_output_is_config_error(tmp_path, capsys, monkeypatch,
+                                           via, below):
+    # an existing file, or a path below one (both exited 1 after the solve)
+    outdir = tmp_path / "file"
+    outdir.write_text("")
+    if below:
+        outdir = outdir / "sub"
+    argv = ["--grid", "41"]
+    if via == "flag":
+        argv += ["--out", str(outdir)]
+    else:
+        monkeypatch.setenv("SCALARFLAT_OUTDIR", str(outdir))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"config error: cannot write output to {outdir}" in err
+    assert "Traceback" not in err
 
 
 # -- a grammar of malformed input: every example must exit 2 ----------------
@@ -564,6 +591,8 @@ def _flag(name, values):
 
 
 BAD_FLAG = st.one_of(
+    # the removed config file, with any text
+    _flag("config", st.text()),
     # the removed linear backward-error bound, with any value
     _flag("tol", st.one_of(st.floats().map(repr), JUNK)),
     _flag("beta", st.one_of(NOT_POSITIVE, NON_FINITE, JUNK)),
@@ -578,117 +607,12 @@ BAD_FLAG = st.one_of(
     _flag("coefficient-convention", st.text(max_size=12)),
     st.just(("--no-such-flag",)))
 
-JSON_SCALAR = (st.none() | st.booleans() | st.integers() | st.floats()
-               | st.text())
-JSON_ANY = st.recursive(
-    JSON_SCALAR, lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
-    max_leaves=6)
 
-
-def _not_number(low):
-    """JSON values other than null that are not a finite number > low."""
-    return (st.booleans() | st.text() | st.lists(st.integers())
-            | st.floats(max_value=low) | st.sampled_from([math.nan,
-                                                          math.inf]))
-
-
-def _not_int(least):
-    """JSON values that are not an integer >= least."""
-    return (st.none() | st.booleans() | st.text() | st.floats()
-            | st.integers(max_value=least - 1) | st.lists(st.integers()))
-
-
-GOOD_SIZE = st.integers(MIN_S_NODES, 401)
-BAD_SIZE = (SHORT | st.none() | st.booleans() | st.text(max_size=5)
-            | st.floats())
-BAD_GRIDS = st.one_of(
-    JSON_SCALAR, st.lists(GOOD_SIZE, max_size=1),
-    st.tuples(st.lists(GOOD_SIZE, max_size=2), BAD_SIZE,
-              st.lists(GOOD_SIZE, max_size=2)).map(
-        lambda t: t[0] + [t[1]] + t[2]))
-
-NOT_FINITE = (st.none() | st.booleans() | st.text(max_size=5)
-              | st.sampled_from([math.nan, math.inf, -math.inf])
-              | st.lists(st.integers(), max_size=2))
-NOT_ABOVE_1 = st.floats(max_value=1.0, allow_nan=False)
-NOT_ABOVE_0 = st.floats(max_value=0.0, allow_nan=False)
-BAD_FAMILY_ENTRY = st.one_of(
-    st.tuples(st.sampled_from(["centers", "widths"]),
-              JSON_SCALAR | st.lists(NOT_FINITE, min_size=1, max_size=3)),
-    st.tuples(st.sampled_from(["r_in", "r_out", "cutoff_width"]), NOT_FINITE),
-    # out of range with any other entry: 1 < r_in < r_out, cutoff_width > 0,
-    # every width > 0
-    st.tuples(st.sampled_from(["r_in", "r_out"]), NOT_ABOVE_1),
-    st.tuples(st.just("cutoff_width"), NOT_ABOVE_0),
-    st.tuples(st.just("widths"),
-              st.tuples(st.lists(st.floats(0.1, 5.0), max_size=2),
-                        NOT_ABOVE_0).map(lambda t: t[0] + [t[1]])),
-    st.tuples(st.just("budget"), _not_int(1)),
-    st.tuples(st.text(max_size=8).filter(lambda k: k not in FAMILY_KEYS),
-              JSON_ANY))
-BAD_FAMILY = (JSON_SCALAR.filter(lambda v: v is not None)
-              | st.lists(JSON_ANY, max_size=3)
-              | st.lists(BAD_FAMILY_ENTRY, min_size=1, max_size=3).map(dict))
-
-BAD_ENTRY = st.one_of(
-    st.tuples(st.just("tol"), JSON_ANY),  # the removed backward-error bound
-    st.tuples(st.just("beta"), _not_number(0.0)),
-    st.tuples(st.just("target"), st.sampled_from(
-        [math.nan, math.inf, -math.inf, "0.03", True, [0.03]])),
-    st.tuples(st.just("f"), st.sampled_from(
-        [math.nan, math.inf, -math.inf, True, [0.1]])),
-    st.tuples(st.just("max_iter"), JSON_ANY),  # the removed step cap
-    st.tuples(st.just("n"), _not_int(3)),
-    st.tuples(st.just("grid"), BAD_GRID | SHORT | st.none() | st.booleans()
-              | st.lists(st.integers(MIN_S_NODES, 201))),
-    st.tuples(st.just("mode"), JSON_ANY.filter(
-        lambda m: not (isinstance(m, str) and m in MODES))),
-    st.tuples(st.just("metric"), BAD_METRIC | st.none() | st.booleans()
-              | st.integers() | st.lists(st.floats())
-              | st.dictionaries(st.text(max_size=5), st.integers(),
-                                max_size=3)),
-    st.tuples(st.just("convention"), JSON_ANY),
-    st.tuples(st.just("grids"), BAD_GRIDS),
-    st.tuples(st.just("family"), BAD_FAMILY),
-    st.tuples(st.text(max_size=12).filter(lambda k: k not in DEFAULTS),
-              JSON_ANY))
-
-BAD_CONFIG = st.one_of(
-    st.lists(BAD_ENTRY, min_size=1, max_size=3).map(
-        lambda entries: json.dumps(dict(entries))),
-    (JSON_SCALAR | st.lists(JSON_ANY, max_size=3)).map(json.dumps),
-    st.sampled_from(["", "{", "[1,", "{'grid': 41}", "nan?"]))
-
-BAD_PIECE = BAD_FLAG | BAD_CONFIG.map(lambda text: ("--config", text))
-
-
-def _family_example(mode, family):
-    cfg = {"family": family} if mode is None else {"mode": mode,
-                                                   "family": family}
-    return example(pieces=[("--config", json.dumps(cfg))])
-
-
-# a config whose only fault is one out-of-range family entry, which random
-# draws rarely produce: each range check must still map to exit 2 on its own
 @settings(max_examples=200, deadline=None)
-@given(pieces=st.lists(BAD_PIECE, min_size=1, max_size=3))
-@_family_example(None, {"r_in": 0.5})
-@_family_example(None, {"cutoff_width": 0})
-@_family_example(None, {"widths": [-1]})
-@_family_example("quotient", {"r_in": 0.5})
-@_family_example("quotient", {"cutoff_width": 0})
-@_family_example("quotient", {"widths": [-1]})
+@given(pieces=st.lists(BAD_FLAG, min_size=1, max_size=3))
 def test_malformed_input_grammar_exits_2(pieces):
+    argv = [arg for piece in pieces for arg in piece]
     with tempfile.TemporaryDirectory() as d:
-        argv = []
-        for k, piece in enumerate(pieces):
-            if piece[0] == "--config":
-                path = os.path.join(d, f"config-{k}.json")
-                with open(path, "w") as fh:
-                    fh.write(piece[1])
-                piece = ("--config", path)
-            argv += piece
         argv += ["--out", os.path.join(d, "out")]
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
