@@ -20,13 +20,12 @@ from .meancurv import (MeanCurvatureSolution, SubSuperPair, build_sub_super,
                        prescribe_mean_curvature, reduce_to_minimal,
                        rho_threshold, solve_nonlinear_robin)
 from .metrics import (MetricField, boundary_mean_curvature,
-                      check_asymptotic_flatness, conformal_mean_curvature,
-                      conformal_transform, flat_metric, conformal_metric,
-                      laplace_beltrami, metric_from_spec, normal_derivative,
-                      scalar_curvature)
+                      check_asymptotic_flatness, conformal_transform,
+                      flat_metric, conformal_metric, laplace_beltrami,
+                      metric_from_spec, normal_derivative, scalar_curvature)
 from .oracle import (mean_curvature_root_threshold, radial_dirichlet_yamabe,
                      radial_mean_curvature)
-from .quotient import TrialFamily, estimate_sobolev_quotient, rayleigh_quotient
+from .quotient import estimate_sobolev_quotient, rayleigh_quotient
 from .report import SolveReport, emit_fields, emit_report, read_fields
 from .weighted import (DecayFit, WeightedNormSpec, decay_fit,
                        mass_coefficient, weighted_norm)

@@ -24,7 +24,8 @@ from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
 from .meancurv import prescribe_mean_curvature, solve_nonlinear_robin
 from .metrics import metric_from_spec
 from .oracle import radial_dirichlet_yamabe, radial_mean_curvature
-from .quotient import TrialFamily, estimate_sobolev_quotient
+from .quotient import (TRIALS, estimate_sobolev_quotient, resolved_trials,
+                       trial)
 from .report import (SolveReport, default_output_dir, emit_fields, emit_report)
 from .weighted import MIN_S_NODES
 
@@ -173,16 +174,15 @@ def _run_meancurv(job, chart, g):
 
 
 def _run_quotient(job, chart, g):
-    family = TrialFamily()
-    # the defaults resolve 7 of their 12 trials at MIN_S_NODES nodes
-    skipped = len(family.parameters()) - len(family.resolved(chart))
-    q, params, positive = estimate_sobolev_quotient(g, family)
+    # 7 of the 12 trials are resolved at MIN_S_NODES nodes
+    skipped = len(TRIALS) - len(resolved_trials(chart))
+    q, params, positive = estimate_sobolev_quotient(g)
     report = SolveReport(mode="quotient")
     report.residuals = {"quotient_upper_bound": q}
     report.iterations = {"trials_skipped": skipped}
     report.extrema = {"argmin_center": params[0], "argmin_width": params[1]}
     report.checks = {"positivity_evidence": bool(positive)}
-    best = family.evaluate(chart, *params)
+    best = trial(chart, *params)
     return report, {"best_trial": best}
 
 

@@ -160,9 +160,10 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
       "decay": q}`` with component tables on the chart and a declared decay
       rate q (components - 1 = O(r^{-q})).
 
-    Axisymmetric tables are decay-checked against the declared rate; a
-    measured rate below it by more than DECAY_RATE_SLACK raises
-    ``DecayError`` carrying the measured value.
+    Components whose volume density ``_density`` overflows raise
+    ``MetricError``.  Axisymmetric tables are decay-checked against the
+    declared rate; a measured rate below it by more than DECAY_RATE_SLACK
+    raises ``DecayError`` carrying the measured value.
     """
     if isinstance(spec, str):
         spec = spec.strip()
@@ -188,8 +189,8 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
             raise MetricError("conformal u0 must tend to 1 (leading "
                               f"coefficient {coeffs[0]}, expected 1)")
         u0 = conformal_factor_from_coeffs(chart, coeffs)
-        return conformal_metric(chart, u0, u0_coeffs=coeffs)
-    if kind == "axisym":
+        g = conformal_metric(chart, u0, u0_coeffs=coeffs)
+    elif kind == "axisym":
         if chart.mode != AXISYM:
             raise MetricError("axisym metric spec requires an axisymmetric chart")
         tables = [_spec_floats(spec, k) for k in ("a_rr", "a_theta", "a_phi")]
@@ -202,8 +203,15 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
             raise MetricError("axisym metric spec: 'decay' must be a number")
         g = MetricField(chart, np.stack(tables, axis=-1))
         _check_decay(g, float(declared))
-        return g
-    raise MetricError(f"unknown metric spec kind {kind!r}")
+    else:
+        raise MetricError(f"unknown metric spec kind {kind!r}")
+    # finite components can still overflow the volume density, which every
+    # operator and integral on g multiplies by
+    with np.errstate(over="ignore"):
+        finite = np.all(np.isfinite(_density(g.comps, chart.n)))
+    if not finite:
+        raise MetricError("metric volume density sqrt(det g) overflows")
+    return g
 
 
 def _spec_floats(spec: dict, key: str) -> np.ndarray:
@@ -489,22 +497,6 @@ def conformal_transform(g: MetricField, phi: ScalarField) -> MetricField:
         return MetricField(g.chart, comps, conformal_base=g, conformal_phi=p)
     return MetricField(g.chart, comps, conformal_base=g.conformal_base,
                        conformal_phi=g.conformal_phi.values * p)
-
-
-def conformal_mean_curvature(g: MetricField, u: ScalarField) -> BoundaryField:
-    """Predicted boundary mean curvature of u^{4/(n-2)} g (sum convention).
-
-    H~ = u^{-n/(n-2)} ( (2(n-1)/(n-2)) du/deta + H u ).
-    """
-    if np.any(u.values <= 0.0):
-        raise PositivityError("conformal factor must be positive")
-    n = g.chart.n
-    H = boundary_mean_curvature(g).values
-    dudeta = normal_derivative(g, u).values
-    ub = u.boundary_values()
-    Ht = ub ** (-n / (n - 2.0)) * (
-        conformal_law_coefficient(n) * dudeta + H * ub)
-    return BoundaryField(g.chart, Ht)
 
 
 def check_asymptotic_flatness(g: MetricField):

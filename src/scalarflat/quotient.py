@@ -8,8 +8,6 @@ a proof; a nonpositive value disproves it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .chart import AXISYM, Chart, ScalarField
@@ -19,61 +17,35 @@ from .metrics import MetricField, _density
 #: a trial bump narrower than this many grid cells in s is not resolved
 MIN_TRIAL_CELLS = 2
 
+#: the quotient's trials: Gaussian bumps of each center and width, in
+#: center-major order, times a C^2 smootherstep cutoff of width
+#: CUTOFF_WIDTH that vanishes at r <= R_IN and r >= R_OUT, keeping the
+#: support inside the open manifold (away from r = 1 and infinity)
+TRIALS = tuple((c, w) for c in (2.0, 3.0, 5.0, 8.0) for w in (0.5, 1.0, 2.0))
+R_IN = 1.5
+R_OUT = 20.0
+CUTOFF_WIDTH = 0.5
 
-@dataclass(frozen=True)
-class TrialFamily:
-    """Radial bump trials with smooth compact support.
 
-    Profiles are Gaussian bumps of given center/width multiplied by a C^2
-    smootherstep cutoff that vanishes at r <= r_in and r >= r_out, keeping
-    the support inside the open manifold (away from r=1 and infinity).
-    The defaults are the quotient mode's family.
-    """
+def resolved_trials(chart: Chart):
+    """The trials whose bump spans at least ``MIN_TRIAL_CELLS`` cells in s;
+    near r = center its s-width is width / center^2."""
+    return [(c, w) for c, w in TRIALS
+            if w / c ** 2 >= MIN_TRIAL_CELLS * chart.ds]
 
-    centers: tuple = (2.0, 3.0, 5.0, 8.0)
-    widths: tuple = (0.5, 1.0, 2.0)
-    r_in: float = 1.5
-    r_out: float = 20.0
-    cutoff_width: float = 0.5
 
-    def __post_init__(self):
-        if not 1.0 < self.r_in < self.r_out:
-            raise ScalarFlatError("need 1 < r_in < r_out")
-        if not self.cutoff_width > 0.0:
-            raise ScalarFlatError("need cutoff_width > 0")
-        if not self.centers or not self.widths:
-            raise ScalarFlatError("empty trial family")
-        if not all(w > 0.0 for w in self.widths):
-            raise ScalarFlatError("need every width > 0")
-
-    def parameters(self):
-        return [(c, w) for c in self.centers for w in self.widths]
-
-    def resolved(self, chart: Chart):
-        """The parameters whose bump spans at least ``MIN_TRIAL_CELLS``
-        cells in s; near r = center its s-width is width / center^2."""
-        return [(c, w) for c, w in self.parameters()
-                if w / c ** 2 >= MIN_TRIAL_CELLS * chart.ds]
-
-    def evaluate(self, chart: Chart, center: float, width: float) -> ScalarField:
-        """The radial profile at every node, the same in each theta column."""
-        prof = self.profile(chart.r, center, width)
-        return ScalarField(chart, np.repeat(prof[:, None], chart.nt,
-                                            axis=1).reshape(chart.shape))
-
-    def profile(self, r, center, width):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros_like(r)
-        fin = np.isfinite(r)
-        out[fin] = np.exp(-((r[fin] - center) / width) ** 2)
-        return out * self.cutoff(r)
-
-    def cutoff(self, r):
-        r = np.asarray(r, dtype=float)
-        lo = _smoothstep((r - self.r_in) / self.cutoff_width)
-        hi = _smoothstep((self.r_out - r) / self.cutoff_width)
-        out = np.where(np.isfinite(r), lo * hi, 0.0)
-        return out
+def trial(chart: Chart, center: float, width: float) -> ScalarField:
+    """The radial trial profile at every node, the same in each theta
+    column."""
+    r = chart.r
+    fin = np.isfinite(r)
+    prof = np.zeros_like(r)
+    prof[fin] = np.exp(-((r[fin] - center) / width) ** 2)
+    lo = _smoothstep((r - R_IN) / CUTOFF_WIDTH)
+    hi = _smoothstep((R_OUT - r) / CUTOFF_WIDTH)
+    prof = prof * np.where(fin, lo * hi, 0.0)
+    return ScalarField(chart, np.repeat(prof[:, None], chart.nt,
+                                        axis=1).reshape(chart.shape))
 
 
 def _smoothstep(t):
@@ -123,8 +95,8 @@ def rayleigh_quotient(g: MetricField, f: ScalarField) -> float:
     return num / den ** (2.0 / p_crit)
 
 
-def estimate_sobolev_quotient(g: MetricField, family: TrialFamily):
-    """Minimum quotient over the family's resolved trials.
+def estimate_sobolev_quotient(g: MetricField):
+    """Minimum quotient over the resolved ``TRIALS``.
 
     A trial under ``MIN_TRIAL_CELLS`` cells in s is skipped, not evaluated:
     its quotient is a discretization artifact, not an upper bound.
@@ -132,14 +104,14 @@ def estimate_sobolev_quotient(g: MetricField, family: TrialFamily):
     the lowest index.  Returns (Q_upper, (center, width), positivity
     evidence flag).
     """
-    trials = family.resolved(g.chart)
+    trials = resolved_trials(g.chart)
     if not trials:
         raise ScalarFlatError(f"no trial spans {MIN_TRIAL_CELLS} cells in s "
                               "on this grid")
     best = None
     best_params = None
     for c, w in trials:
-        q = rayleigh_quotient(g, family.evaluate(g.chart, c, w))
+        q = rayleigh_quotient(g, trial(g.chart, c, w))
         if best is None or q < best:
             best, best_params = q, (c, w)
     return best, best_params, best > 0.0

@@ -119,9 +119,13 @@ def decay_fit(u: ScalarField) -> DecayFit:
     coef, *_ = np.linalg.lstsq(A, np.log(dg), rcond=None)
     a = sign * math.exp(coef[0])
     q = float(coef[1])
-    model = u_inf + sign * np.exp(A @ coef)
-    resid = float(np.sqrt(np.mean((model - v[good]) ** 2))
-                  / max(np.max(np.abs(v)), 1e-300))
+    err = u_inf + sign * np.exp(A @ coef) - v[good]
+    with np.errstate(over="ignore"):
+        rms = np.sqrt(np.mean(err ** 2))
+    if not np.isfinite(rms):  # err ** 2 overflowed: take the rms of err / m
+        m = np.max(np.abs(err))
+        rms = m * np.sqrt(np.mean((err / m) ** 2))
+    resid = float(rms / max(np.max(np.abs(v)), 1e-300))
     if q <= 0:
         return DecayFit(u_inf=u_inf, a=a, q=q, residual=resid,
                         status="no-decay")

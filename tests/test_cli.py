@@ -413,6 +413,10 @@ def _quotient_family(family):
     lambda d: ["--metric", _metric_file(d, b"\xff\xfe{}")],
     lambda d: ["--metric", _metric_file(d, b"[" * 100000 + b"]" * 100000)],
     lambda d: ["--metric", "conformal:1,1e80"],
+    # finite components whose volume density overflows (exited 3 after
+    # RuntimeWarnings, "Factor is exactly singular")
+    lambda d: ["--grid", "41", "--metric", "conformal:1,1e60"],
+    lambda d: ["--grid", "41x9", "--metric", "conformal:1,1e45"],
     # a dimension that the job's grid holds but its refinement does not
     # (exited 3)
     lambda d: ["--mode", "convergence-study", "--grid", "201", "--n-dim",
@@ -437,7 +441,8 @@ def _quotient_family(family):
         "quotient-target", "n-dim-400", "grid-201-n-dim-120",
         "conformal-coeffs-bool", "axisym-decay-bool", "grids-repeated",
         "grids-decreasing", "metric-not-utf8", "metric-too-deep",
-        "conformal-overflow", "convergence-n-dim-110"])
+        "conformal-overflow", "density-overflow", "density-overflow-axisym",
+        "convergence-n-dim-110"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     try:
@@ -465,6 +470,15 @@ def test_exit_code_solve_failure(tmp_path):
     code = main(["--mode", "meancurv", "--f", "0.2", "--beta", "3",
                  "--grid", "101", "--out", str(tmp_path / "o")])
     assert code == 3
+
+
+def test_large_conformal_coefficient_runs(tmp_path, capsys):
+    # the metric and its density are finite; the square of its far-field
+    # fit's residual overflowed (a RuntimeWarning)
+    code, report, _ = run(tmp_path, "--grid", "41", "--metric",
+                          "conformal:1,1e45")
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0 and report["passed"] is True
 
 
 @pytest.mark.parametrize("beta", ["150", "1e300"])

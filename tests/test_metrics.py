@@ -5,9 +5,9 @@ import pytest
 
 from scalarflat import (Chart, ChartError, DecayError, MetricError,
                         PositivityError, ScalarField, boundary_mean_curvature,
-                        check_asymptotic_flatness, conformal_mean_curvature,
-                        conformal_transform, flat_metric, laplace_beltrami,
-                        metric_from_spec, normal_derivative, scalar_curvature)
+                        check_asymptotic_flatness, conformal_transform,
+                        flat_metric, laplace_beltrami, metric_from_spec,
+                        normal_derivative, scalar_curvature)
 from scalarflat.weighted import WeightedNormSpec, weighted_norm
 from scalarflat import chart as chart_mod
 from scalarflat import metrics
@@ -186,11 +186,15 @@ def test_axisym_diagnostics_equal_radial_on_theta_independent_metric():
 
 
 def test_conformal_mean_curvature_prediction():
-    # predicted H of u^{4/(n-2)} g matches the direct computation
+    # the sum-convention law H~ = u^{-n/(n-2)} (c_n du/deta + H u) for
+    # u^{4/(n-2)} g matches the direct computation
     c = Chart.radial(3, 801)
     g = flat_metric(c)
     u = ScalarField(c, 1.0 + 0.3 * c.s)
-    pred = conformal_mean_curvature(g, u).values[0]
+    ub = u.boundary_values()[0]
+    pred = ub ** -3.0 * (conformal_law_coefficient(3)
+                         * normal_derivative(g, u).values[0]
+                         + boundary_mean_curvature(g).values[0] * ub)
     direct = boundary_mean_curvature(conformal_transform(g, u)).values[0]
     assert pred == pytest.approx(direct, abs=5e-3)
 
