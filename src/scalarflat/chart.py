@@ -87,8 +87,15 @@ class Chart:
 
     Charts are interned: a call returns the chart of the same counts while
     it is among the ``CHART_CACHE_SIZE`` most recently used, so what is
-    built on a chart once (weights, flat Laplacian, LU order) is built once
-    per grid.  Charts of the same counts compare equal.
+    built on a chart once (weights, flat Laplacian, LU order, ``layouts``)
+    is built once per grid.  Charts of the same counts compare equal.
+
+    ``layouts`` maps the name of a sparsity pattern on the chart to the
+    read-only index arrays derived from it: the CSR arrays of every
+    Laplacian (``metrics.build_laplace_matrix``) and of every assembled
+    Dirichlet or Robin system (``elliptic.assemble``), and the column order
+    and CSC layout of the LUs of a pattern (``elliptic.Factorization``).
+    A job then computes values only, into the arrays of its grid.
     """
 
     def __new__(cls, n, num_s, num_theta=None):
@@ -144,6 +151,7 @@ class Chart:
         self._weights = None
         self._flat_laplacian = None
         self._order = None
+        self.layouts = {}
 
     # -- basic structure ---------------------------------------------------
 

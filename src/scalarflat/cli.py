@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -245,7 +246,8 @@ def _run_convergence(job, chart, g):
 
 
 def run_job(job: dict):
-    """Execute one job; returns (SolveReport, fields dict)."""
+    """Execute one job; returns (SolveReport, fields dict).  A report whose
+    solver did not time itself gets the mode driver's wall time."""
     with _building():
         chart = parse_grid(job["grid"], job["n"])
         g = parse_metric(job["metric"], chart)
@@ -256,7 +258,10 @@ def run_job(job: dict):
         "oracle": _run_oracle,
         "convergence-study": _run_convergence,
     }[job["mode"]]
-    return driver(job, chart, g)
+    t0 = time.perf_counter()
+    report, fields = driver(job, chart, g)
+    report.timing.setdefault("wall_s", time.perf_counter() - t0)
+    return report, fields
 
 
 def _write_outputs(outdir, report, fields) -> None:

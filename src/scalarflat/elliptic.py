@@ -67,11 +67,16 @@ class LinearProblem:
 
 @dataclass
 class LinearSystem:
-    """Assembled sparse system with bookkeeping for the residual check."""
+    """Assembled sparse system with bookkeeping for the residual check.
+
+    ``pattern`` names the sparsity pattern of ``matrix`` in
+    ``chart.layouts``, where the layouts of its LUs are kept; ``assemble``
+    sets it.  A matrix built elsewhere has None: its LUs share nothing."""
 
     matrix: sp.csr_matrix
     rhs: np.ndarray
     chart: Chart
+    pattern: tuple | None = None
 
 
 @dataclass
@@ -90,50 +95,72 @@ def assemble(problem: LinearProblem) -> LinearSystem:
 
     Interior rows: conservative second-order stencil for a*Delta_g plus the
     diagonal c term.  s=0: exact row u = limit.  r=1: Dirichlet row or Robin
-    row with a second-order one-sided normal derivative.  The CSR arrays
-    are sliced from the metric's Laplacian, whose interior rows each store
-    their diagonal, and the boundary rows are put around them.
+    row with a second-order one-sided normal derivative.  The CSR data are
+    the interior rows of the metric's Laplacian, scaled by a, with c added
+    to their stored diagonals, and the boundary rows put around them.  The
+    index arrays are the chart's, one pair for each kind of r = 1 row
+    (``_system_layout``), so every system of a kind shares its pattern.
     """
     g = problem.metric
     chart = g.chart
     nt = chart.nt
     N = chart.num_nodes
     h = chart.ds
+    robin = isinstance(problem.bc, RobinBC)
 
     L = g.laplacian()
+    pattern = ("system", "robin" if robin else "dirichlet")
+    layout = chart.layouts.get(pattern)
+    if layout is None:
+        layout = chart.layouts[pattern] = _system_layout(L, nt, robin)
+    indptr, indices, diag = layout
     lo, hi = L.indptr[nt], L.indptr[N - nt]
-    indices = L.indices[lo:hi]
-    data = problem.a * L.data[lo:hi]
-    rows = np.repeat(np.arange(nt, N - nt), np.diff(L.indptr[nt:N - nt + 1]))
-    diag = indices == rows
-    if np.count_nonzero(diag) != N - 2 * nt:
-        raise DiscreteIsomorphismError("discrete isomorphism failure: "
-                                       "interior row without a diagonal")
+    data = np.empty(indices.size)
+    data[:nt] = 1.0
+    np.multiply(problem.a, L.data[lo:hi], out=data[nt:nt + hi - lo])
     data[diag] += problem.c.values.ravel()[nt:N - nt]
     rhs = problem.src.values.ravel().copy()
 
     # identity rows: the exact limit at s=0, Dirichlet data at s=1
     rhs[:nt] = problem.limit
-    last = np.arange(N - nt, N)[:, None]
-    if isinstance(problem.bc, DirichletBC):
-        tail_cols, tail_vals = last, np.ones((nt, 1))
-        rhs[-nt:] = problem.bc.value.values
-    else:
+    if robin:
         # du/deta = (1/sqrt g_rr) * (3u_N - 4u_{N-1} + u_{N-2}) / (2h)
         inv = 1.0 / np.sqrt(g.boundary_a_rr())
-        tail_cols = np.hstack([last - 2 * nt, last - nt, last])
-        tail_vals = np.column_stack([
+        data[nt + hi - lo:] = np.column_stack([
             inv * 1.0 / (2 * h), inv * -4.0 / (2 * h),
-            inv * 3.0 / (2 * h) + problem.bc.gamma.values])
+            inv * 3.0 / (2 * h) + problem.bc.gamma.values]).ravel()
         rhs[-nt:] = problem.bc.h.values
+    else:
+        data[-nt:] = 1.0
+        rhs[-nt:] = problem.bc.value.values
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(N, N))
+    return LinearSystem(matrix=matrix, rhs=rhs, chart=chart, pattern=pattern)
+
+
+def _system_layout(L, nt: int, robin: bool):
+    """(indptr, indices, diag), read-only: the CSR pattern of the systems
+    ``assemble`` builds on the Laplacian L, with nt identity rows at s = 0,
+    L's interior rows and nt r = 1 rows of 3 (Robin) or 1 (Dirichlet)
+    entries; ``diag`` holds the positions of the interior diagonals in the
+    data."""
+    N = L.shape[0]
+    lo, hi = L.indptr[nt], L.indptr[N - nt]
+    rows = np.repeat(np.arange(nt, N - nt), np.diff(L.indptr[nt:N - nt + 1]))
+    diag = nt + np.flatnonzero(L.indices[lo:hi] == rows)
+    if diag.size != N - 2 * nt:
+        raise DiscreteIsomorphismError("discrete isomorphism failure: "
+                                       "interior row without a diagonal")
+    last = np.arange(N - nt, N)[:, None]
+    tail = np.hstack([last - 2 * nt, last - nt, last]) if robin else last
     indptr = np.concatenate([
         np.arange(nt), nt + L.indptr[nt:N - nt] - lo,
-        nt + (hi - lo) + tail_cols.shape[1] * np.arange(nt + 1)])
-    matrix = sp.csr_matrix(
-        (np.concatenate([np.ones(nt), data, tail_vals.ravel()]),
-         np.concatenate([np.arange(nt), indices, tail_cols.ravel()]),
-         indptr), shape=(N, N))
-    return LinearSystem(matrix=matrix, rhs=rhs, chart=chart)
+        nt + (hi - lo) + tail.shape[1] * np.arange(nt + 1)])
+    indices = np.concatenate([np.arange(nt), L.indices[lo:hi], tail.ravel()])
+    layout = (indptr.astype(L.indptr.dtype), indices.astype(L.indices.dtype),
+              diag)
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def solve_linear(problem: LinearProblem) -> LinearSolveResult:
@@ -169,13 +196,34 @@ class Factorization:
     scales, the scaled matrix and its infinity norm are computed on the
     CSR arrays of ``system.matrix``.
 
+    The ordering depends on the pattern alone, so it is computed once per
+    pattern.  The first LU of a ``system.pattern`` on a chart is ordered by
+    SuperLU (``MMD_AT_PLUS_A``), and its column order ``lu.perm_c`` is kept
+    in ``Chart.layouts``.  Later LUs of the pattern are handed the matrix
+    with its columns in that order, gathered from the CSR data through a
+    CSC layout (``_csc_layout``) that the second LU builds and keeps, and
+    are factored with ``permc_spec="NATURAL"``: SuperLU's postorder of the
+    elimination tree keeps that order, the rows are not permuted, and the
+    factors, pivots and solutions are bitwise those of a fresh ordering.
+    (A layout built while the first LU's factors are alive raised the peak
+    memory of a run of 201x65 jobs by 6 MB.)  ``perm`` is the column order
+    a later LU's solutions are read back through, None where SuperLU
+    applies it itself.  A system with no ``pattern`` is ordered afresh.
+
     With ``boundary_last`` the order is ``Chart.boundary_last_order``,
     kept by SuperLU (``NATURAL``) with diagonal pivots
-    (``diag_pivot_thresh=0``); an LU that pivots anyway raises.  The
-    trailing blocks of L and U then factor the Schur complement onto the
-    last three s levels (``boundary_inverse``).  The fill is 1.37x minimum
-    degree's at 201x65 and 1.28x at 401x129, the factor time within 10%.
-    The factored ``system`` is kept for its right-hand side and rows.
+    (``diag_pivot_thresh=0``); an LU that pivots raises.  The trailing
+    blocks of L and U then factor the Schur complement onto the last three
+    s levels (``boundary_inverse``).  The fill is 1.37x minimum degree's at
+    201x65 and 1.28x at 401x129, the factor time within 10%.  Its CSC
+    layout, with rows and columns in that order, is kept per pattern from
+    its first LU on.
+
+    ``matrix`` is the equilibrated matrix that refinement multiplies by:
+    CSR, or the CSC that SuperLU factors for a ``boundary_last`` LU, whose
+    unknowns are in that order.  The factored ``system`` is kept for its
+    right-hand side and rows, and ``passes`` counts the SuperLU solve
+    passes made on the factors.
     """
 
     def __init__(self, system: LinearSystem, boundary_last: bool = False):
@@ -193,25 +241,46 @@ class Factorization:
                                            "zero matrix row")
         data = A.data * np.repeat(1.0 / self.scale, counts)
         self.norm = float(np.max(np.add.reduceat(np.abs(data), starts)))
-        M = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
-        self.order, options = None, {"permc_spec": "MMD_AT_PLUS_A"}
+        self.matrix = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
+        self.order = self.perm = None
+        self.passes = 0
+        # a system that names no pattern keeps its layouts to itself
+        layouts = {} if system.pattern is None else self.chart.layouts
         if boundary_last:
             order = self.chart.boundary_last_order
             if np.any(order != np.arange(order.size)):
                 self.order, self.unorder = order, np.argsort(order)
-                M = M[order][:, order]
+            csc = _gathered(data, A.shape, layouts,
+                            (system.pattern, "boundary-last-csc"),
+                            lambda: _csc_layout(A, self.order, self.order))
             options = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
-        self.matrix = M.tocsc()
+        else:
+            self.perm = layouts.get((system.pattern, "lu-order"))
+            if self.perm is None:
+                csc = self.matrix.tocsc()
+                options = {"permc_spec": "MMD_AT_PLUS_A"}
+            else:
+                csc = _gathered(data, A.shape, layouts,
+                                (system.pattern, "lu-csc"),
+                                lambda: _csc_layout(A, cols=np.argsort(
+                                    self.perm)))
+                options = {"permc_spec": "NATURAL"}
         try:
-            self.lu = spla.splu(self.matrix, relax=1, panel_size=1, **options)
+            self.lu = spla.splu(csc, relax=1, panel_size=1, **options)
         except RuntimeError as exc:
             raise DiscreteIsomorphismError(
                 f"discrete isomorphism failure: {exc}") from exc
-        if boundary_last and np.any(
-                np.stack([self.lu.perm_r, self.lu.perm_c])
-                != np.arange(self.scale.size)):
-            raise DiscreteIsomorphismError("discrete isomorphism failure: "
-                                           "the boundary-last LU pivoted")
+        if boundary_last:
+            if np.any(np.stack([self.lu.perm_r, self.lu.perm_c])
+                      != np.arange(self.scale.size)):
+                raise DiscreteIsomorphismError(
+                    "discrete isomorphism failure: the boundary-last LU "
+                    "pivoted")
+            self.matrix = csc
+        elif self.perm is None:
+            perm = self.lu.perm_c.copy()
+            perm.flags.writeable = False
+            layouts[system.pattern, "lu-order"] = perm
 
     def boundary_inverse(self) -> np.ndarray:
         """The 3nt x nt block of A^-1 of a ``boundary_last`` LU with rows on
@@ -252,7 +321,9 @@ class Factorization:
         bnorm = np.linalg.norm(b, axis=0)
         x, r, history = np.zeros_like(b), b, []
         for _ in range(2):
-            x = x + self.lu.solve(r)
+            dx = self.lu.solve(r)
+            x = x + (dx if self.perm is None else dx[self.perm])
+            self.passes += 1
             r = b - self.matrix @ x
             backward = np.linalg.norm(r, axis=0) / np.maximum(
                 self.norm * np.linalg.norm(x, axis=0) + bnorm, 1e-300)
@@ -271,6 +342,36 @@ class Factorization:
         return LinearSolveResult(solution=sol, residual=history[-1],
                                  iterations=len(history),
                                  residual_history=history)
+
+
+def _gathered(data, shape, layouts, key, build):
+    """The CSC matrix of the CSR data ``data`` in the layout that
+    ``layouts`` keeps under ``key``, built by ``build()`` (a
+    ``_csc_layout``) when it has none."""
+    layout = layouts.get(key)
+    if layout is None:
+        layout = layouts[key] = build()
+    indptr, indices, gather = layout
+    return sp.csc_matrix((data[gather], indices, indptr), shape=shape)
+
+
+def _csc_layout(A, rows=None, cols=None):
+    """(indptr, indices, gather), read-only: the CSC pattern of the CSR
+    matrix A with its rows and its columns taken in the orders ``rows`` and
+    ``cols`` (natural when None), and the positions in A's data of that CSC
+    data, read off the conversion of a CSR matrix whose values are their
+    own positions."""
+    P = sp.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr),
+                      shape=A.shape)
+    if rows is not None:
+        P = P[rows]
+    if cols is not None:
+        P = P[:, cols]
+    P = P.tocsc()
+    layout = (P.indptr, P.indices, P.data.astype(np.intp))
+    for a in layout:
+        a.flags.writeable = False
+    return layout
 
 
 def constant_field(chart: Chart, value: float) -> ScalarField:

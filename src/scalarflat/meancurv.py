@@ -166,7 +166,7 @@ def robin_factors(g: MetricField):
 def _harmonic(lu: Factorization, phi: ScalarField, data: np.ndarray,
               u_b: np.ndarray):
     """The harmonic field w / phi with limit 0 and r = 1 values u_b, by two
-    solves on lu: (w, LU solves, miss).  X is not refined, so the first
+    solves on lu: (w, miss).  X is not refined, so the first
     solve, on ``data`` u_b, misses u_b on r = 1 (by up to ~3e-11 relative);
     the second subtracts the answer to that miss.  ``miss`` is the first
     solve's largest, the gate on X."""
@@ -177,8 +177,7 @@ def _harmonic(lu: Factorization, phi: ScalarField, data: np.ndarray,
     miss = np.atleast_1d(w[-1] / phi.values[-1]) - u_b
     rhs[-u_b.size:] = data @ miss
     second = lu.solve(rhs)
-    return (w - second.solution.values, first.iterations + second.iterations,
-            float(np.max(np.abs(miss))))
+    return w - second.solution.values, float(np.max(np.abs(miss)))
 
 
 def harmonic_unit(g: MetricField):
@@ -196,7 +195,7 @@ def harmonic_unit(g: MetricField):
     discretization error.
     """
     lu, phi, D, data = robin_factors(g)
-    w, _, miss = _harmonic(lu, phi, data, np.ones(D.shape[0]))
+    w, miss = _harmonic(lu, phi, data, np.ones(D.shape[0]))
     if not miss <= BARRIER_SLACK:
         raise SolveError(f"harmonic barrier misses 1 on r = 1 by {miss:.3g}: "
                          "inaccurate boundary block X_b of the Robin LU")
@@ -340,7 +339,8 @@ def monotone_iterate(pair: SubSuperPair,
     place of the largest term of G.  It takes no step when G(u_-) is
     already rounding, and raises ``NonConvergenceError`` when G is not
     after ``MAX_MONOTONE_STEPS`` steps.  The full u is 1 plus ``_harmonic``
-    of u_b - 1 on the same LU, so this stage factors nothing.
+    of u_b - 1 on the same LU, so this stage factors nothing; its report's
+    ``iterations.linear`` counts the 4 SuperLU solve passes it makes there.
 
     Existence is the paper's sub/supersolution argument, checked on the
     discrete problem; it is the one use of the weight c of
@@ -370,6 +370,7 @@ def monotone_iterate(pair: SubSuperPair,
     fv = pair.f.values
     nt = fv.size
     lu, phi, D, data = robin_factors(g)
+    passes = lu.passes
     c = stabilization_weight(pair)
     X_c = np.linalg.inv(D + c * np.eye(nt))
     if np.min(X_c) < -SANDWICH_SLACK:
@@ -414,7 +415,7 @@ def monotone_iterate(pair: SubSuperPair,
 
     fold_margin = float(np.linalg.svd(D - np.diag(slope(u)),
                                       compute_uv=False)[-1])
-    w, linear, _ = _harmonic(lu, phi, data, u - 1.0)
+    w, _ = _harmonic(lu, phi, data, u - 1.0)
     u = ScalarField(g.chart, 1.0 + w / phi.values)
     low = float(np.min(u.values[1:] - pair.u_minus.values[1:]))
     high = float(np.max(u.values[1:] - pair.u_plus.values[1:]))
@@ -440,7 +441,7 @@ def monotone_iterate(pair: SubSuperPair,
     }
     report.iterations = {
         "monotone": len(history),
-        "linear": linear,
+        "linear": lu.passes - passes,
         "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),
@@ -473,10 +474,20 @@ def solve_nonlinear_robin(g: MetricField, f: BoundaryField,
                           beta: float) -> MeanCurvatureSolution:
     """Barriers plus Newton between them for du/deta = f u^beta on a
     scalar-flat background (the post-reduction subproblem); each stage's
-    failure is tagged with its name."""
+    failure is tagged with its name.  ``iterations.linear`` counts the
+    SuperLU solve passes that all the stages make on g's one LU (8)."""
+    passes = _passes(g)
     v, dv = _stage("harmonic_unit", harmonic_unit, g)
     pair = _stage("build_sub_super", build_sub_super, v, dv, f, beta)
-    return _stage("monotone_iterate", monotone_iterate, pair, g)
+    sol = _stage("monotone_iterate", monotone_iterate, pair, g)
+    sol.report.iterations["linear"] = _passes(g) - passes
+    return sol
+
+
+def _passes(g: MetricField) -> int:
+    """SuperLU solve passes made so far on the LU of g's ``robin_factors``
+    slot, 0 before it is filled."""
+    return 0 if g.robin_factors is None else g.robin_factors[0].passes
 
 
 def prescribe_mean_curvature(g: MetricField,
@@ -489,7 +500,8 @@ def prescribe_mean_curvature(g: MetricField,
     beta = n/(n-2), the transformation law of H at H = 0;
     barrier construction; Newton on the boundary map; final
     finite-difference check of the transformed mean curvature against the
-    target.
+    target.  ``iterations.linear`` counts the SuperLU solve passes on the
+    job's one LU, the reduction's included (10).
 
     ``checks.target_H`` bounds max |H - target| by
     (n-1)^3 (1 + max |target|)^2 h^2.  The error is second order in h, and
@@ -513,6 +525,8 @@ def prescribe_mean_curvature(g: MetricField,
         red_report.residuals["scalar_curvature_Linf_interior"]
     sol.report.residuals["target_H_Linf"] = err
     sol.report.extrema["min_phi_reduction"] = red_report.extrema["min_phi"]
+    # every pass on the job's one LU, the reduction's own solve included
+    sol.report.iterations["linear"] = _passes(ghat)
     scale = 1.0 + float(np.max(np.abs(f_target.values)))
     sol.report.checks["target_H"] = (
         err <= (n - 1) ** 3 * (scale * g.chart.ds) ** 2)

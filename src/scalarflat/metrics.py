@@ -262,10 +262,12 @@ def _density(comps: np.ndarray, n: int) -> np.ndarray:
     """sqrt(det g) / (r^{n-1} sin theta) from frame components on the last
     axis.  The tangential entries share the n-1 tangential directions
     equally: one entry stands for all of them in radial mode, a_theta and
-    a_phi for one each in axisymmetric mode (n = 3)."""
-    tan = comps[..., 1:]
-    return (np.sqrt(comps[..., 0])
-            * np.prod(tan, axis=-1) ** ((n - 1) / (2.0 * tan.shape[-1])))
+    a_phi for one each in axisymmetric mode (n = 3).  Each entry takes its
+    power before the product, which then overflows only where the density
+    does."""
+    tan = comps[..., 1:] ** ((n - 1) / (2.0 * (comps.shape[-1] - 1)))
+    return np.sqrt(comps[..., 0]) * (tan[..., 0] if tan.shape[-1] == 1
+                                     else tan[..., 0] * tan[..., 1])
 
 
 def laplace_beltrami(g: MetricField, u: ScalarField) -> ScalarField:
@@ -290,20 +292,42 @@ def build_laplace_matrix(g: MetricField):
         Delta_g u = (s^2 / W) d/ds (s^2 W / a_rr du/ds)
                     + (s^2 / (D sin)) d/dtheta (D sin / a_theta du/dtheta).
 
-    The matrix is one vectorized COO build on the (ns, nt) node grid, and
-    radial mode is the case nt = 1, which has no theta part.  Interior rows
-    use the conservative centred stencil with midpoint-averaged components;
-    the r = 1 row uses a one-sided second-order form of the s part; the
-    pole columns use the regularized limit (1/sin) d/dth (sin du/dth) ->
-    2 u_thth for even u, with a reflected ghost node.  The s = 0 row is zero.
+    The stencil is one vectorized build of COO entries on the (ns, nt) node
+    grid, and radial mode is the case nt = 1, which has no theta part.
+    Interior rows use the conservative centred stencil with
+    midpoint-averaged components; the r = 1 row uses a one-sided
+    second-order form of the s part; the pole columns use the regularized
+    limit (1/sin) d/dth (sin du/dth) -> 2 u_thth for even u, with a
+    reflected ghost node.  The s = 0 row is zero.
+
+    The entries (``_laplace_entries``) have positions that depend on the
+    chart alone: their CSR layout (``_csr_layout``) is built with the
+    chart's first Laplacian and kept in ``Chart.layouts``, and every
+    Laplacian sums its values into it, bitwise as scipy's COO-to-CSR
+    conversion does.
     """
     import scipy.sparse as sp
 
     c = g.chart
+    if c.s.size < 4:
+        raise ChartError("the Laplacian needs at least 4 nodes in s")
+    rows, cols, vals = _laplace_entries(g)
+    N = c.num_nodes
+    layout = c.layouts.get("laplacian")
+    if layout is None:
+        layout = c.layouts["laplacian"] = _csr_layout(rows, cols, N)
+    slot, indptr, indices = layout
+    data = np.bincount(slot, weights=np.concatenate(vals),
+                       minlength=indices.size)
+    return sp.csr_matrix((data, indices, indptr), shape=(N, N))
+
+
+def _laplace_entries(g: MetricField):
+    """COO entries of ``build_laplace_matrix``: lists of row index arrays,
+    of column index arrays of the same shapes and of raveled values."""
+    c = g.chart
     n, h = c.n, c.ds
     ns, nt = c.s.size, c.nt
-    if ns < 4:
-        raise ChartError("the Laplacian needs at least 4 nodes in s")
     comps = g.comps.reshape(ns, nt, -1)
     D = _density(comps, n)
     s = c.s[:, None]
@@ -311,8 +335,8 @@ def build_laplace_matrix(g: MetricField):
     rows, cols, vals = [], [], []
 
     def add(row, col, val):
-        rows.append(row.ravel())
-        cols.append(col.ravel())
+        rows.append(row)
+        cols.append(col)
         vals.append(val.ravel())
 
     # s part: conservative fluxes mu = s^2 W / a_rr at the s-midpoints
@@ -352,10 +376,32 @@ def build_laplace_matrix(g: MetricField):
         add(idx[1:, [0, -1]], idx[1:, [1, -2]], coef)
         add(idx[1:, [0, -1]], idx[1:, [0, -1]], -coef)
 
-    N = ns * nt
-    return sp.csr_matrix((np.concatenate(vals),
-                          (np.concatenate(rows), np.concatenate(cols))),
-                         shape=(N, N))
+    return rows, cols, vals
+
+
+def _csr_layout(rows, cols, N: int):
+    """(slot, indptr, indices), read-only: the N x N CSR pattern of COO
+    entries at (rows[k], cols[k]), lists of index arrays of equal shapes.
+    The i-th entry of the concatenated values sums into ``data[slot[i]]``,
+    in COO order, as scipy's COO-to-CSR conversion sums duplicates, so
+    ``np.bincount(slot, weights=values)`` is that conversion's data."""
+    key = np.concatenate([(r * N + c).ravel() for r, c in zip(rows, cols)])
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    slot = np.empty(key.size, dtype=np.intp)
+    slot[order] = np.cumsum(first) - 1
+    key = key[first]
+    # scipy's own index type for this size, so matrices keep these arrays
+    itype = np.int32 if max(N, key.size) < 2 ** 31 else np.int64
+    indptr = np.zeros(N + 1, dtype=itype)
+    np.cumsum(np.bincount(key // N, minlength=N), out=indptr[1:])
+    indices = (key % N).astype(itype)
+    for a in (slot, indptr, indices):
+        a.flags.writeable = False
+    return slot, indptr, indices
 
 
 # ---------------------------------------------------------------------------

@@ -222,3 +222,29 @@ def test_boundary_last_order(chart):
                               np.arange(middle * nt, (middle + 1) * nt))
     assert chart.boundary_last_order is order
     assert not order.flags.writeable
+
+
+def test_evicted_chart_rebuilds_its_layouts():
+    # the layouts go with the chart: a chart pushed out of the table is
+    # rebuilt with none, builds them again on its first job, and that job
+    # writes what the job on the first instance wrote
+    from scalarflat import metric_from_spec, solve_scalar_flat_dirichlet
+
+    def solve(chart):
+        g = metric_from_spec("conformal:1,0.3,0.6", chart)
+        return solve_scalar_flat_dirichlet(g).phi.values
+
+    a = Chart.axisymmetric(41, 9)
+    phi = solve(a)
+    assert {"laplacian", ("system", "dirichlet"),
+            (("system", "dirichlet"), "lu-order")} <= a.layouts.keys()
+    for num_s in range(1000, 1000 + chart_mod.CHART_CACHE_SIZE):
+        Chart.radial(3, num_s)
+    b = Chart.axisymmetric(41, 9)
+    assert b is not a and b.layouts == {}
+    assert np.array_equal(solve(b).view(np.int64), phi.view(np.int64))
+    assert b.layouts.keys() == a.layouts.keys()
+    for key in a.layouts:
+        x, y = a.layouts[key], b.layouts[key]
+        for u, v in zip(x, y) if isinstance(x, tuple) else [(x, y)]:
+            assert np.array_equal(u, v)

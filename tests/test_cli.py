@@ -414,9 +414,10 @@ def _quotient_family(family):
     lambda d: ["--metric", _metric_file(d, b"[" * 100000 + b"]" * 100000)],
     lambda d: ["--metric", "conformal:1,1e80"],
     # finite components whose volume density overflows (exited 3 after
-    # RuntimeWarnings, "Factor is exactly singular")
+    # RuntimeWarnings, "Factor is exactly singular"): u0^4 ~ 1e240 and a
+    # density ~ 1e360 on both grids
     lambda d: ["--grid", "41", "--metric", "conformal:1,1e60"],
-    lambda d: ["--grid", "41x9", "--metric", "conformal:1,1e45"],
+    lambda d: ["--grid", "41x9", "--metric", "conformal:1,1e60"],
     # a dimension that the job's grid holds but its refinement does not
     # (exited 3)
     lambda d: ["--mode", "convergence-study", "--grid", "201", "--n-dim",
@@ -481,6 +482,16 @@ def test_large_conformal_coefficient_runs(tmp_path, capsys):
     assert code == 0 and report["passed"] is True
 
 
+@pytest.mark.parametrize("grid", ["41", "41x9"])
+def test_finite_density_runs_on_every_grid(tmp_path, capsys, grid):
+    # u0^4 ~ 1e156 and a density ~ 1e234: a_theta a_phi ~ 1e312 overflowed
+    # before its square root was taken, and 41x9 exited 2 where 41 ran
+    code, report, _ = run(tmp_path, "--grid", grid, "--metric",
+                          "conformal:1,1e39")
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == 0 and report["passed"] is True
+
+
 @pytest.mark.parametrize("beta", ["150", "1e300"])
 def test_large_beta_has_no_supersolution(tmp_path, capsys, beta):
     # rho = dv/deta (beta-1)^(beta-1) / beta^beta, about 1/(e beta) here, is
@@ -523,7 +534,10 @@ def test_report_determinism_modulo_timing(tmp_path):
       "--metric", "conformal:1,0.2,0.4"), "conformal:1,0.5,0.5"),
     (("--mode", "meancurv", "--grid", "201", "--target", "0.035",
       "--metric", "conformal:1,0.5,0.5"), "conformal:1,0.2,1.0"),
-], ids=["dirichlet-radial", "dirichlet-axisym", "meancurv-radial"])
+    (("--mode", "meancurv", "--grid", "41x17", "--target", "0.035",
+      "--metric", "conformal:1,0.5,0.5"), "conformal:1,0.2,1.0"),
+], ids=["dirichlet-radial", "dirichlet-axisym", "meancurv-radial",
+        "meancurv-axisym"])
 def test_jobs_on_one_grid_match_a_fresh_grid(tmp_path, argv, metric_b):
     # metric A, then B, then A again on one grid: the grid is built by the
     # first job only, and the third job writes what a job on a newly
@@ -682,3 +696,45 @@ def test_valid_input_sweep_exits_cleanly(argv):
         with contextlib.redirect_stderr(err):
             code = main(argv + ["--out", d])
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
+
+
+@pytest.mark.parametrize("argv, linear", [
+    (("--mode", "dirichlet", "--grid", "41x9"), 2),
+    (("--mode", "meancurv", "--grid", "41x9", "--target", "-1"), 10),
+    (("--mode", "meancurv", "--grid", "201", "--target", "0.035",
+      "--metric", "conformal:1,0.5,0.5"), 10),
+    (("--mode", "meancurv", "--grid", "201", "--f", "0.1", "--beta", "3"), 8),
+], ids=["dirichlet", "meancurv-target-axisym", "meancurv-target-radial",
+        "meancurv-robin"])
+def test_linear_count_is_every_pass_of_the_job(tmp_path, monkeypatch, argv,
+                                               linear):
+    # iterations.linear counts the SuperLU solve passes of the whole job:
+    # a target job's reduction, barrier and final field (5 solves of 2
+    # passes) on its one LU, a Robin job's barrier and final field (4), a
+    # Dirichlet job's one solve
+    passes = []
+    solve = elliptic.Factorization.solve
+
+    def counting(self, rhs, tol=elliptic.BACKWARD_ERROR_TOL):
+        result = solve(self, rhs, tol=tol)
+        passes.append(result.iterations)
+        return result
+
+    monkeypatch.setattr(elliptic.Factorization, "solve", counting)
+    code, report, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert report["iterations"]["linear"] == sum(passes) == linear
+
+
+@pytest.mark.parametrize("argv", [
+    ("--mode", "dirichlet", "--grid", "41"),
+    ("--mode", "meancurv", "--grid", "41", "--target", "0.03"),
+    ("--mode", "quotient", "--grid", "41"),
+    ("--mode", "oracle", "--f", "0.1", "--beta", "3"),
+    ("--mode", "convergence-study", "--metric", "conformal:1,0,1"),
+], ids=["dirichlet", "meancurv", "quotient", "oracle", "convergence-study"])
+def test_every_mode_reports_its_wall_time(tmp_path, argv):
+    code, report, _ = run(tmp_path, *argv)
+    assert code == 0
+    assert list(report["timing"]) == ["wall_s"]
+    assert report["timing"]["wall_s"] > 0.0

@@ -237,9 +237,9 @@ def test_equilibrated_matrix_matches_diagonal_product(chart, spec):
     # and the row-sum norm is scipy's to rounding
     for system in yamabe_systems(chart, spec).values():
         factors = Factorization(system)
-        M = factors.matrix
+        assert factors.matrix.format == "csr"
+        M = factors.matrix.tocsc()
         ref = (sp.diags(1.0 / factors.scale) @ system.matrix).tocsc()
-        assert M.format == "csc"
         assert np.array_equal(M.indptr, ref.indptr)
         assert np.array_equal(M.indices, ref.indices)
         assert np.array_equal(M.data.view(np.int64), ref.data.view(np.int64))
@@ -256,7 +256,9 @@ def test_solution_matches_default_superlu_settings(chart, spec):
     for system in yamabe_systems(chart, spec).values():
         factors = Factorization(system)
         default = copy.copy(factors)
-        default.lu = spla.splu(factors.matrix, permc_spec="MMD_AT_PLUS_A")
+        default.lu = spla.splu(factors.matrix.tocsc(),
+                               permc_spec="MMD_AT_PLUS_A")
+        default.perm = None  # this LU reads its column order back itself
         x = factors.solve(system.rhs).solution.values
         ref = default.solve(system.rhs).solution.values
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -344,7 +346,7 @@ def test_factorization_fill_below_colamd():
     g = metric_from_spec({"kind": "axisym", "a_rr": a, "a_theta": a,
                           "a_phi": a, "decay": 2.0}, c)
     factors = Factorization(assemble(_yamabe_linear_problem(g, 1.0)))
-    colamd = spla.splu(factors.matrix, permc_spec="COLAMD")
+    colamd = spla.splu(factors.matrix.tocsc(), permc_spec="COLAMD")
     fill = factors.lu.L.nnz + factors.lu.U.nnz
     assert fill <= 0.7 * (colamd.L.nnz + colamd.U.nnz)
 
@@ -388,3 +390,130 @@ def test_boundary_last_factorization(chart):
     assert np.max(np.abs(X - X_ref)) <= 1e-11 * np.max(np.abs(X_ref))
     with pytest.raises(NonConvergenceError):
         last.solve(system.rhs, tol=1e-30)
+
+
+def forget_lu_layouts(chart, pattern):
+    """Drop what the LUs of ``pattern`` keep on ``chart``, so that its
+    next LU is a first one."""
+    for key in [k for k in chart.layouts if k[0] == pattern]:
+        del chart.layouts[key]
+
+
+def assert_same_factors(a, b):
+    """The L and U factors and the row pivots of two SuperLU objects are
+    bitwise equal."""
+    assert np.array_equal(a.perm_r, b.perm_r)
+    for A, B in ((a.L, b.L), (a.U, b.U)):
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.array_equal(A.data.view(np.int64), B.data.view(np.int64))
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.int64),
+                          np.asarray(y).view(np.int64))
+
+
+@pytest.mark.parametrize("chart,spec", [
+    (Chart.radial(3, 1601), "conformal:1,0.9,1.8"),
+    (Chart.axisymmetric(41, 9), "table"),
+    (Chart.axisymmetric(201, 65), "table")],
+    ids=["radial-1601", "axisym-41x9", "axisym-201x65"])
+def test_later_lus_of_a_pattern_are_bitwise_the_first(chart, spec):
+    # the first LU of a pattern orders its columns by minimum degree; a
+    # later one is handed its columns in that order and keeps it: the same
+    # factors, pivots and answers as the first LU and as a fresh splu, for
+    # the matrix that set the order and for another one of its pattern
+    other = yamabe_systems(chart, "conformal:1,0.5,0.5")
+    for kind, system in yamabe_systems(chart, spec).items():
+        for A in (system, other[kind]):
+            forget_lu_layouts(chart, A.pattern)
+            first, second, later = (Factorization(A) for _ in range(3))
+            assert first.perm is None
+            for f in (second, later):
+                assert np.array_equal(f.perm, first.lu.perm_c)
+                assert np.array_equal(f.lu.perm_c,
+                                      np.arange(chart.num_nodes))
+                assert_same_factors(first.lu, f.lu)
+            fresh = spla.splu(first.matrix.tocsc(), relax=1, panel_size=1,
+                              permc_spec="MMD_AT_PLUS_A")
+            assert np.array_equal(fresh.perm_c, first.lu.perm_c)
+            assert_same_factors(first.lu, fresh)
+            block = np.column_stack([A.rhs, np.roll(A.rhs, 1)])
+            for rhs in (A.rhs, block):
+                x, y = (f.solve(rhs) for f in (first, later))
+                assert x.residual_history == y.residual_history
+                assert same_bits(getattr(x.solution, "values", x.solution),
+                                 getattr(y.solution, "values", y.solution))
+        assert np.array_equal(chart.layouts[A.pattern, "lu-order"],
+                              first.lu.perm_c)
+
+
+@pytest.mark.parametrize("chart", [Chart.radial(3, 401),
+                                   Chart.axisymmetric(41, 9),
+                                   Chart.axisymmetric(41, 17)],
+                         ids=["radial", "axisym-41x9", "axisym-41x17"])
+def test_later_boundary_last_lus_are_bitwise_the_first(chart):
+    # the boundary-last CSC is gathered from the CSR data on every LU: the
+    # same factors and boundary block as M[order][:, order] gave
+    system = yamabe_systems(chart, "conformal:1,0.5,0.5")["robin"]
+    forget_lu_layouts(chart, system.pattern)
+    first, later = (Factorization(system, boundary_last=True)
+                    for _ in range(2))
+    order = chart.boundary_last_order
+    ref = (sp.diags(1.0 / first.scale) @ system.matrix)[order][:, order]
+    ref = ref.tocsc()
+    for f in (first, later):
+        assert np.array_equal(f.matrix.indptr, ref.indptr)
+        assert np.array_equal(f.matrix.indices, ref.indices)
+        assert same_bits(f.matrix.data, ref.data)
+    assert_same_factors(first.lu, later.lu)
+    assert same_bits(first.boundary_inverse(), later.boundary_inverse())
+    assert same_bits(first.solve(system.rhs).solution.values,
+                     later.solve(system.rhs).solution.values)
+
+
+def test_lu_orders_are_kept_per_pattern():
+    # Dirichlet rows and Robin rows are two patterns on one chart, each
+    # ordered by its own first LU; a system built by hand names no pattern,
+    # so every LU of it is ordered afresh and nothing is kept for it
+    chart = Chart.axisymmetric(41, 17)
+    systems = yamabe_systems(chart, "table")
+    for system in systems.values():
+        forget_lu_layouts(chart, system.pattern)
+        Factorization(system)
+    perms = {}
+    for kind, system in systems.items():
+        f = Factorization(system)
+        fresh = spla.splu(f.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(f.perm, fresh.perm_c)
+        perms[kind] = f.perm
+    assert not np.array_equal(perms["dirichlet"], perms["robin"])
+    kept = dict(chart.layouts)
+    robin = systems["robin"]
+    small_chart = Chart.radial(3, 3)
+    small = LinearSystem(sp.csr_matrix(np.array([[4.0, 1.0, 0.0],
+                                                 [1.0, 4.0, 0.0],
+                                                 [0.0, 1.0, 4.0]])),
+                         np.ones(3), small_chart)
+    for system in (LinearSystem(robin.matrix, robin.rhs, chart), small):
+        for _ in range(2):
+            f = Factorization(system)
+            assert f.perm is None
+            assert f.solve(system.rhs).residual <= 1e-10
+    assert chart.layouts.keys() == kept.keys()
+    assert all(chart.layouts[k] is kept[k] for k in kept)
+    assert small_chart.layouts == {}
+
+
+@pytest.mark.parametrize("boundary_last", [False, True])
+def test_solve_counts_its_passes(boundary_last):
+    # two SuperLU solve passes per solve, the solve and its refinement
+    # step, for a vector or a block of right-hand sides
+    chart = Chart.axisymmetric(41, 9)
+    system = yamabe_systems(chart, "conformal:1,0.5,0.5")["robin"]
+    lu = Factorization(system, boundary_last=boundary_last)
+    assert lu.passes == 0
+    lu.solve(system.rhs)
+    lu.solve(np.column_stack([system.rhs] * 3))
+    assert lu.passes == 4

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from scalarflat import (Chart, ChartError, DecayError, MetricError,
                         PositivityError, ScalarField, boundary_mean_curvature,
@@ -121,6 +122,55 @@ def test_laplace_matrix_matches_loop_reference(make):
         rows = np.diff(ref.indptr).reshape(g.chart.shape)
         assert rows[1:, 0].min() > 0 and rows[1:, -1].min() > 0
         assert rows[-1].tolist() == [5] + [6] * (nt - 2) + [5]
+
+
+@pytest.mark.parametrize("chart,spec", [
+    (Chart.radial(3, 41), "flat"), (Chart.radial(3, 41), "conformal:1,0.4,0.7"),
+    (Chart.radial(5, 41), "flat"), (Chart.radial(5, 41), "conformal:1,0.4,0.7"),
+    (Chart.axisymmetric(41, 9), "flat"),
+    (Chart.axisymmetric(41, 9), "conformal:1,0.4,0.7"),
+    (Chart.axisymmetric(41, 9), "table"),
+    (Chart.axisymmetric(201, 65), "conformal:1,0.4,0.7"),
+    (Chart.axisymmetric(201, 65), "table"),
+], ids=["radial-n3-flat", "radial-n3-conformal", "radial-n5-flat",
+        "radial-n5-conformal", "41x9-flat", "41x9-conformal", "41x9-table",
+        "201x65-conformal", "201x65-table"])
+def test_laplace_matrix_is_bitwise_the_coo_build(chart, spec):
+    # the values summed into the chart's layout are the CSR arrays of
+    # scipy's COO-to-CSR conversion of the same entries, on the chart's
+    # first Laplacian (which builds the layout) and on a later one
+    g = (axisym_table_metric(chart) if spec == "table"
+         else metric_from_spec(spec, chart))
+    rows, cols, vals = metrics._laplace_entries(g)
+    N = chart.num_nodes
+    ref = sp.csr_matrix((np.concatenate(vals),
+                         (np.concatenate([r.ravel() for r in rows]),
+                          np.concatenate([c.ravel() for c in cols]))),
+                        shape=(N, N))
+    chart.layouts.pop("laplacian", None)
+    for _ in range(2):
+        L = build_laplace_matrix(g)
+        assert L.indptr.dtype == ref.indptr.dtype
+        assert L.indices.dtype == ref.indices.dtype
+        assert np.array_equal(L.indptr, ref.indptr)
+        assert np.array_equal(L.indices, ref.indices)
+        assert np.array_equal(L.data.view(np.int64), ref.data.view(np.int64))
+        # every Laplacian on the chart shares the chart's index arrays
+        slot, indptr, indices = chart.layouts["laplacian"]
+        assert np.shares_memory(L.indptr, indptr)
+        assert np.shares_memory(L.indices, indices)
+
+
+def test_density_takes_each_power_first():
+    # a_theta a_phi overflows before its square root: the density of these
+    # finite components is 1e300, and its radial form keeps its bits
+    comps = np.full((2, 3), 1e200)
+    assert np.all(np.isfinite(metrics._density(comps, 3)))
+    assert metrics._density(comps, 3)[0] == pytest.approx(1e300, rel=1e-14)
+    radial = np.array([[2.0, 3.0], [1e100, 7.0]])
+    for n in (3, 5, 10):
+        ref = np.sqrt(radial[:, 0]) * radial[:, 1] ** ((n - 1) / 2.0)
+        assert np.array_equal(metrics._density(radial, n), ref)
 
 
 def test_laplace_matrix_needs_four_s_nodes():
