@@ -148,9 +148,7 @@ class Chart:
             r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
         self.r = r
         self.r.flags.writeable = False
-        self._weights = None
         self._flat_laplacian = None
-        self._order = None
         self.layouts = {}
 
     # -- basic structure ---------------------------------------------------
@@ -189,25 +187,23 @@ class Chart:
         s = self.s_col
         return np.where(s > 0, np.where(s > 0, s, 1.0) ** p, at_infinity)
 
-    @property
+    @functools.cached_property
     def boundary_last_order(self) -> np.ndarray:
         """Node order, by flat index, of an LU that eliminates the last three
         s levels last: the s = 0 level, the rest of the interior by
         ``_dissection`` (in natural order up to ``BAND_NT`` nodes across, so
         the identity on radial charts), then those levels, r = 1 last.
         Built once per chart, read-only."""
-        if self._order is None:
-            nt, N = self.nt, self.num_nodes
-            self._order = np.arange(N)
-            if nt > BAND_NT:
-                self._order[nt:N - 3 * nt] = nt + _dissection(self.s.size - 4,
-                                                              nt, nt)
-            self._order.flags.writeable = False
-        return self._order
+        nt, N = self.nt, self.num_nodes
+        order = np.arange(N)
+        if nt > BAND_NT:
+            order[nt:N - 3 * nt] = nt + _dissection(self.s.size - 4, nt, nt)
+        order.flags.writeable = False
+        return order
 
     # -- quadrature --------------------------------------------------------
 
-    @property
+    @functools.cached_property
     def weights(self) -> np.ndarray:
         """Flat-measure quadrature weights per node.
 
@@ -215,15 +211,14 @@ class Chart:
         Euclidean measure.  The s=0 node has weight 0: its panel contribution
         is recovered through the trapezoid endpoint at the first interior
         node, which is exact in the limit for integrable (decaying) fields.
+        Built once per chart, read-only.
         """
-        if self._weights is None:
-            wr = (_trapezoid_weights(self.s).reshape(self.s_col.shape)
-                  * self.s_pow(-(self.n + 1.0), 0.0))
-            area, tw = self._sphere
-            w = area * (wr * tw)
-            w.flags.writeable = False
-            self._weights = w
-        return self._weights
+        wr = (_trapezoid_weights(self.s).reshape(self.s_col.shape)
+              * self.s_pow(-(self.n + 1.0), 0.0))
+        area, tw = self._sphere
+        w = area * (wr * tw)
+        w.flags.writeable = False
+        return w
 
     def sphere_mean(self, values) -> np.ndarray:
         """Mean of each s level over the unit sphere, against the sphere

@@ -89,7 +89,7 @@ def solve_conformal_factor(problem: LinearProblem, offset: float, mode: str,
     }
     report.extrema = {"min_phi": min_phi,
                       "max_phi": float(np.max(phi.values))}
-    report.iterations = {"linear": result.iterations}
+    report.iterations = {"linear": len(result.residual_history)}
     return phi, g_new, report
 
 

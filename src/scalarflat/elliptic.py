@@ -86,7 +86,6 @@ class LinearSolveResult:
 
     solution: ScalarField | np.ndarray
     residual: float
-    iterations: int
     residual_history: list = field(default_factory=list)
 
 
@@ -340,7 +339,6 @@ class Factorization:
         sol = (x if np.ndim(rhs) == 2
                else ScalarField(self.chart, x.reshape(self.chart.shape)))
         return LinearSolveResult(solution=sol, residual=history[-1],
-                                 iterations=len(history),
                                  residual_history=history)
 
 

@@ -107,28 +107,6 @@ def _boundary_problem(g: MetricField, curvature: bool) -> LinearProblem:
                          limit=1.0)
 
 
-def _boundary_slot(ghat: MetricField, lu: Factorization, phi: ScalarField):
-    """(lu, phi, D, data): the ``robin_factors`` slot of ghat =
-    phi^{4/(n-2)} g, lu the boundary-last LU of g's ``_boundary_problem``.
-
-    A harmonic u on ghat with limit 0 is w / phi, w the answer on lu to
-    data on its r = 1 rows.  Z = ``lu.boundary_inverse()`` holds those
-    answers on the last three s levels and X = Z's r = 1 rows, so r = 1
-    values u_b take the data ``data`` u_b = X^-1 diag(phi_b) u_b, and
-    ghat's Dirichlet-to-Neumann map D is the stencil of
-    ``normal_derivative`` on ghat applied to those three levels of u."""
-    nt = ghat.chart.nt
-    Z = lu.boundary_inverse()
-    phi3 = phi.values.reshape(-1)[-3 * nt:]
-    data = np.linalg.solve(Z[-nt:], np.diag(phi3[-nt:]))
-    u3 = (Z @ data / phi3[:, None]).reshape(3, nt, nt)
-    D = ((3.0 * u3[2] - 4.0 * u3[1] + u3[0])
-         / (2.0 * ghat.chart.ds * np.sqrt(ghat.boundary_a_rr())[:, None]))
-    for a in (D, data):
-        a.flags.writeable = False
-    return lu, phi, D, data
-
-
 def reduce_to_minimal(g: MetricField):
     """Conformal factor making the metric scalar-flat with H = 0 boundary.
 
@@ -138,7 +116,7 @@ def reduce_to_minimal(g: MetricField):
         (2(n-1)/(n-2)) dphi/deta + H phi = 0,
 
     and phi -> 1 at infinity, on its boundary-last LU, which then fills
-    the ``robin_factors`` slot of the reduced metric: the later stages
+    the ``boundary_map`` slot of the reduced metric: the later stages
     factor nothing.  Returns (reduced metric, phi, report).
     """
     problem = _boundary_problem(g, curvature=True)
@@ -147,59 +125,87 @@ def reduce_to_minimal(g: MetricField):
                                                mode="reduce", lu=lu)
     report.residuals["boundary_H_Linf"] = float(
         np.max(np.abs(boundary_mean_curvature(ghat).values)))
-    ghat.robin_factors = _boundary_slot(ghat, lu, phi)
+    ghat.boundary_map = BoundaryMap.from_lu(ghat, lu, phi)
     return ghat, phi, report
 
 
-def robin_factors(g: MetricField):
-    """(lu, phi, D, data) of g's ``robin_factors`` slot (``_boundary_slot``).
-    ``reduce_to_minimal`` fills it on the metric it returns; on any other
-    (scalar-flat) g it is built here, once per metric, from g's own
-    ``_boundary_problem`` with R and H taken as 0 and phi = 1."""
-    if g.robin_factors is None:
+@dataclass(frozen=True, eq=False)
+class BoundaryMap:
+    """The boundary map of ghat = phi^{4/(n-2)} g on ``lu``, the
+    boundary-last LU of g's ``_boundary_problem``.  A harmonic u on ghat
+    with limit 0 is w / phi, w the answer on lu to data on its r = 1 rows.
+    Z = ``lu.boundary_inverse()`` holds those answers on the last three s
+    levels and X = Z's r = 1 rows, so r = 1 values u_b take the data
+    ``data`` u_b = X^-1 diag(phi_b) u_b, and ghat's Dirichlet-to-Neumann
+    map ``D`` is the stencil of ``normal_derivative`` on ghat applied to
+    those three levels of u."""
+
+    lu: Factorization
+    phi: ScalarField
+    D: np.ndarray
+    data: np.ndarray
+
+    @classmethod
+    def from_lu(cls, ghat: MetricField, lu: Factorization,
+                phi: ScalarField) -> "BoundaryMap":
+        nt = ghat.chart.nt
+        Z = lu.boundary_inverse()
+        phi3 = phi.values.reshape(-1)[-3 * nt:]
+        data = np.linalg.solve(Z[-nt:], np.diag(phi3[-nt:]))
+        u3 = (Z @ data / phi3[:, None]).reshape(3, nt, nt)
+        D = ((3.0 * u3[2] - 4.0 * u3[1] + u3[0])
+             / (2.0 * ghat.chart.ds * np.sqrt(ghat.boundary_a_rr())[:, None]))
+        for a in (D, data):
+            a.flags.writeable = False
+        return cls(lu, phi, D, data)
+
+    def harmonic(self, u_b: np.ndarray):
+        """The harmonic field w / phi with limit 0 and r = 1 values u_b, by
+        two solves on lu: (w, miss).  X is not refined, so the first solve,
+        on ``data`` u_b, misses u_b on r = 1 (by up to ~3e-11 relative);
+        the second subtracts the answer to that miss.  ``miss`` is the
+        first solve's largest, the gate on X."""
+        rhs = np.zeros(self.lu.scale.size)
+        rhs[-u_b.size:] = self.data @ u_b
+        w = self.lu.solve(rhs).solution.values
+        miss = np.atleast_1d(w[-1] / self.phi.values[-1]) - u_b
+        rhs[-u_b.size:] = self.data @ miss
+        return (w - self.lu.solve(rhs).solution.values,
+                float(np.max(np.abs(miss))))
+
+
+def boundary_map(g: MetricField) -> BoundaryMap:
+    """g's ``BoundaryMap``, kept on the metric: ``reduce_to_minimal`` builds
+    it on the metric it returns, and on any other (scalar-flat) g it is
+    built here once, from g's ``_boundary_problem`` with R = H = 0, phi = 1."""
+    if g.boundary_map is None:
         lu = Factorization(assemble(_boundary_problem(g, curvature=False)),
                            boundary_last=True)
-        g.robin_factors = _boundary_slot(g, lu, constant_field(g.chart, 1.0))
-    return g.robin_factors
-
-
-def _harmonic(lu: Factorization, phi: ScalarField, data: np.ndarray,
-              u_b: np.ndarray):
-    """The harmonic field w / phi with limit 0 and r = 1 values u_b, by two
-    solves on lu: (w, miss).  X is not refined, so the first
-    solve, on ``data`` u_b, misses u_b on r = 1 (by up to ~3e-11 relative);
-    the second subtracts the answer to that miss.  ``miss`` is the first
-    solve's largest, the gate on X."""
-    rhs = np.zeros(lu.scale.size)
-    rhs[-u_b.size:] = data @ u_b
-    first = lu.solve(rhs)
-    w = first.solution.values
-    miss = np.atleast_1d(w[-1] / phi.values[-1]) - u_b
-    rhs[-u_b.size:] = data @ miss
-    second = lu.solve(rhs)
-    return w - second.solution.values, float(np.max(np.abs(miss)))
+        g.boundary_map = BoundaryMap.from_lu(g, lu,
+                                             constant_field(g.chart, 1.0))
+    return g.boundary_map
 
 
 def harmonic_unit(g: MetricField):
     """Harmonic barrier: Delta_g v = 0, v = 1 at r=1, v -> 0 at infinity.
 
-    ``_harmonic`` on the LU of ``robin_factors`` with r = 1 values 1, whose
-    first solve must give 1 on r = 1 within ``BARRIER_SLACK``, the slack of
-    the bound v <= 1: its data come from no gated solve (the gate bounds
-    backward errors only).  dv/deta is ``normal_derivative`` of v, D 1 up
-    to the rounding that D's stencil amplifies.  v = 0 at s = 0 exactly:
-    those identity rows are eliminated first, with diagonal pivots.
+    ``BoundaryMap.harmonic`` with r = 1 values 1, whose first solve must
+    give 1 on r = 1 within ``BARRIER_SLACK``, the slack of the bound
+    v <= 1: its data come from no gated solve (the gate bounds backward
+    errors only).  dv/deta is ``normal_derivative`` of v, D 1 up to the
+    rounding that D's stencil amplifies.  v = 0 at s = 0 exactly: those
+    identity rows are eliminated first, with diagonal pivots.
 
     Requires the metric to be (numerically) scalar-flat.  Enforces the
     maximum-principle bounds 0 < v <= 1 and dv/deta > 0; violations signal
     discretization error.
     """
-    lu, phi, D, data = robin_factors(g)
-    w, miss = _harmonic(lu, phi, data, np.ones(D.shape[0]))
+    bmap = boundary_map(g)
+    w, miss = bmap.harmonic(np.ones(g.chart.nt))
     if not miss <= BARRIER_SLACK:
         raise SolveError(f"harmonic barrier misses 1 on r = 1 by {miss:.3g}: "
                          "inaccurate boundary block X_b of the Robin LU")
-    v = ScalarField(g.chart, w / phi.values)
+    v = ScalarField(g.chart, w / bmap.phi.values)
     vals = v.values
     if np.min(vals[1:]) <= 0.0 or np.max(vals) > 1.0 + BARRIER_SLACK:
         raise SolveError(
@@ -330,17 +336,18 @@ def monotone_iterate(pair: SubSuperPair,
 
     The problem is Delta_g u = 0, u -> 1 at infinity, with the Robin
     condition du/deta = f u^beta on r = 1.  Constants are harmonic with
-    du/deta = 0, so with D, the Dirichlet-to-Neumann map of
-    ``robin_factors``, and M = D^-1 the boundary values u_b solve
+    du/deta = 0, so with D, the Dirichlet-to-Neumann map of g's
+    ``boundary_map``, and M = D^-1 the boundary values u_b solve
     D (u_b - 1) = f u_b^beta, or G(u_b) = u_b - 1 - M f u_b^beta = 0.
     Newton runs on G from u_- with the dense Jacobian
     I - M diag(beta f u_b^(beta-1)) (its iterates are those on the D form)
     until max |G| is rounding: at most ``ROUNDING_ULPS`` units in the last
     place of the largest term of G.  It takes no step when G(u_-) is
     already rounding, and raises ``NonConvergenceError`` when G is not
-    after ``MAX_MONOTONE_STEPS`` steps.  The full u is 1 plus ``_harmonic``
-    of u_b - 1 on the same LU, so this stage factors nothing; its report's
-    ``iterations.linear`` counts the 4 SuperLU solve passes it makes there.
+    after ``MAX_MONOTONE_STEPS`` steps.  The full u is 1 plus the map's
+    ``harmonic`` of u_b - 1 on the same LU, so this stage factors nothing;
+    its report's ``iterations.linear`` counts the 4 SuperLU solve passes it
+    makes there.
 
     Existence is the paper's sub/supersolution argument, checked on the
     discrete problem; it is the one use of the weight c of
@@ -369,8 +376,8 @@ def monotone_iterate(pair: SubSuperPair,
     beta = pair.beta
     fv = pair.f.values
     nt = fv.size
-    lu, phi, D, data = robin_factors(g)
-    passes = lu.passes
+    bmap = boundary_map(g)
+    D, passes = bmap.D, bmap.lu.passes
     c = stabilization_weight(pair)
     X_c = np.linalg.inv(D + c * np.eye(nt))
     if np.min(X_c) < -SANDWICH_SLACK:
@@ -390,15 +397,14 @@ def monotone_iterate(pair: SubSuperPair,
     for it in range(MAX_MONOTONE_STEPS + 1):
         h = fv * u ** beta
         minus_G = 1.0 + M @ h - u
-        boundary_map = float(np.max(np.abs(minus_G)))
+        G_max = float(np.max(np.abs(minus_G)))
         terms = np.abs(u) + 1.0 + np.abs(M) @ np.abs(h)
-        if boundary_map <= (ROUNDING_ULPS * np.finfo(float).eps
-                            * float(np.max(terms))):
+        if G_max <= ROUNDING_ULPS * np.finfo(float).eps * float(np.max(terms)):
             break
         if it == MAX_MONOTONE_STEPS:
             raise NonConvergenceError(
                 "Newton on the boundary map did not converge in "
-                f"{MAX_MONOTONE_STEPS} steps (|G| = {boundary_map:.3g})",
+                f"{MAX_MONOTONE_STEPS} steps (|G| = {G_max:.3g})",
                 history=history)
         try:
             delta = np.linalg.solve(np.eye(nt) - M * slope(u), minus_G)
@@ -415,8 +421,8 @@ def monotone_iterate(pair: SubSuperPair,
 
     fold_margin = float(np.linalg.svd(D - np.diag(slope(u)),
                                       compute_uv=False)[-1])
-    w, _ = _harmonic(lu, phi, data, u - 1.0)
-    u = ScalarField(g.chart, 1.0 + w / phi.values)
+    w, _ = bmap.harmonic(u - 1.0)
+    u = ScalarField(g.chart, 1.0 + w / bmap.phi.values)
     low = float(np.min(u.values[1:] - pair.u_minus.values[1:]))
     high = float(np.max(u.values[1:] - pair.u_plus.values[1:]))
     if low < -SANDWICH_SLACK or high > SANDWICH_SLACK:
@@ -427,8 +433,9 @@ def monotone_iterate(pair: SubSuperPair,
     g_new = conformal_transform(g, u)
     # interior sup of Delta_g u = phi^{-(n+2)/(n-2)} L_g(w) / a_n
     n = g.chart.n
-    rows = (lu.system.matrix @ w.ravel()).reshape(w.shape) * phi.values ** (
-        -(n + 2.0) / (n - 2.0)) / (4.0 * (n - 1.0) / (n - 2.0))
+    rows = ((bmap.lu.system.matrix @ w.ravel()).reshape(w.shape)
+            * bmap.phi.values ** (-(n + 2.0) / (n - 2.0))
+            / (4.0 * (n - 1.0) / (n - 2.0)))
     lap = float(np.max(np.abs(rows[1:-1])))
     robin_resid = float(np.max(np.abs(
         normal_derivative(g, u).values - fv * u.boundary_values() ** beta)))
@@ -437,11 +444,11 @@ def monotone_iterate(pair: SubSuperPair,
     report.residuals = {
         "harmonicity_Linf_interior": lap,
         "robin_Linf": robin_resid,
-        "boundary_map_Linf": boundary_map,
+        "boundary_map_Linf": G_max,
     }
     report.iterations = {
         "monotone": len(history),
-        "linear": lu.passes - passes,
+        "linear": bmap.lu.passes - passes,
         "increments": history}
     report.extrema = {"min_u": float(np.min(u.values)),
                       "max_u": float(np.max(u.values)),
@@ -476,18 +483,12 @@ def solve_nonlinear_robin(g: MetricField, f: BoundaryField,
     scalar-flat background (the post-reduction subproblem); each stage's
     failure is tagged with its name.  ``iterations.linear`` counts the
     SuperLU solve passes that all the stages make on g's one LU (8)."""
-    passes = _passes(g)
+    passes = _stage("harmonic_unit", boundary_map, g).lu.passes
     v, dv = _stage("harmonic_unit", harmonic_unit, g)
     pair = _stage("build_sub_super", build_sub_super, v, dv, f, beta)
     sol = _stage("monotone_iterate", monotone_iterate, pair, g)
-    sol.report.iterations["linear"] = _passes(g) - passes
+    sol.report.iterations["linear"] = g.boundary_map.lu.passes - passes
     return sol
-
-
-def _passes(g: MetricField) -> int:
-    """SuperLU solve passes made so far on the LU of g's ``robin_factors``
-    slot, 0 before it is filled."""
-    return 0 if g.robin_factors is None else g.robin_factors[0].passes
 
 
 def prescribe_mean_curvature(g: MetricField,
@@ -525,8 +526,7 @@ def prescribe_mean_curvature(g: MetricField,
         red_report.residuals["scalar_curvature_Linf_interior"]
     sol.report.residuals["target_H_Linf"] = err
     sol.report.extrema["min_phi_reduction"] = red_report.extrema["min_phi"]
-    # every pass on the job's one LU, the reduction's own solve included
-    sol.report.iterations["linear"] = _passes(ghat)
+    sol.report.iterations["linear"] = ghat.boundary_map.lu.passes
     scale = 1.0 + float(np.max(np.abs(f_target.values)))
     sol.report.checks["target_H"] = (
         err <= (n - 1) ** 3 * (scale * g.chart.ds) ** 2)

@@ -85,9 +85,9 @@ class MetricField:
         # computed on first use; the metric is immutable
         self._laplacian = None
         self._curvature = None
-        # (LU, phi, D, data) of the metric's harmonic problem, kept by
-        # meancurv.robin_factors and filled by meancurv.reduce_to_minimal
-        self.robin_factors = None
+        # the meancurv.BoundaryMap of the metric's harmonic problem, built
+        # by meancurv.boundary_map or by meancurv.reduce_to_minimal
+        self.boundary_map = None
 
     def laplacian(self):
         """Sparse Delta_g from ``build_laplace_matrix``, built once per
@@ -240,11 +240,15 @@ def _spec_numbers(spec: dict, key: str) -> np.ndarray:
 
 
 def _check_decay(g: MetricField, need: float):
-    """``g.far_field_fit``; DecayError when q < need - DECAY_RATE_SLACK or
-    there is no decay."""
+    """``g.far_field_fit``; DecayError when q < need - DECAY_RATE_SLACK,
+    there is no decay, or the fitted amplitude overflows."""
     fit = g.far_field_fit
     if fit is None:
         return None
+    if not np.isfinite(fit.a):
+        raise DecayError("metric's far-field amplitude overflows (a = "
+                         f"{fit.a}, measured q={fit.q:.3f})",
+                         measured_rate=fit.q)
     if fit.status == "no-decay" or (fit.status == "ok"
                                     and fit.q < need - DECAY_RATE_SLACK):
         raise DecayError(

@@ -113,11 +113,11 @@ def decay_fit(u: ScalarField) -> DecayFit:
     A0 = np.stack([np.ones_like(sg), np.log(sg)], axis=1)
     coef0, *_ = np.linalg.lstsq(A0, np.log(dg), rcond=None)
     if coef0[1] <= 0:
-        return DecayFit(u_inf=u_inf, a=sign * math.exp(coef0[0]),
+        return DecayFit(u_inf=u_inf, a=_amplitude(sign, coef0[0]),
                         q=float(coef0[1]), residual=1.0, status="no-decay")
     A = np.stack([np.ones_like(sg), np.log(sg), sg, sg ** 2], axis=1)
     coef, *_ = np.linalg.lstsq(A, np.log(dg), rcond=None)
-    a = sign * math.exp(coef[0])
+    a = _amplitude(sign, coef[0])
     q = float(coef[1])
     err = u_inf + sign * np.exp(A @ coef) - v[good]
     with np.errstate(over="ignore"):
@@ -130,6 +130,14 @@ def decay_fit(u: ScalarField) -> DecayFit:
         return DecayFit(u_inf=u_inf, a=a, q=q, residual=resid,
                         status="no-decay")
     return DecayFit(u_inf=u_inf, a=a, q=q, residual=resid, status="ok")
+
+
+def _amplitude(sign: float, log_a: float) -> float:
+    """sign e^log_a, the fitted amplitude; +-inf where it overflows."""
+    try:
+        return sign * math.exp(log_a)
+    except OverflowError:
+        return sign * math.inf
 
 
 def decay_report(u: ScalarField) -> dict:

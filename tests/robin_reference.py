@@ -13,7 +13,7 @@ factor phi; phi None means g's own system, as for ``--f/--beta`` runs.
 * ``boundary_responses`` gets x0_b and X_b of such a system from nt + 1
   refined solves on a minimum-degree LU, checking X >= -slack on every node.
 
-They are what the one boundary-last LU of ``meancurv.robin_factors``
+They are what the one boundary-last LU of ``meancurv.BoundaryMap``
 replaced; tests compare it against them.
 """
 
@@ -113,7 +113,7 @@ def boundary_responses(lu, rhs, nt, tol, slack, phi=None):
                 f"{np.min(x[:, units - start]):.3g} < 0; "
                 "discretization or stabilization-weight error")
         kept[:, cols] = x[-nt:]
-        solves += result.iterations * cols.size
+        solves += len(result.residual_history) * cols.size
     return kept[:, 0], kept[:, 1:], solves
 
 

@@ -298,6 +298,18 @@ def _metric_file(directory, data):
 ONES = np.ones((41, 5)).tolist()
 
 
+def _far_field_overflow(directory):
+    """A 41x9 table metric whose decay fit's amplitude is past the largest
+    double: a_rr = 1 + 1e310 s^2 e^(-10 s), taken in logs, is finite (at
+    most 5.4e307), and a_theta = a_phi = 1."""
+    s = np.linspace(0.0, 1.0, 41)[1:, None]
+    a_rr = np.ones((41, 9))
+    a_rr[1:] += np.exp(310.0 * np.log(10.0) + 2.0 * np.log(s) - 10.0 * s)
+    ones = np.ones((41, 9)).tolist()
+    return _json_file(directory, {"kind": "axisym", "a_rr": a_rr.tolist(),
+                                  "a_theta": ones, "a_phi": ones, "decay": 2})
+
+
 def _quotient_family(family):
     return lambda d: ["--config", _json_file(d, {
         "mode": "quotient", "grid": "81", "family": family})]
@@ -422,6 +434,10 @@ def _quotient_family(family):
     # (exited 3)
     lambda d: ["--mode", "convergence-study", "--grid", "201", "--n-dim",
                "110"],
+    # a far-field amplitude that overflows (exited 1: OverflowError in
+    # decay_fit)
+    lambda d: ["--mode", "dirichlet", "--grid", "41x9", "--metric",
+               _far_field_overflow(d)],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -443,7 +459,7 @@ def _quotient_family(family):
         "conformal-coeffs-bool", "axisym-decay-bool", "grids-repeated",
         "grids-decreasing", "metric-not-utf8", "metric-too-deep",
         "conformal-overflow", "density-overflow", "density-overflow-axisym",
-        "convergence-n-dim-110"])
+        "convergence-n-dim-110", "far-field-amplitude-overflow"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     try:
@@ -717,7 +733,7 @@ def test_linear_count_is_every_pass_of_the_job(tmp_path, monkeypatch, argv,
 
     def counting(self, rhs, tol=elliptic.BACKWARD_ERROR_TOL):
         result = solve(self, rhs, tol=tol)
-        passes.append(result.iterations)
+        passes.append(len(result.residual_history))
         return result
 
     monkeypatch.setattr(elliptic.Factorization, "solve", counting)

@@ -180,7 +180,7 @@ def test_large_solution_small_rhs_solves_at_once():
     assert (np.linalg.norm(res.solution.values)
             > 1e5 * np.linalg.norm(system.rhs / scale))
     # one LU solve and one refinement step
-    assert res.iterations == 2 == len(res.residual_history)
+    assert len(res.residual_history) == 2
     assert res.residual <= 1e-10
 
 

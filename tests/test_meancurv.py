@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -528,13 +529,25 @@ def test_monotone_iterate_linear_count(monkeypatch, chart, f):
 
 def test_negative_robin_response_raises():
     pair, g, _ = _pair(Chart.axisymmetric(41, 9), f=0.1)
-    lu, phi, D, data = meancurv.robin_factors(g)
-    shift = meancurv.stabilization_weight(pair) * np.eye(D.shape[0])
-    bad = np.linalg.inv(D + shift)
+    bmap = meancurv.boundary_map(g)
+    shift = meancurv.stabilization_weight(pair) * np.eye(bmap.D.shape[0])
+    bad = np.linalg.inv(bmap.D + shift)
     bad[3, 5] = -1e-6  # a response the barrier gate did not see
-    g.robin_factors = (lu, phi, np.linalg.inv(bad) - shift, data)
+    g.boundary_map = dataclasses.replace(bmap, D=np.linalg.inv(bad) - shift)
     with pytest.raises(SolveError, match="Robin response"):
         monotone_iterate(pair, g)
+
+
+@pytest.mark.parametrize("field", ["lu", "phi", "D", "data"])
+def test_boundary_map_is_frozen(field):
+    # one map per metric, shared by every stage of a job: no stage may
+    # swap a field of it
+    g = flat_metric(Chart.axisymmetric(41, 9))
+    bmap = meancurv.boundary_map(g)
+    assert meancurv.boundary_map(g) is bmap
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(bmap, field, None)
+    assert not bmap.D.flags.writeable and not bmap.data.flags.writeable
 
 
 def test_stage_tags_name_the_failing_stage(monkeypatch):
@@ -579,7 +592,7 @@ def test_barrier_and_responses_match_references(make):
     assert np.max(np.abs(pair.v.values - v_ref.values)) <= 1e-11
     assert (np.max(np.abs(pair.dv_deta.values - dv_ref.values))
             <= 1e-11 * np.max(np.abs(dv_ref.values)))
-    D = meancurv.robin_factors(g)[2]
+    D = meancurv.boundary_map(g).D
     for c in (meancurv.stabilization_weight(pair), 2.5):
         X = np.linalg.inv(D + c * np.eye(D.shape[0]))
         x0_ref, X_ref = reference_responses(metric, c, phi, slack=1e-9)
