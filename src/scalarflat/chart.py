@@ -86,16 +86,17 @@ class Chart:
     s[:, None].
 
     Charts are interned: a call returns the chart of the same counts while
-    it is among the ``CHART_CACHE_SIZE`` most recently used, so what is
-    built on a chart once (weights, flat Laplacian, LU order, ``layouts``)
-    is built once per grid.  Charts of the same counts compare equal.
+    it is among the ``CHART_CACHE_SIZE`` most recently used, and charts of
+    the same counts compare equal.  Data built once has one home:
 
-    ``layouts`` maps the name of a sparsity pattern on the chart to the
-    read-only index arrays derived from it: the CSR arrays of every
-    Laplacian (``metrics.build_laplace_matrix``) and of every assembled
-    Dirichlet or Robin system (``elliptic.assemble``), and the column order
-    and CSC layout of the LUs of a pattern (``elliptic.Factorization``).
-    A job then computes values only, into the arrays of its grid.
+    * what a chart computes from its own counts (``weights``,
+      ``boundary_last_order``) is a cached property of the chart;
+    * what another module builds once per grid lives in ``layouts`` under
+      that module's key, read-only, and dies with the chart: the CSR
+      layouts and flat Laplacian of ``metrics``, the system and LU layouts
+      of ``elliptic``, the coordinate text of ``report``;
+    * what is built once per metric is a cached property of
+      ``metrics.MetricField``.
     """
 
     def __new__(cls, n, num_s, num_theta=None):
@@ -148,7 +149,6 @@ class Chart:
             r = np.where(s > 0, 1.0 / np.where(s > 0, s, 1.0), np.inf)
         self.r = r
         self.r.flags.writeable = False
-        self._flat_laplacian = None
         self.layouts = {}
 
     # -- basic structure ---------------------------------------------------
@@ -229,17 +229,6 @@ class Chart:
         return v @ tw / tw.sum()
 
     # -- finite differences (background flat derivatives) ------------------
-
-    def flat_laplacian(self):
-        """Sparse Laplacian of the Euclidean metric on this chart, built
-        once and shared between callers: its arrays are read-only."""
-        if self._flat_laplacian is None:
-            from .metrics import flat_metric  # metrics imports this module
-            lap = flat_metric(self).laplacian()
-            for a in (lap.data, lap.indices, lap.indptr):
-                a.flags.writeable = False
-            self._flat_laplacian = lap
-        return self._flat_laplacian
 
     def d_ds(self, values) -> np.ndarray:
         """d/ds on the uniform grid, second order accurate (one-sided at the

@@ -48,7 +48,7 @@ class ConformalSolution:
 
 def _yamabe_linear_problem(g: MetricField, lam: float) -> LinearProblem:
     n = g.chart.n
-    R = g.scalar_curvature()
+    R = g.scalar_curvature
     a = 4.0 * (n - 1.0) / (n - 2.0)
     c = ScalarField(g.chart, -lam * R.values)
     src = ScalarField(g.chart, lam * R.values)
@@ -85,7 +85,7 @@ def solve_conformal_factor(problem: LinearProblem, offset: float, mode: str,
     report.residuals = {
         "linear_relative": result.residual,
         "scalar_curvature_Linf_interior": float(
-            np.max(np.abs(g_new.scalar_curvature().values[1:-1]))),
+            np.max(np.abs(g_new.scalar_curvature.values[1:-1]))),
     }
     report.extrema = {"min_phi": min_phi,
                       "max_phi": float(np.max(phi.values))}
@@ -106,7 +106,7 @@ def solve_scalar_flat_dirichlet(g: MetricField) -> ConformalSolution:
     delta = 2.5 - n
     spec = WeightedNormSpec(2, delta - 2)
     report.residuals[f"scalar_curvature_{spec}"] = weighted_norm(
-        g_new.scalar_curvature(), spec)
+        g_new.scalar_curvature, spec)
     report.decay = decay_report(phi)
     # the stencil divides rounding by h^{n-2}; a constant phi has no mass
     report.mass_coefficient = (0.0 if report.decay["status"] == "constant"

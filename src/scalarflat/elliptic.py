@@ -107,7 +107,7 @@ def assemble(problem: LinearProblem) -> LinearSystem:
     h = chart.ds
     robin = isinstance(problem.bc, RobinBC)
 
-    L = g.laplacian()
+    L = g.laplacian
     pattern = ("system", "robin" if robin else "dirichlet")
     layout = chart.layouts.get(pattern)
     if layout is None:

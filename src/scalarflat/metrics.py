@@ -82,27 +82,22 @@ class MetricField:
             self.conformal_phi.values.flags.writeable = False
         self.u0_coeffs = None if u0_coeffs is None else tuple(
             float(c) for c in u0_coeffs)
-        # computed on first use; the metric is immutable
-        self._laplacian = None
-        self._curvature = None
         # the meancurv.BoundaryMap of the metric's harmonic problem, built
         # by meancurv.boundary_map or by meancurv.reduce_to_minimal
         self.boundary_map = None
 
+    @functools.cached_property
     def laplacian(self):
         """Sparse Delta_g from ``build_laplace_matrix``, built once per
         metric.  Shared between callers, which must not modify it."""
-        if self._laplacian is None:
-            self._laplacian = build_laplace_matrix(self)
-        return self._laplacian
+        return build_laplace_matrix(self)
 
+    @functools.cached_property
     def scalar_curvature(self) -> ScalarField:
         """Read-only R from ``scalar_curvature``, computed once per metric."""
-        if self._curvature is None:
-            R = scalar_curvature(self)
-            R.values.flags.writeable = False
-            self._curvature = R
-        return self._curvature
+        R = scalar_curvature(self)
+        R.values.flags.writeable = False
+        return R
 
     @functools.cached_property
     def far_field_fit(self):
@@ -121,6 +116,17 @@ class MetricField:
 def flat_metric(chart: Chart) -> MetricField:
     """The Euclidean metric on the chart."""
     return conformal_metric(chart, np.ones(chart.shape), u0_coeffs=(1.0,))
+
+
+def flat_laplacian(chart: Chart):
+    """Sparse Laplacian of the Euclidean metric on ``chart``, built once per
+    grid and kept in ``chart.layouts``: its arrays are read-only."""
+    lap = chart.layouts.get("flat-laplacian")
+    if lap is None:
+        lap = chart.layouts["flat-laplacian"] = flat_metric(chart).laplacian
+        for a in (lap.data, lap.indices, lap.indptr):
+            a.flags.writeable = False
+    return lap
 
 
 def conformal_factor_from_coeffs(chart: Chart, coeffs) -> np.ndarray:
@@ -283,7 +289,7 @@ def laplace_beltrami(g: MetricField, u: ScalarField) -> ScalarField:
     """
     if u.chart != g.chart:
         raise ChartError("field and metric live on different charts")
-    vals = g.laplacian() @ u.values.ravel()
+    vals = g.laplacian @ u.values.ravel()
     return ScalarField(g.chart, vals.reshape(g.chart.shape))
 
 
@@ -420,7 +426,7 @@ def scalar_curvature(g: MetricField) -> ScalarField:
         R = phi^{-(n+2)/(n-2)} (R_b phi - (4(n-1)/(n-2)) Delta_b phi)
 
     relative to its base b.  The flat base has R_b = 0 and the Laplacian
-    ``Chart.flat_laplacian``; a stored base uses its own R and Laplacian.
+    ``flat_laplacian``; a stored base uses its own R and Laplacian.
     A table metric uses the diagonal-metric formula of
     ``_scalar_curvature_frame``.
     """
@@ -434,9 +440,9 @@ def scalar_curvature(g: MetricField) -> ScalarField:
     base, phi = g.conformal_base, g.conformal_phi.values
     if base is None:
         Rb = 0.0
-        lap = (c.flat_laplacian() @ phi.ravel()).reshape(c.shape)
+        lap = (flat_laplacian(c) @ phi.ravel()).reshape(c.shape)
     else:
-        Rb = base.scalar_curvature().values
+        Rb = base.scalar_curvature.values
         lap = laplace_beltrami(base, g.conformal_phi).values
     R = phi ** (-(n + 2.0) / (n - 2.0)) * (
         Rb * phi - (4.0 * (n - 1) / (n - 2)) * lap)

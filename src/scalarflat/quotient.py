@@ -58,7 +58,7 @@ def yamabe_energy_density(g: MetricField, f: ScalarField):
     """Pointwise |grad f|^2_g + (n-2)/(4(n-1)) R f^2 and measure factor."""
     chart = g.chart
     n = chart.n
-    R = g.scalar_curvature().values
+    R = g.scalar_curvature.values
     cn = (n - 2.0) / (4.0 * (n - 1.0))
 
     grad2 = chart.d_dr(f.values) ** 2 / g.comps[..., 0]

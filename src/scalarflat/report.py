@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import os
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
 
-from .chart import CHART_CACHE_SIZE
 from .errors import ScalarFlatError
 
 SCHEMA_VERSION = 2
@@ -97,16 +95,18 @@ def _reprs(a) -> list:
     return repr(np.asarray(a).ravel().tolist())[1:-1].split(", ")
 
 
-@functools.lru_cache(maxsize=CHART_CACHE_SIZE)
 def _coordinate_text(chart) -> tuple:
     """The coordinate text of ``emit_fields`` rows, formatted once per
-    chart: ``"\\r\\ns,"`` per s level (the line break ends the line before)
-    and ``"theta,"`` per theta column, or one empty string on radial
-    charts."""
-    levels = tuple("\r\n" + s + "," for s in _reprs(chart.s))
-    if chart.theta is None:
-        return levels, ("",)
-    return levels, tuple(t + "," for t in _reprs(chart.theta))
+    chart and kept in ``chart.layouts``: ``"\\r\\ns,"`` per s level (the
+    line break ends the line before) and ``"theta,"`` per theta column, or
+    one empty string on radial charts."""
+    text = chart.layouts.get("coordinate-text")
+    if text is None:
+        levels = tuple("\r\n" + s + "," for s in _reprs(chart.s))
+        thetas = (("",) if chart.theta is None
+                  else tuple(t + "," for t in _reprs(chart.theta)))
+        text = chart.layouts["coordinate-text"] = levels, thetas
+    return text
 
 
 def emit_fields(path, **fields) -> None:
@@ -160,4 +160,4 @@ def read_fields(path):
 
 
 def default_output_dir() -> str:
-    return os.environ.get("SCALARFLAT_OUTDIR", "scalarflat-out")
+    return os.environ.get("SCALARFLAT_OUTDIR") or "scalarflat-out"

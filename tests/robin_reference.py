@@ -40,7 +40,7 @@ def _interior_problem(g, phi, bc, limit):
     a, c = 1.0, constant_field(chart, 0.0)
     if phi is not None:
         a = 4.0 * (n - 1.0) / (n - 2.0)
-        c = ScalarField(chart, -g.scalar_curvature().values)
+        c = ScalarField(chart, -g.scalar_curvature.values)
     return LinearProblem(metric=g, a=a, c=c, src=constant_field(chart, 0.0),
                          bc=bc, limit=limit)
 

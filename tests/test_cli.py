@@ -1,9 +1,12 @@
 import contextlib
+import gc
 import io
 import json
 import os
 import sys
 import tempfile
+import time
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 import scalarflat.chart as chart_mod
 import scalarflat.dirichlet as dirichlet
 import scalarflat.elliptic as elliptic
-import scalarflat.report as report_mod
+import scalarflat.meancurv as meancurv
 from scalarflat.cli import (MODES, build_parser, check_args, main, parse_f,
                             parse_grid, run_job)
 from scalarflat.chart import Chart
@@ -559,14 +562,12 @@ def test_jobs_on_one_grid_match_a_fresh_grid(tmp_path, argv, metric_b):
     # first job only, and the third job writes what a job on a newly
     # built grid writes
     chart_mod._interned.cache_clear()
-    report_mod._coordinate_text.cache_clear()
     assert run(tmp_path / "a1", *argv)[0] == 0
     built = chart_mod._interned.cache_info().misses
     assert run(tmp_path / "b", *argv[:-1], metric_b)[0] == 0
     assert run(tmp_path / "a2", *argv)[0] == 0
     assert chart_mod._interned.cache_info().misses == built
     chart_mod._interned.cache_clear()
-    report_mod._coordinate_text.cache_clear()
     assert run(tmp_path / "fresh", *argv)[0] == 0
     reports = []
     for name in ("a2", "fresh"):
@@ -582,6 +583,20 @@ def test_run_job_requires_meancurv_data():
     job = check_args(build_parser().parse_args(["--mode", "meancurv"]))
     with pytest.raises(ConfigError):
         run_job(job)
+
+
+@pytest.mark.parametrize("via", ["flag", "env"])
+def test_empty_outdir_falls_back_to_default(tmp_path, monkeypatch, via):
+    # an empty $SCALARFLAT_OUTDIR is unset, like an empty --out (it exited
+    # 2, "cannot write output to : ...")
+    monkeypatch.chdir(tmp_path)
+    argv = ["--grid", "41"]
+    if via == "flag":
+        argv += ["--out", ""]
+    else:
+        monkeypatch.setenv("SCALARFLAT_OUTDIR", "")
+    assert main(argv) == 0
+    assert (tmp_path / "scalarflat-out" / "report.json").exists()
 
 
 def test_outdir_env(tmp_path, monkeypatch):
@@ -745,12 +760,41 @@ def test_linear_count_is_every_pass_of_the_job(tmp_path, monkeypatch, argv,
 @pytest.mark.parametrize("argv", [
     ("--mode", "dirichlet", "--grid", "41"),
     ("--mode", "meancurv", "--grid", "41", "--target", "0.03"),
+    ("--mode", "meancurv", "--grid", "41", "--f", "0.1", "--beta", "3"),
     ("--mode", "quotient", "--grid", "41"),
     ("--mode", "oracle", "--f", "0.1", "--beta", "3"),
     ("--mode", "convergence-study", "--metric", "conformal:1,0,1"),
-], ids=["dirichlet", "meancurv", "quotient", "oracle", "convergence-study"])
+], ids=["dirichlet", "meancurv", "meancurv-robin", "quotient", "oracle",
+        "convergence-study"])
 def test_every_mode_reports_its_wall_time(tmp_path, argv):
     code, report, _ = run(tmp_path, *argv)
     assert code == 0
     assert list(report["timing"]) == ["wall_s"]
     assert report["timing"]["wall_s"] > 0.0
+
+
+def test_robin_wall_time_covers_every_stage(tmp_path, monkeypatch):
+    # a --f/--beta job's time starts before its LU and barrier, not at
+    # the Newton stage
+    harmonic_unit = meancurv.harmonic_unit
+
+    def slow(g):
+        time.sleep(0.05)
+        return harmonic_unit(g)
+
+    monkeypatch.setattr(meancurv, "harmonic_unit", slow)
+    code, report, _ = run(tmp_path, "--mode", "meancurv", "--grid", "41",
+                          "--f", "0.1", "--beta", "3")
+    assert code == 0
+    assert report["timing"]["wall_s"] >= 0.05
+
+
+def test_evicted_chart_is_freed(tmp_path):
+    # a job fills its grid's layouts, flat Laplacian and coordinate text,
+    # and all of them go with the chart once it leaves the table
+    assert run(tmp_path, "--mode", "dirichlet", "--grid", "41x9")[0] == 0
+    chart = weakref.ref(Chart.axisymmetric(41, 9))
+    for num_s in range(1000, 1000 + chart_mod.CHART_CACHE_SIZE):
+        Chart.radial(3, num_s)
+    gc.collect()
+    assert chart() is None

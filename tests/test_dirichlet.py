@@ -99,7 +99,7 @@ def _negative_bump_metric(monkeypatch):
     c = Chart.axisymmetric(121, 17)
     R = ScalarField(c, -50.0 * _bump_profile(c))
     monkeypatch.setattr(metrics.MetricField, "scalar_curvature",
-                        lambda self: R)
+                        property(lambda self: R))
     return flat_metric(c)
 
 

@@ -350,7 +350,7 @@ def test_one_factorization_per_target_job(monkeypatch, chart):
     # stage off that LU: g's Laplacian is built for it, the minimal
     # background's never; the chart's flat Laplacian is per-grid data,
     # built before counting
-    chart.flat_laplacian()
+    metrics.flat_laplacian(chart)
     calls = {"Factorization": 0, "build_laplace_matrix": 0}
     init = Factorization.__init__
     build = metrics.build_laplace_matrix

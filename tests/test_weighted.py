@@ -125,7 +125,7 @@ def test_dirichlet_norm_of_large_n(n, num_s):
     # overflowed for n >= 81 on 201 nodes (the norm read "inf"), while a
     # log-space sum of the same terms is finite
     sol = solve_scalar_flat_dirichlet(flat_metric(Chart.radial(n, num_s)))
-    c, R = sol.phi.chart, np.abs(sol.metric.scalar_curvature().values)
+    c, R = sol.phi.chart, np.abs(sol.metric.scalar_curvature.values)
     spec = WeightedNormSpec(2, 0.5 - n)
     got = weighted_norm(ScalarField(c, R), spec)
     keep = (c.weights > 0) & (R > 0)
