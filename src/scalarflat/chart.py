@@ -107,7 +107,14 @@ class Chart:
                 raise ChartError(f"{name} must be an integer >= 3, got {k!r}")
         if num_theta is not None and n != 3:
             raise ChartError("axisymmetric mode is only supported for n=3")
-        return _interned(cls, *map(int, key))
+        key = tuple(map(int, key))
+        # the Laplacian's entries, 5 a row and 6 on r = 1 (one fewer on a
+        # pole, 3 and 4 on one radial column), fit SuperLU's 32-bit indices
+        ns, nt = key[1], key[2] if num_theta is not None else 1
+        if (ns - 2) * (5 * nt - 2) + 6 * nt - 2 >= 2 ** 31:
+            raise ChartError(f"the Laplacian of {ns} x {nt} nodes has more "
+                             "entries than SuperLU's 32-bit indices hold")
+        return _interned(cls, *key)
 
     def _build(self, n, num_s, num_theta):
         self.n = n

@@ -199,30 +199,31 @@ class Factorization:
     pattern.  The first LU of a ``system.pattern`` on a chart is ordered by
     SuperLU (``MMD_AT_PLUS_A``), and its column order ``lu.perm_c`` is kept
     in ``Chart.layouts``.  Later LUs of the pattern are handed the matrix
-    with its columns in that order, gathered from the CSR data through a
-    CSC layout (``_csc_layout``) that the second LU builds and keeps, and
-    are factored with ``permc_spec="NATURAL"``: SuperLU's postorder of the
-    elimination tree keeps that order, the rows are not permuted, and the
-    factors, pivots and solutions are bitwise those of a fresh ordering.
-    (A layout built while the first LU's factors are alive raised the peak
-    memory of a run of 201x65 jobs by 6 MB.)  ``perm`` is the column order
-    a later LU's solutions are read back through, None where SuperLU
-    applies it itself.  A system with no ``pattern`` is ordered afresh.
+    with its columns in that order and factored with
+    ``permc_spec="NATURAL"``: SuperLU's postorder of the elimination tree
+    keeps that order, the rows are not permuted, and the factors, pivots
+    and solutions are bitwise those of a fresh ordering.  A system with no
+    ``pattern`` is ordered afresh.
 
     With ``boundary_last`` the order is ``Chart.boundary_last_order``,
     kept by SuperLU (``NATURAL``) with diagonal pivots
     (``diag_pivot_thresh=0``); an LU that pivots raises.  The trailing
     blocks of L and U then factor the Schur complement onto the last three
     s levels (``boundary_inverse``).  The fill is 1.37x minimum degree's at
-    201x65 and 1.28x at 401x129, the factor time within 10%.  Its CSC
-    layout, with rows and columns in that order, is kept per pattern from
-    its first LU on.
+    201x65 and 1.28x at 401x129, the factor time within 10%.
 
-    ``matrix`` is the equilibrated matrix that refinement multiplies by:
-    CSR, or the CSC that SuperLU factors for a ``boundary_last`` LU, whose
-    unknowns are in that order.  The factored ``system`` is kept for its
-    right-hand side and rows, and ``passes`` counts the SuperLU solve
-    passes made on the factors.
+    Each LU has one permutation pair, None for the identity: ``rows``, the
+    order right-hand sides are gathered in (the boundary-last order), and
+    ``cols``, each unknown's position in the factored order (the inverse
+    of that order, or a later LU's kept column order).  Where SuperLU does
+    not order the columns itself, the CSC it factors is gathered from the
+    CSR data through a layout of that pair (``_csc_layout``), kept per
+    pattern from the first LU that needs it on.  (One built while a first
+    LU's factors are alive raised the peak memory of a run of 201x65 jobs
+    by 6 MB.)  ``matrix`` is the equilibrated CSR, in natural order, that
+    refinement multiplies by for every LU.  The factored ``system`` is
+    kept for its right-hand side and rows, and ``passes`` counts the
+    SuperLU solve passes made on the factors.
     """
 
     def __init__(self, system: LinearSystem, boundary_last: bool = False):
@@ -241,29 +242,25 @@ class Factorization:
         data = A.data * np.repeat(1.0 / self.scale, counts)
         self.norm = float(np.max(np.add.reduceat(np.abs(data), starts)))
         self.matrix = sp.csr_matrix((data, A.indices, A.indptr), shape=A.shape)
-        self.order = self.perm = None
+        self.rows = self.cols = None
         self.passes = 0
         # a system that names no pattern keeps its layouts to itself
         layouts = {} if system.pattern is None else self.chart.layouts
         if boundary_last:
             order = self.chart.boundary_last_order
             if np.any(order != np.arange(order.size)):
-                self.order, self.unorder = order, np.argsort(order)
-            csc = _gathered(data, A.shape, layouts,
-                            (system.pattern, "boundary-last-csc"),
-                            lambda: _csc_layout(A, self.order, self.order))
-            options = {"permc_spec": "NATURAL", "diag_pivot_thresh": 0.0}
+                self.rows, self.cols = order, np.argsort(order)
+            key, options = "boundary-last-csc", {"permc_spec": "NATURAL",
+                                                 "diag_pivot_thresh": 0.0}
         else:
-            self.perm = layouts.get((system.pattern, "lu-order"))
-            if self.perm is None:
-                csc = self.matrix.tocsc()
-                options = {"permc_spec": "MMD_AT_PLUS_A"}
-            else:
-                csc = _gathered(data, A.shape, layouts,
-                                (system.pattern, "lu-csc"),
-                                lambda: _csc_layout(A, cols=np.argsort(
-                                    self.perm)))
-                options = {"permc_spec": "NATURAL"}
+            self.cols = layouts.get((system.pattern, "lu-order"))
+            key, options = "lu-csc", {"permc_spec": "NATURAL" if self.cols
+                                      is not None else "MMD_AT_PLUS_A"}
+        if boundary_last or self.cols is not None:
+            csc = _gathered(data, A.shape, layouts, (system.pattern, key),
+                            lambda: _csc_layout(A, self.rows, self.cols))
+        else:
+            csc = self.matrix.tocsc()
         try:
             self.lu = spla.splu(csc, relax=1, panel_size=1, **options)
         except RuntimeError as exc:
@@ -275,8 +272,7 @@ class Factorization:
                 raise DiscreteIsomorphismError(
                     "discrete isomorphism failure: the boundary-last LU "
                     "pivoted")
-            self.matrix = csc
-        elif self.perm is None:
+        elif self.cols is None:
             perm = self.lu.perm_c.copy()
             perm.flags.writeable = False
             layouts[system.pattern, "lu-order"] = perm
@@ -315,13 +311,11 @@ class Factorization:
         for a vector and the (N, k) array of solutions for a block.
         """
         b = np.reshape(rhs, (self.scale.size, -1)) / self.scale[:, None]
-        if self.order is not None:
-            b = b[self.order]
         bnorm = np.linalg.norm(b, axis=0)
         x, r, history = np.zeros_like(b), b, []
         for _ in range(2):
-            dx = self.lu.solve(r)
-            x = x + (dx if self.perm is None else dx[self.perm])
+            dx = self.lu.solve(r if self.rows is None else r[self.rows])
+            x = x + (dx if self.cols is None else dx[self.cols])
             self.passes += 1
             r = b - self.matrix @ x
             backward = np.linalg.norm(r, axis=0) / np.maximum(
@@ -334,8 +328,6 @@ class Factorization:
             raise NonConvergenceError(
                 f"linear solve did not reach tol={tol:g} (backward error "
                 f"{history[-1]:.3g})", history=history)
-        if self.order is not None:
-            x = x[self.unorder]
         sol = (x if np.ndim(rhs) == 2
                else ScalarField(self.chart, x.reshape(self.chart.shape)))
         return LinearSolveResult(solution=sol, residual=history[-1],
@@ -353,18 +345,18 @@ def _gathered(data, shape, layouts, key, build):
     return sp.csc_matrix((data[gather], indices, indptr), shape=shape)
 
 
-def _csc_layout(A, rows=None, cols=None):
+def _csc_layout(A, rows, cols):
     """(indptr, indices, gather), read-only: the CSC pattern of the CSR
-    matrix A with its rows and its columns taken in the orders ``rows`` and
-    ``cols`` (natural when None), and the positions in A's data of that CSC
-    data, read off the conversion of a CSR matrix whose values are their
-    own positions."""
+    matrix A with its rows taken in the order ``rows`` and its column j put
+    at position ``cols[j]`` (natural when None), and the positions in A's
+    data of that CSC data, read off the conversion of a CSR matrix whose
+    values are their own positions."""
     P = sp.csr_matrix((np.arange(A.nnz, dtype=float), A.indices, A.indptr),
                       shape=A.shape)
     if rows is not None:
         P = P[rows]
     if cols is not None:
-        P = P[:, cols]
+        P = P[:, np.argsort(cols)]
     P = P.tocsc()
     layout = (P.indptr, P.indices, P.data.astype(np.intp))
     for a in layout:

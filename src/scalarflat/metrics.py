@@ -32,6 +32,10 @@ from .weighted import decay_fit
 #: how much slower than required a metric's measured decay rate q may be
 DECAY_RATE_SLACK = 0.25
 
+#: how far from 1 a metric spec's limit at infinity may be: the leading
+#: coefficient of a conformal factor, the s = 0 row of a component table
+FLAT_LIMIT_TOL = 1e-14
+
 
 def conformal_law_coefficient(n: int) -> float:
     """Coefficient of du/deta in the sum-convention mean-curvature law."""
@@ -163,8 +167,9 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
     * ``"conformal:c0,c1,..."`` or ``{"kind": "conformal", "coeffs": [...]}``
       with u0 = c0 + c1/r + c2/r^2 + ..., c0 == 1 (u0 -> 1 at infinity)
     * ``{"kind": "axisym", "a_rr": array, "a_theta": array, "a_phi": array,
-      "decay": q}`` with component tables on the chart and a declared decay
-      rate q (components - 1 = O(r^{-q})).
+      "decay": q}`` with component tables on the chart, whose s = 0 rows
+      (the limits at infinity) are 1, and a declared decay rate q
+      (components - 1 = O(r^{-q})).
 
     Components whose volume density ``_density`` overflows raise
     ``MetricError``.  Axisymmetric tables are decay-checked against the
@@ -191,7 +196,7 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
         if coeffs.ndim != 1 or coeffs.size == 0:
             raise MetricError("conformal metric spec: 'coeffs' must be a "
                               "nonempty list of numbers")
-        if abs(coeffs[0] - 1.0) > 1e-14:
+        if abs(coeffs[0] - 1.0) > FLAT_LIMIT_TOL:
             raise MetricError("conformal u0 must tend to 1 (leading "
                               f"coefficient {coeffs[0]}, expected 1)")
         u0 = conformal_factor_from_coeffs(chart, coeffs)
@@ -203,6 +208,11 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
         if any(t.shape != chart.shape for t in tables):
             raise MetricError("axisym metric spec: component tables must have "
                               f"the grid shape {chart.shape}")
+        limit = np.max(np.abs(np.stack(tables)[:, 0] - 1.0))
+        if limit > FLAT_LIMIT_TOL:
+            raise MetricError("axisym metric spec: the s = 0 row of a table "
+                              "is its limit at infinity and must be 1 (off "
+                              f"by up to {limit:.3g})")
         declared = (_spec_numbers(spec, "decay") if "decay" in spec
                     else np.float64(chart.n - 2.5))
         if declared.ndim != 0:
@@ -226,9 +236,9 @@ def _spec_floats(spec: dict, key: str) -> np.ndarray:
         vals = np.asarray(spec[key], dtype=float)
     except KeyError:
         raise MetricError(f"{spec['kind']} metric spec lacks {key!r}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise MetricError(f"{spec['kind']} metric spec: {key!r} is not "
-                          f"numeric ({exc})") from exc
+                          f"numeric or not a double ({exc})") from exc
     if np.all(np.isfinite(vals)):
         return vals
     raise MetricError(f"{spec['kind']} metric spec: {key!r} is not finite")

@@ -65,6 +65,23 @@ def test_chart_rejects_dimensions_that_overflow():
         assert np.all(np.isfinite(flat_laplacian(c).data))
 
 
+def test_chart_rejects_counts_beyond_superlu_indices(monkeypatch):
+    # the Laplacian stores (ns - 2)(5 nt - 2) + 6 nt - 2 entries, which
+    # SuperLU's 32-bit indices hold up to 2^31 - 1; rejected before any
+    # array is built, and counts at the bound are handed on to be built
+    # (here to a stand-in that builds nothing)
+    for ns, nt in ((41, 1), (4, 3), (41, 9), (201, 65)):
+        c = Chart(3, ns) if nt == 1 else Chart(3, ns, nt)
+        assert flat_laplacian(c).nnz == (ns - 2) * (5 * nt - 2) + 6 * nt - 2
+    for counts in ((3, 715827884), (3, 41, 10683999), (3, 10 ** 20),
+                   (3, 41, 99999999999)):
+        with pytest.raises(ChartError, match="32-bit"):
+            Chart(*counts)
+    monkeypatch.setattr(chart_mod, "_interned", lambda cls, *key: key)
+    for counts in ((3, 715827883), (3, 41, 10683998)):
+        assert Chart(*counts) == counts
+
+
 @pytest.mark.parametrize("counts", [(3, 11), (5, 1601), (3, 201, 65)],
                          ids=["radial-11", "radial-1601", "axisym-201x65"])
 def test_nodes_are_linspace(counts):

@@ -313,6 +313,19 @@ def _far_field_overflow(directory):
                                   "a_theta": ones, "a_phi": ones, "decay": 2})
 
 
+def _table_metric(directory, a_rr):
+    """A 41x9 table metric of this a_rr, with a_theta = a_phi = 1."""
+    ones = np.ones((41, 9)).tolist()
+    return _json_file(directory, {"kind": "axisym", "a_rr": a_rr,
+                                  "a_theta": ones, "a_phi": ones, "decay": 2})
+
+
+def _int_beyond_double_table(directory):
+    a_rr = np.ones((41, 9)).tolist()
+    a_rr[20][4] = 10 ** 400
+    return _table_metric(directory, a_rr)
+
+
 def _quotient_family(family):
     return lambda d: ["--config", _json_file(d, {
         "mode": "quotient", "grid": "81", "family": family})]
@@ -441,6 +454,23 @@ def _quotient_family(family):
     # decay_fit)
     lambda d: ["--mode", "dirichlet", "--grid", "41x9", "--metric",
                _far_field_overflow(d)],
+    # a table whose limit at infinity is not the flat metric (exited 0 with
+    # far-field fit status "constant", and "ok" at q ~ 2)
+    lambda d: ["--mode", "dirichlet", "--grid", "41x9", "--metric",
+               _table_metric(d, np.full((41, 9), 4.0).tolist())],
+    lambda d: ["--mode", "dirichlet", "--grid", "41x9", "--metric",
+               _table_metric(d, np.repeat(
+                   4.0 + np.linspace(0.0, 1.0, 41)[:, None] ** 2, 9,
+                   axis=1).tolist())],
+    # an integer beyond the double range in a metric file (exited 1:
+    # OverflowError)
+    lambda d: ["--grid", "41", "--metric",
+               _json_file(d, {"kind": "conformal", "coeffs": [1, 10 ** 400]})],
+    lambda d: ["--grid", "41x9", "--metric", _int_beyond_double_table(d)],
+    # node counts whose Laplacian SuperLU cannot index (exited 1: "Maximum
+    # allowed size exceeded"; the second asked numpy for 745 GiB)
+    lambda d: ["--grid", "99999999999999999999"],
+    lambda d: ["--grid", "41x99999999999"],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -462,7 +492,10 @@ def _quotient_family(family):
         "conformal-coeffs-bool", "axisym-decay-bool", "grids-repeated",
         "grids-decreasing", "metric-not-utf8", "metric-too-deep",
         "conformal-overflow", "density-overflow", "density-overflow-axisym",
-        "convergence-n-dim-110", "far-field-amplitude-overflow"])
+        "convergence-n-dim-110", "far-field-amplitude-overflow",
+        "table-limit-not-flat-4", "table-limit-not-flat-4+s2",
+        "json-int-beyond-double-coeffs", "json-int-beyond-double-table",
+        "grid-count-beyond-index", "grid-count-beyond-index-41x99999999999"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     try:

@@ -258,7 +258,7 @@ def test_solution_matches_default_superlu_settings(chart, spec):
         default = copy.copy(factors)
         default.lu = spla.splu(factors.matrix.tocsc(),
                                permc_spec="MMD_AT_PLUS_A")
-        default.perm = None  # this LU reads its column order back itself
+        default.cols = None  # this LU reads its column order back itself
         x = factors.solve(system.rhs).solution.values
         ref = default.solve(system.rhs).solution.values
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -429,9 +429,10 @@ def test_later_lus_of_a_pattern_are_bitwise_the_first(chart, spec):
         for A in (system, other[kind]):
             forget_lu_layouts(chart, A.pattern)
             first, second, later = (Factorization(A) for _ in range(3))
-            assert first.perm is None
+            assert first.rows is first.cols is None
             for f in (second, later):
-                assert np.array_equal(f.perm, first.lu.perm_c)
+                assert f.rows is None
+                assert np.array_equal(f.cols, first.lu.perm_c)
                 assert np.array_equal(f.lu.perm_c,
                                       np.arange(chart.num_nodes))
                 assert_same_factors(first.lu, f.lu)
@@ -455,22 +456,49 @@ def test_later_lus_of_a_pattern_are_bitwise_the_first(chart, spec):
                          ids=["radial", "axisym-41x9", "axisym-41x17"])
 def test_later_boundary_last_lus_are_bitwise_the_first(chart):
     # the boundary-last CSC is gathered from the CSR data on every LU: the
-    # same factors and boundary block as M[order][:, order] gave
+    # same factors and boundary block as M[order][:, order] gives, and one
+    # permutation pair, the order and its inverse (None where it is the
+    # identity, as on radial charts)
     system = yamabe_systems(chart, "conformal:1,0.5,0.5")["robin"]
     forget_lu_layouts(chart, system.pattern)
     first, later = (Factorization(system, boundary_last=True)
                     for _ in range(2))
     order = chart.boundary_last_order
-    ref = (sp.diags(1.0 / first.scale) @ system.matrix)[order][:, order]
-    ref = ref.tocsc()
+    ref = spla.splu(((sp.diags(1.0 / first.scale) @ system.matrix)
+                     [order][:, order]).tocsc(), permc_spec="NATURAL",
+                    diag_pivot_thresh=0.0, relax=1, panel_size=1)
+    identity = np.array_equal(order, np.arange(order.size))
     for f in (first, later):
-        assert np.array_equal(f.matrix.indptr, ref.indptr)
-        assert np.array_equal(f.matrix.indices, ref.indices)
-        assert same_bits(f.matrix.data, ref.data)
-    assert_same_factors(first.lu, later.lu)
+        if identity:
+            assert f.rows is f.cols is None
+        else:
+            assert np.array_equal(f.rows, order)
+            assert np.array_equal(order[f.cols], np.arange(order.size))
+        assert_same_factors(ref, f.lu)
     assert same_bits(first.boundary_inverse(), later.boundary_inverse())
     assert same_bits(first.solve(system.rhs).solution.values,
                      later.solve(system.rhs).solution.values)
+
+
+@pytest.mark.parametrize("chart", [Chart.radial(3, 401),
+                                   Chart.axisymmetric(41, 17)],
+                         ids=["radial", "axisym-41x17"])
+def test_matrix_is_the_equilibrated_csr_of_every_lu(chart):
+    # refinement multiplies by the equilibrated CSR in natural order,
+    # whatever order the LU factors in: a pattern's first LU, a later one
+    # and a boundary-last one
+    system = yamabe_systems(chart, "conformal:1,0.5,0.5")["robin"]
+    forget_lu_layouts(chart, system.pattern)
+    lus = [Factorization(system) for _ in range(2)]
+    lus.append(Factorization(system, boundary_last=True))
+    assert lus[0].cols is None and lus[1].cols is not None
+    ref = sp.diags(1.0 / lus[0].scale) @ system.matrix
+    ref.sort_indices()
+    for f in lus:
+        assert f.matrix.format == "csr"
+        for a in ("indptr", "indices"):
+            assert np.array_equal(getattr(f.matrix, a), getattr(ref, a))
+        assert same_bits(f.matrix.data, ref.data)
 
 
 def test_lu_orders_are_kept_per_pattern():
@@ -486,8 +514,8 @@ def test_lu_orders_are_kept_per_pattern():
     for kind, system in systems.items():
         f = Factorization(system)
         fresh = spla.splu(f.matrix.tocsc(), permc_spec="MMD_AT_PLUS_A")
-        assert np.array_equal(f.perm, fresh.perm_c)
-        perms[kind] = f.perm
+        assert f.rows is None and np.array_equal(f.cols, fresh.perm_c)
+        perms[kind] = f.cols
     assert not np.array_equal(perms["dirichlet"], perms["robin"])
     kept = dict(chart.layouts)
     robin = systems["robin"]
@@ -499,7 +527,7 @@ def test_lu_orders_are_kept_per_pattern():
     for system in (LinearSystem(robin.matrix, robin.rhs, chart), small):
         for _ in range(2):
             f = Factorization(system)
-            assert f.perm is None
+            assert f.rows is f.cols is None
             assert f.solve(system.rhs).residual <= 1e-10
     assert chart.layouts.keys() == kept.keys()
     assert all(chart.layouts[k] is kept[k] for k in kept)
