@@ -11,13 +11,13 @@ import argparse
 import contextlib
 import csv
 import functools
-import json
 import math
 import os
 import sys
 import time
 
 import numpy as np
+import orjson
 
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
 from .dirichlet import solve_scalar_flat_dirichlet
@@ -51,8 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help='boundary datum: number, "cos:c0,c1,...", '
                         'or "csv:path"')
     p.add_argument("--beta", type=float, help="boundary nonlinearity exponent")
-    p.add_argument("--target", type=float,
-                   help="target boundary mean curvature (meancurv pipeline)")
+    p.add_argument("--target",
+                   help="target boundary mean curvature (meancurv pipeline), "
+                        'a boundary datum like --f')
     p.add_argument("--out", help="output directory "
                                  "(default $SCALARFLAT_OUTDIR or ./scalarflat-out)")
     return p
@@ -67,11 +68,9 @@ def check_args(args: argparse.Namespace) -> dict:
             raise ConfigError(f"{key} needs a value, got '--'")
     if job["n"] < 3:
         raise ConfigError(f"n must be an integer >= 3, got {job['n']!r}")
-    beta, target, f = job["beta"], job["target"], job["f"]
+    beta, f = job["beta"], job["f"]
     if beta is not None and not 0.0 < beta < math.inf:
         raise ConfigError(f"beta must be a number in (0, inf), got {beta!r}")
-    if target is not None and not math.isfinite(target):
-        raise ConfigError(f"target must be finite, got {target!r}")
     try:
         finite = f is None or math.isfinite(float(f))
     except ValueError:
@@ -117,25 +116,68 @@ def parse_grid(text, n: int) -> Chart:
     raise ConfigError(f"bad grid spec {text!r}")
 
 
+#: deepest nesting of arrays and objects read from a metric file.  A metric
+#: nests three deep; orjson 3.8 recurses once per level on the C stack and
+#: crashes with a segfault near 130,000 levels (131,250 nested arrays on an
+#: 8 MB stack)
+MAX_JSON_DEPTH = 4096
+
+#: the bytes that open (+1) and close (-1) a JSON array or object
+_NESTING = np.zeros(256, dtype=np.int8)
+_NESTING[[ord("["), ord("{")]] = 1
+_NESTING[[ord("]"), ord("}")]] = -1
+
+
+def _json_depth(data: bytes) -> int:
+    """The deepest nesting of arrays and objects in the JSON text ``data``;
+    brackets in strings do not count.  Past an error in ``data`` the count
+    may be off, but a parser stops at the error."""
+    # in a string the escapes \\ and \" can hide a quote: blanked left to
+    # right, they leave a quote only where a string starts or ends (out of
+    # strings a backslash is an error)
+    plain = data.replace(b"\\\\", b"__").replace(b'\\"', b"__")
+    codes = np.frombuffer(plain, dtype=np.uint8)
+    marks = np.flatnonzero((_NESTING[codes] != 0) | (codes == ord('"')))
+    step = _NESTING[codes[marks]]
+    in_string = np.cumsum(codes[marks] == ord('"')) % 2 == 1
+    step[in_string] = 0
+    return int(np.max(np.cumsum(step, dtype=np.int64), initial=0))
+
+
+def _read_metric_file(path):
+    """The document in the metric file at ``path``: strict UTF-8 JSON whose
+    arrays and objects nest at most ``MAX_JSON_DEPTH`` deep, else
+    ``ConfigError``."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        # the brackets bound the depth; only a text with many of them is
+        # scanned for its depth
+        if (data.count(b"[") + data.count(b"{") > MAX_JSON_DEPTH
+                and _json_depth(data) > MAX_JSON_DEPTH):
+            raise ValueError(f"arrays and objects nest deeper than "
+                             f"{MAX_JSON_DEPTH}")
+        return orjson.loads(data)
+    except (OSError, ValueError) as exc:
+        # ValueError: not UTF-8 or not JSON (orjson.JSONDecodeError), or
+        # too deep
+        raise ConfigError(f"cannot read metric file {path}: {exc}") from exc
+
+
 def parse_metric(spec, chart: Chart):
     if isinstance(spec, str) and spec.endswith(".json"):
-        try:
-            with open(spec) as fh:
-                doc = json.load(fh)
-        except (OSError, ValueError, RecursionError) as exc:
-            # ValueError: not UTF-8 or not JSON; RecursionError: too deep
-            raise ConfigError(f"cannot read metric file {spec}: {exc}") from exc
-        return metric_from_spec(doc, chart)
+        return metric_from_spec(_read_metric_file(spec), chart)
     return metric_from_spec(spec, chart)
 
 
-def parse_f(spec, chart: Chart) -> BoundaryField:
-    """Boundary datum: constant, "cos:c0,c1,..." (sum of c_k cos^k theta),
-    or "csv:path" with one value per boundary node.  A datum that cannot be
-    read, or that has a value that is not finite, is a ``ConfigError``."""
+def parse_f(spec, chart: Chart, name: str = "f") -> BoundaryField:
+    """Boundary datum ``name``: constant, "cos:c0,c1,..." (sum of c_k
+    cos^k theta), or "csv:path" with one value per boundary node.  A datum
+    that cannot be read, or that has a value that is not finite, is a
+    ``ConfigError``."""
     text = str(spec).strip()
     if text.startswith("cos:") and chart.theta is None:
-        raise ConfigError("cos-series f requires an axisymmetric grid")
+        raise ConfigError(f"cos-series {name} requires an axisymmetric grid")
     try:
         if text.startswith("cos:"):
             mu = np.cos(chart.theta)
@@ -149,7 +191,7 @@ def parse_f(spec, chart: Chart) -> BoundaryField:
             vals = np.full(chart.boundary_shape, float(spec))
         return BoundaryField(chart, np.asarray(vals))
     except (OSError, ValueError, ScalarFlatError) as exc:
-        raise ConfigError(f"bad f spec {spec!r}: {exc}") from exc
+        raise ConfigError(f"bad {name} spec {spec!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +205,7 @@ def _run_dirichlet(job, chart, g):
 
 def _run_meancurv(job, chart, g):
     if job["target"] is not None:
-        target = BoundaryField.constant(chart, job["target"])
+        target = parse_f(job["target"], chart, "target")
         sol = prescribe_mean_curvature(g, target)
     else:
         if job["f"] is None or job["beta"] is None:

@@ -22,6 +22,7 @@ Conventions
 from __future__ import annotations
 
 import functools
+import reprlib
 
 import numpy as np
 
@@ -220,7 +221,8 @@ def metric_from_spec(spec, chart: Chart) -> MetricField:
         g = MetricField(chart, np.stack(tables, axis=-1))
         _check_decay(g, float(declared))
     else:
-        raise MetricError(f"unknown metric spec kind {kind!r}")
+        # reprlib: a kind read from JSON may nest deeper than repr recurses
+        raise MetricError(f"unknown metric spec kind {reprlib.repr(kind)}")
     # finite components can still overflow the volume density, which every
     # operator and integral on g multiplies by
     with np.errstate(over="ignore"):

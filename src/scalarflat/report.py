@@ -8,6 +8,7 @@ import os
 from dataclasses import dataclass, field as dfield
 
 import numpy as np
+import orjson
 
 from .errors import ScalarFlatError
 
@@ -91,8 +92,17 @@ _CHUNK_NODES = 256
 
 
 def _reprs(a) -> list:
-    """``repr`` of every value of ``a`` in C order, from one list repr."""
-    return repr(np.asarray(a).ravel().tolist())[1:-1].split(", ")
+    """``repr`` of every value of ``a`` (as doubles) in C order.  orjson
+    writes the shortest round-trip digits, as ``repr`` does, but not its
+    exponent notation, which ``repr`` takes outside [1e-4, 1e16): those
+    values, and the ones that are not finite, are formatted by ``repr``."""
+    a = np.asarray(a, dtype=np.float64).ravel()
+    text = orjson.dumps(a, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1]
+    text = text.decode().split(",")
+    mag = np.abs(a)
+    for i in np.flatnonzero(~(mag < 1e16) | ((mag < 1e-4) & (mag != 0))):
+        text[i] = repr(float(a[i]))
+    return text
 
 
 def _coordinate_text(chart) -> tuple:

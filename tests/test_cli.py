@@ -2,7 +2,9 @@ import contextlib
 import gc
 import io
 import json
+import math
 import os
+import subprocess
 import sys
 import tempfile
 import time
@@ -13,12 +15,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import scalarflat
 import scalarflat.chart as chart_mod
 import scalarflat.dirichlet as dirichlet
 import scalarflat.elliptic as elliptic
 import scalarflat.meancurv as meancurv
-from scalarflat.cli import (MODES, build_parser, check_args, main, parse_f,
-                            parse_grid, run_job)
+from scalarflat.cli import (MODES, _read_metric_file, build_parser,
+                            check_args, main, parse_f, parse_grid, run_job)
 from scalarflat.chart import Chart
 from scalarflat.errors import ConfigError
 from scalarflat.report import load_report
@@ -298,6 +301,12 @@ def _metric_file(directory, data):
     return str(path)
 
 
+def _csv_file(directory, values):
+    path = directory / "datum.csv"
+    path.write_text("".join(f"{v!r}\n" for v in values))
+    return str(path)
+
+
 ONES = np.ones((41, 5)).tolist()
 
 
@@ -349,6 +358,10 @@ def _quotient_family(family):
     lambda d: ["--mode", "meancurv", "--f", "0.1", "--beta", "inf"],
     lambda d: ["--mode", "meancurv", "--f", "0.1", "--beta", "0"],
     lambda d: ["--mode", "meancurv", "--target", "nan"],
+    # a target datum that the grid cannot hold
+    lambda d: ["--mode", "meancurv", "--grid", "41", "--target", "cos:0.03"],
+    lambda d: ["--mode", "meancurv", "--grid", "41x9", "--target",
+               "csv:" + _csv_file(d, [0.03] * 8)],
     lambda d: ["--grid", "3"],
     lambda d: ["--grid", "3x9"],
     lambda d: ["--config", _json_file(d, {"lambda_steps": "x"})],
@@ -440,6 +453,21 @@ def _quotient_family(family):
     # RuntimeWarning)
     lambda d: ["--metric", _metric_file(d, b"\xff\xfe{}")],
     lambda d: ["--metric", _metric_file(d, b"[" * 100000 + b"]" * 100000)],
+    # a metric file that is not strict JSON, or whose kind is a string no
+    # UTF-8 holds, or an array nested deeper than repr recurses (these
+    # exited 2 on a MetricError, or the last on a RecursionError in json)
+    lambda d: ["--metric", _metric_file(
+        d, b'{"kind": "conformal", "coeffs": [1, NaN]}')],
+    lambda d: ["--metric", _metric_file(
+        d, b'{"kind": "conformal", "coeffs": [1, -Infinity]}')],
+    lambda d: ["--metric", _metric_file(
+        d, b'{"kind": "conformal", "coeffs": [1, 1e400]}')],
+    lambda d: ["--metric", _metric_file(
+        d, b'\xef\xbb\xbf{"kind": "conformal", "coeffs": [1, 0.5]}')],
+    lambda d: ["--metric", _metric_file(d, b"")],
+    lambda d: ["--metric", _metric_file(d, b'{"kind": "\\ud800"}')],
+    lambda d: ["--metric", _metric_file(
+        d, b'{"kind": ' + b"[" * 2000 + b"]" * 2000 + b"}")],
     lambda d: ["--metric", "conformal:1,1e80"],
     # finite components whose volume density overflows (exited 3 after
     # RuntimeWarnings, "Factor is exactly singular"): u0^4 ~ 1e240 and a
@@ -475,7 +503,8 @@ def _quotient_family(family):
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
         "dimension-2", "beta-inf",
-        "beta-zero", "target-nan", "grid-3", "grid-3x9",
+        "beta-zero", "target-nan", "target-cos-radial",
+        "target-csv-wrong-count", "grid-3", "grid-3x9",
         "config-lambda-steps-string", "config-tol-string",
         "grid-4", "grid-20", "grid-36", "grid-40", "grid-21x9-conformal",
         "meancurv-grid-36", "config-n-string", "config-convention-bogus",
@@ -491,6 +520,9 @@ def _quotient_family(family):
         "quotient-target", "n-dim-400", "grid-201-n-dim-120",
         "conformal-coeffs-bool", "axisym-decay-bool", "grids-repeated",
         "grids-decreasing", "metric-not-utf8", "metric-too-deep",
+        "metric-nan-literal", "metric-infinity-literal", "metric-1e400",
+        "metric-utf8-bom", "metric-empty", "metric-lone-surrogate",
+        "metric-kind-nested-2000",
         "conformal-overflow", "density-overflow", "density-overflow-axisym",
         "convergence-n-dim-110", "far-field-amplitude-overflow",
         "table-limit-not-flat-4", "table-limit-not-flat-4+s2",
@@ -506,6 +538,112 @@ def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     assert code == 2 and "Traceback" not in err
     assert ("unrecognized arguments: --config" if "--config" in argv
             else "config error") in err
+
+
+def _same_doc(a, b):
+    """``a`` and ``b`` are one JSON document, each double bit for bit."""
+    if isinstance(a, float):
+        return isinstance(b, float) and a.hex() == b.hex()
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(map(_same_doc, a, b)))
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and list(a) == list(b)
+                and all(_same_doc(a[k], b[k]) for k in a))
+    return type(a) is type(b) and a == b
+
+
+def _read_text(data: bytes):
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "metric.json")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return _read_metric_file(path)
+
+
+def test_metric_reader_matches_json_on_a_table(tmp_path):
+    # the 201x65 frame tables of u0^4 flat, u0 = 1 + 0.9 s^2 (1 + cos^2)
+    s = np.linspace(0.0, 1.0, 201)[:, None]
+    mu = np.cos(np.linspace(0.0, math.pi, 65))[None, :]
+    table = ((1.0 + 0.9 * s * s * (1.0 + mu * mu)) ** 4).tolist()
+    path = tmp_path / "metric.json"
+    path.write_text(json.dumps({"kind": "axisym", "a_rr": table,
+                                "a_theta": table, "a_phi": table,
+                                "decay": 2.0}))
+    with open(path) as fh:
+        assert _same_doc(_read_metric_file(str(path)), json.load(fh))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                max_size=20))
+def test_metric_reader_matches_json_on_floats(values):
+    text = json.dumps({"kind": "conformal", "coeffs": values})
+    assert _same_doc(_read_text(text.encode()), json.loads(text))
+
+
+DECIMAL = r"-?(0|[1-9][0-9]{0,39})(\.[0-9]{1,40})?([eE][-+]?[0-9]{1,3})?"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.from_regex(DECIMAL, fullmatch=True))
+@example("2.4703282292062327e-324")  # rounds to 0, the next one up does not
+@example("2.4703282292062328e-324")
+@example("9007199254740993")  # halfway between two doubles, to even
+@example("1.7976931348623158e308")  # rounds down to the largest double
+@example("1.7976931348623159e308")  # rounds up to inf
+def test_metric_reader_rounds_decimals_as_json_does(text):
+    # compared as the doubles that a metric is built from (an integer past
+    # 64 bits reads as a double, not an int); a value that overflows to inf
+    # is not read at all
+    expected = float(json.loads(text))
+    if math.isinf(expected):
+        with pytest.raises(ConfigError):
+            _read_text(text.encode())
+    else:
+        assert float(_read_text(text.encode())).hex() == expected.hex()
+
+
+@pytest.mark.parametrize("data", [
+    b'{"kind": "conformal", "coeffs": ' + b"[" * 10 ** 6 + b"]" * 10 ** 6
+    + b"}",
+    b'{"kind": "axisym", "a_rr": ' + b"[" * 10 ** 6 + b"]" * 10 ** 6 + b"}",
+    # an escaped backslash, closers and an escaped quote in strings do not
+    # hide the arrays after them
+    b'{"y": "\\\\", "x": "' + b"]" * 200000 + b'\\"]", "coeffs": '
+    + b"[" * 200000 + b"]" * 200000 + b"}",
+], ids=["coeffs-1e6-deep", "a_rr-1e6-deep", "closers-in-a-string"])
+def test_deep_metric_file_exits_2(tmp_path, data):
+    # orjson recurses on the C stack and segfaults near 130,000 levels, so
+    # each file is read by the console entry point in its own process
+    path = tmp_path / "metric.json"
+    path.write_bytes(data)
+    src = os.path.dirname(os.path.dirname(scalarflat.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+    done = subprocess.run(
+        [sys.executable, "-m", "scalarflat.cli", "--grid", "41x9",
+         "--metric", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 2, done.stderr
+    assert "nest deeper than 4096" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_target_takes_the_boundary_datum_grammar(tmp_path):
+    # a number is the constant datum, so "cos:0.03" writes the same bytes;
+    # H = 0.03 - 0.05 cos^2 theta is met too
+    argv = ["--mode", "meancurv", "--grid", "101x33", "--metric",
+            "conformal:1,0.5,0.5", "--target"]
+    outputs = []
+    for name, target in (("number", "0.03"), ("cos", "cos:0.03")):
+        code, report, out = run(tmp_path / name, *argv, target)
+        assert code == 0
+        report.pop("timing")
+        outputs.append((report, (out / "fields.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    code, report, _ = run(tmp_path / "shaped", *argv, "cos:0.03,0,-0.05")
+    assert code == 0 and report["checks"] == {"target_H": True}
 
 
 @pytest.mark.parametrize("value", ["paper-eq7", "transformation-law"])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scalarflat import Chart, ScalarField, SolveReport, emit_fields, emit_report, read_fields
 from scalarflat import report
@@ -152,6 +154,40 @@ def test_emit_fields_repeat_exports_match_csv_writer(tmp_path, chart):
         if k == 0:
             text = chart.layouts["coordinate-text"]
     assert chart.layouts["coordinate-text"] is text
+
+
+# where repr switches between fixed and exponent notation, both zeros, the
+# smallest subnormal and the largest double
+REPR_EDGES = [0.0, -0.0, 5e-324, 1e-4, float(np.nextafter(1e-4, 0.0)), 1e16,
+              float(np.nextafter(1e16, 0.0)), 1.7976931348623157e308]
+
+
+def _assert_reprs(values):
+    a = np.asarray(values, dtype=np.float64)
+    assert report._reprs(a) == [repr(x) for x in a.ravel().tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1,
+                max_size=40))
+@example(REPR_EDGES + [-x for x in REPR_EDGES])
+def test_reprs_match_repr_on_floats(values):
+    _assert_reprs(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+def test_reprs_match_repr_on_bit_patterns(bits):
+    # every double, subnormals and NaN payloads included, as a 64-bit pattern
+    _assert_reprs(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+def test_reprs_match_repr_across_the_exponent_range():
+    # 1e-320 to 1e308 of both signs, as whole arrays and as a strided 2-D
+    # view, which _reprs reads in C order
+    mags = np.logspace(-320.0, 308.0, 20001)
+    for a in (mags, -mags, mags.reshape(-1, 3)[:, :2]):
+        _assert_reprs(a)
 
 
 def test_emit_fields_validations(tmp_path):
