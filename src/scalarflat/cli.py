@@ -21,6 +21,7 @@ import orjson
 
 from .chart import RADIAL, BoundaryField, Chart, ScalarField
 from .dirichlet import solve_scalar_flat_dirichlet
+from .elliptic import BACKWARD_ERROR_TOL
 from .errors import ChartError, ConfigError, MetricError, ScalarFlatError
 from .meancurv import prescribe_mean_curvature, solve_nonlinear_robin
 from .metrics import metric_from_spec
@@ -60,31 +61,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def check_args(args: argparse.Namespace) -> dict:
-    """The job as a dict of its flags, once each value that argparse
-    accepts but the job cannot use is rejected with ``ConfigError``."""
+    """The job as a dict of its flags, once the inputs that nothing
+    downstream checks are rejected with ``ConfigError``: a flag given as
+    ``--flag=--``, a beta outside (0, inf), and boundary data that the mode
+    does not read.  ``Chart`` checks n and the grid's counts, and
+    ``parse_f`` each datum's values."""
     job = vars(args)
     for key, val in job.items():
         if val == []:  # argparse's value for a flag given as "--flag=--"
             raise ConfigError(f"{key} needs a value, got '--'")
-    if job["n"] < 3:
-        raise ConfigError(f"n must be an integer >= 3, got {job['n']!r}")
-    beta, f = job["beta"], job["f"]
+    beta = job["beta"]
     if beta is not None and not 0.0 < beta < math.inf:
         raise ConfigError(f"beta must be a number in (0, inf), got {beta!r}")
-    try:
-        finite = f is None or math.isfinite(float(f))
-    except ValueError:
-        finite = True  # a "cos:" or "csv:" spec: parse_f checks its values
-    if not finite:
-        raise ConfigError(f"f must be a finite number or a cos:/csv: spec, "
-                          f"got {f!r}")
-    # a mode reads one of these sets of the boundary data, or none
+    # the sets of the boundary data that a mode reads; [] is none
     reads = {"meancurv": (["target"], ["beta", "f"]),
-             "oracle": (["beta", "f"],)}.get(job["mode"], ())
+             "oracle": (["beta", "f"], [])}.get(job["mode"], ([],))
     given = [k for k in ("beta", "f", "target") if job[k] is not None]
-    if given and given not in reads:
-        raise ConfigError(f"{job['mode']} mode does not read {given}; it "
-                          f"reads {' or '.join(map(str, reads)) or 'none'}")
+    if given not in reads:
+        raise ConfigError(f"{job['mode']} mode reads the boundary data "
+                          f"{' or '.join(map(str, reads))}, not {given}")
     return job
 
 
@@ -98,22 +93,19 @@ def _building():
 
 
 def parse_grid(text, n: int) -> Chart:
-    parts = str(text).lower().split("x")
+    """The chart of the grid spec ``text``, Ns (radial) or NsxNtheta
+    (axisymmetric), in dimension n; a spec of another form, or with fewer
+    than ``MIN_S_NODES`` nodes in s, which the far-field fit needs, is a
+    ``ConfigError``, as is a chart that ``Chart`` does not build."""
     try:
-        sizes = [int(t) for t in parts]
-    except ValueError as exc:
-        raise ConfigError(f"bad grid spec {text!r}") from exc
-    if sizes[0] < MIN_S_NODES or min(sizes) < 0:
-        raise ConfigError(f"bad grid spec {text!r}: the far-field fit needs "
-                          f"at least {MIN_S_NODES} nodes in s, and no size "
-                          "may be negative")
-    if len(sizes) == 1:
-        return Chart.radial(n, sizes[0])
-    if len(sizes) == 2:
-        if n != 3:
-            raise ConfigError("axisymmetric grids require n=3")
-        return Chart.axisymmetric(sizes[0], sizes[1])
-    raise ConfigError(f"bad grid spec {text!r}")
+        sizes = [int(t) for t in str(text).lower().split("x")]
+    except ValueError:
+        sizes = []
+    if len(sizes) not in (1, 2) or sizes[0] < MIN_S_NODES:
+        raise ConfigError(f"bad grid spec {text!r}: not Ns or NsxNtheta "
+                          f"with the far-field fit's Ns >= {MIN_S_NODES}")
+    with _building():
+        return Chart(n, *sizes)
 
 
 #: deepest nesting of arrays and objects read from a metric file.  A metric
@@ -208,9 +200,6 @@ def _run_meancurv(job, chart, g):
         target = parse_f(job["target"], chart, "target")
         sol = prescribe_mean_curvature(g, target)
     else:
-        if job["f"] is None or job["beta"] is None:
-            raise ConfigError("meancurv mode needs --target, or --f and "
-                              "--beta for the Robin subproblem")
         f = parse_f(job["f"], chart)
         sol = solve_nonlinear_robin(g, f, job["beta"])
     return sol.report, {"u": sol.u}
@@ -275,6 +264,15 @@ def _run_convergence(job, chart, g):
         sol = solve_scalar_flat_dirichlet(gi)
         phi_ref = radial_dirichlet_yamabe(g.u0_coeffs, chart.n, gi.chart.s)
         errors.append(float(np.max(np.abs(sol.phi.values - phi_ref))))
+        # a reference that the job's grid reproduces to rounding (phi = 1,
+        # for one) has no order to measure
+        if gi is g and errors[0] <= BACKWARD_ERROR_TOL * np.max(
+                np.abs(phi_ref)):
+            raise ConfigError(
+                f"convergence-study: the {num}-node grid reproduces the "
+                f"reference to rounding (max error {errors[0]:.3g} <= "
+                f"{BACKWARD_ERROR_TOL:g} max |phi_ref|), so there is no "
+                "order to measure")
     ratios = [errors[i] / errors[i + 1] if errors[i + 1] > 0 else float("inf")
               for i in range(len(errors) - 1)]
     orders = [float(np.log2(r)) if np.isfinite(r) and r > 0 else float("inf")
@@ -288,10 +286,10 @@ def _run_convergence(job, chart, g):
 
 
 def run_job(job: dict):
-    """Execute one job; returns (SolveReport, fields dict).  A report whose
-    solver did not time itself gets the mode driver's wall time."""
+    """Execute one job; returns (SolveReport, fields dict).  The report's
+    ``timing.wall_s`` is the mode driver's wall time."""
+    chart = parse_grid(job["grid"], job["n"])
     with _building():
-        chart = parse_grid(job["grid"], job["n"])
         g = parse_metric(job["metric"], chart)
     driver = {
         "dirichlet": _run_dirichlet,
@@ -302,7 +300,7 @@ def run_job(job: dict):
     }[job["mode"]]
     t0 = time.perf_counter()
     report, fields = driver(job, chart, g)
-    report.timing.setdefault("wall_s", time.perf_counter() - t0)
+    report.timing["wall_s"] = time.perf_counter() - t0
     return report, fields
 
 

@@ -24,7 +24,6 @@ principle behind the barrier and the sub/supersolution certificate that
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,7 +98,6 @@ def solve_scalar_flat_dirichlet(g: MetricField) -> ConformalSolution:
     min phi > 0 certifies the whole discrete lambda-family (module
     docstring); a nonpositive phi raises ``PositivityError``.
     """
-    t0 = time.perf_counter()
     phi, g_new, report = solve_conformal_factor(
         _yamabe_linear_problem(g, 1.0), offset=1.0, mode="dirichlet")
     n = g.chart.n
@@ -111,7 +109,6 @@ def solve_scalar_flat_dirichlet(g: MetricField) -> ConformalSolution:
     # the stencil divides rounding by h^{n-2}; a constant phi has no mass
     report.mass_coefficient = (0.0 if report.decay["status"] == "constant"
                                else mass_coefficient(phi))
-    report.timing = {"wall_s": time.perf_counter() - t0}
     return ConformalSolution(phi=phi, metric=g_new, report=report)
 
 

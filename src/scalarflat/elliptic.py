@@ -7,7 +7,7 @@ exact limit row u = L at s=0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -85,8 +85,12 @@ class LinearSolveResult:
     right-hand sides) and its backward error after each refinement pass."""
 
     solution: ScalarField | np.ndarray
-    residual: float
-    residual_history: list = field(default_factory=list)
+    residual_history: list
+
+    @property
+    def residual(self) -> float:
+        """The backward error after the last pass."""
+        return self.residual_history[-1]
 
 
 def assemble(problem: LinearProblem) -> LinearSystem:
@@ -330,8 +334,7 @@ class Factorization:
                 f"{history[-1]:.3g})", history=history)
         sol = (x if np.ndim(rhs) == 2
                else ScalarField(self.chart, x.reshape(self.chart.shape)))
-        return LinearSolveResult(solution=sol, residual=history[-1],
-                                 residual_history=history)
+        return LinearSolveResult(solution=sol, residual_history=history)
 
 
 def _gathered(data, shape, layouts, key, build):

@@ -18,7 +18,6 @@ mean-curvature residual from 0.82 h^2 to 1.23 h^2.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -480,15 +479,13 @@ def solve_nonlinear_robin(g: MetricField, f: BoundaryField,
     """Barriers plus Newton between them for du/deta = f u^beta on a
     scalar-flat background (the post-reduction subproblem); each stage's
     failure is tagged with its name.  ``iterations.linear`` counts the
-    SuperLU solve passes that all the stages make on g's one LU (8), and
-    ``timing.wall_s`` their time, the LU's factorization included."""
-    t0 = time.perf_counter()
+    SuperLU solve passes that all the stages make on g's one LU (8).  The
+    report's ``timing`` is empty: the caller times the job."""
     passes = _stage("harmonic_unit", boundary_map, g).lu.passes
     v, dv = _stage("harmonic_unit", harmonic_unit, g)
     pair = _stage("build_sub_super", build_sub_super, v, dv, f, beta)
     sol = _stage("monotone_iterate", monotone_iterate, pair, g)
     sol.report.iterations["linear"] = g.boundary_map.lu.passes - passes
-    sol.report.timing = {"wall_s": time.perf_counter() - t0}
     return sol
 
 
@@ -503,7 +500,8 @@ def prescribe_mean_curvature(g: MetricField,
     barrier construction; Newton on the boundary map; final
     finite-difference check of the transformed mean curvature against the
     target.  ``iterations.linear`` counts the SuperLU solve passes on the
-    job's one LU, the reduction's included (10).
+    job's one LU, the reduction's included (10).  The report's ``timing``
+    is empty: the caller times the job.
 
     ``checks.target_H`` bounds max |H - target| by
     (n-1)^3 (1 + max |target|)^2 h^2.  The error is second order in h, and
@@ -511,7 +509,6 @@ def prescribe_mean_curvature(g: MetricField,
     target 0; 130 h^2 at n = 10; 9e3 h^2 at n = 5, target -100), while a
     datum off by 30% misses by 9e-3 = 360 h^2 (n = 3, 201 nodes, 0.03).
     """
-    t0 = time.perf_counter()
     n = g.chart.n
     beta = n / (n - 2.0)
 
@@ -531,5 +528,4 @@ def prescribe_mean_curvature(g: MetricField,
     scale = 1.0 + float(np.max(np.abs(f_target.values)))
     sol.report.checks["target_H"] = (
         err <= (n - 1) ** 3 * (scale * g.chart.ds) ** 2)
-    sol.report.timing = {"wall_s": time.perf_counter() - t0}
     return sol

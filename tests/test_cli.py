@@ -21,9 +21,10 @@ import scalarflat.dirichlet as dirichlet
 import scalarflat.elliptic as elliptic
 import scalarflat.meancurv as meancurv
 from scalarflat.cli import (MODES, _read_metric_file, build_parser,
-                            check_args, main, parse_f, parse_grid, run_job)
+                            check_args, main, parse_f, parse_grid)
 from scalarflat.chart import Chart
 from scalarflat.errors import ConfigError
+from scalarflat.metrics import metric_from_spec
 from scalarflat.report import load_report
 from scalarflat.weighted import MIN_S_NODES
 
@@ -128,6 +129,30 @@ def test_convergence_mode(tmp_path):
     assert code == 0
     assert report["checks"]["second_order"] is True
     assert report["iterations"]["grids"] == [201, 401, 801]
+    assert all(3.9 <= r <= 4.1 for r in report["extrema"]["ratios"])
+
+
+@pytest.mark.parametrize("argv", [
+    (),
+    ("--metric", "conformal:1,0.5"),
+    ("--n-dim", "4", "--metric", "conformal:1,0,1"),
+], ids=["flat", "conformal-1-0.5", "n-dim-4-conformal-1-0-1"])
+def test_convergence_study_of_an_exact_reference_is_config_error(
+        tmp_path, capsys, argv):
+    # phi = 1 is reproduced to rounding, so there is no order to measure
+    # (these exited 4, with ratios near 0.5)
+    code, report, _ = run(tmp_path, "--mode", "convergence-study", *argv)
+    err = capsys.readouterr().err
+    assert code == 2 and report is None
+    assert "config error" in err and "max error" in err
+
+
+def test_convergence_study_at_n_5(tmp_path):
+    # u0 = 1 + 2 s^3 is harmonic at n = 5, so phi = 1 as for the exact
+    # cases, but the stencil misses it by O(h^2) (3.8e-6 on 201 nodes)
+    code, report, _ = run(tmp_path, "--mode", "convergence-study",
+                          "--n-dim", "5", "--metric", "conformal:1,0,0,2")
+    assert code == 0
     assert all(3.9 <= r <= 4.1 for r in report["extrema"]["ratios"])
 
 
@@ -499,6 +524,11 @@ def _quotient_family(family):
     # allowed size exceeded"; the second asked numpy for 745 GiB)
     lambda d: ["--grid", "99999999999999999999"],
     lambda d: ["--grid", "41x99999999999"],
+    # rules that Chart and the table of the data a mode reads hold alone
+    lambda d: ["--n-dim", "4", "--grid", "41x9"],
+    lambda d: ["--grid", "41x-9"],
+    lambda d: ["--mode", "meancurv"],
+    lambda d: ["--mode", "meancurv", "--f", "0.1"],
 ], ids=["conformal-no-coeffs", "json-list", "bad-coefficient",
         "axisym-no-a_theta", "oracle-cos-f", "bad-cos-f", "grid-2",
         "grid-negative",
@@ -527,7 +557,9 @@ def _quotient_family(family):
         "convergence-n-dim-110", "far-field-amplitude-overflow",
         "table-limit-not-flat-4", "table-limit-not-flat-4+s2",
         "json-int-beyond-double-coeffs", "json-int-beyond-double-table",
-        "grid-count-beyond-index", "grid-count-beyond-index-41x99999999999"])
+        "grid-count-beyond-index", "grid-count-beyond-index-41x99999999999",
+        "axisym-n-dim-4", "grid-theta-negative", "meancurv-no-datum",
+        "meancurv-f-only"])
 def test_malformed_input_is_config_error(tmp_path, capsys, make_argv):
     argv = make_argv(tmp_path)
     try:
@@ -751,9 +783,9 @@ def test_jobs_on_one_grid_match_a_fresh_grid(tmp_path, argv, metric_b):
 
 
 def test_run_job_requires_meancurv_data():
-    job = check_args(build_parser().parse_args(["--mode", "meancurv"]))
+    # the table of the data each mode reads is the rule's one home
     with pytest.raises(ConfigError):
-        run_job(job)
+        check_args(build_parser().parse_args(["--mode", "meancurv"]))
 
 
 @pytest.mark.parametrize("via", ["flag", "env"])
@@ -942,6 +974,15 @@ def test_every_mode_reports_its_wall_time(tmp_path, argv):
     assert code == 0
     assert list(report["timing"]) == ["wall_s"]
     assert report["timing"]["wall_s"] > 0.0
+
+
+def test_library_reports_leave_timing_to_the_job():
+    # cli.run_job is the job's one clock
+    g = metric_from_spec("flat", Chart.radial(3, 41))
+    for sol in (dirichlet.solve_scalar_flat_dirichlet(g),
+                meancurv.solve_nonlinear_robin(g, parse_f(0.1, g.chart), 3.0),
+                meancurv.prescribe_mean_curvature(g, parse_f(0.03, g.chart))):
+        assert sol.report.timing == {}
 
 
 def test_robin_wall_time_covers_every_stage(tmp_path, monkeypatch):
